@@ -2,7 +2,7 @@
 
 from .core import (
     Kappa,
-    adaptive_simpson,
+    adaptive_quadrature,
     differential_weight,
     from_kappa_number,
     kappa_exp,

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -80,8 +81,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes a token such as -3.2e-05 for a negative
+    number, not an option.  Stock argparse recognises only -12 and -1.5, so
+    `--kappa -3.2e-05` would fail with "expected one argument"; subparsers
+    inherit this class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="kappamath",
         description="Deformed exponential mathematics and decay-equation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -28,7 +28,7 @@ __all__ = [
     "differential_weight",
     "kappa_integral",
     "scaled_arcsinh",
-    "adaptive_simpson",
+    "adaptive_quadrature",
 ]
 
 
@@ -138,6 +138,7 @@ def kappa_product(k: Kappa, x: float, y: float, classical_limit: bool = False) -
     The inner 1/k makes the identity element sinh(k)/k and the k -> 0 limit
     the ordinary product.  The sinh form is 0/0 at k = 0; pass
     classical_limit=True to get x*y there instead of a DomainError.
+    Overflow of the sinh is reported as a signed inf rather than raised.
     """
     if k.is_classical:
         if classical_limit:
@@ -145,7 +146,11 @@ def kappa_product(k: Kappa, x: float, y: float, classical_limit: bool = False) -
         raise DomainError("kappa_product undefined at kappa = 0; "
                           "pass classical_limit=True for x*y")
     kv = k.value
-    return math.sinh(math.asinh(kv * x) * math.asinh(kv * y) / kv) / kv
+    t = math.asinh(kv * x) * math.asinh(kv * y) / kv
+    try:
+        return math.sinh(t) / kv
+    except OverflowError:
+        return math.copysign(math.inf, t) / kv
 
 
 def kappa_product_identity(k: Kappa) -> float:
@@ -168,16 +173,38 @@ def differential_weight(k: Kappa, x: float) -> float:
     return 1.0 / math.hypot(1.0, k.value * x)
 
 
-def adaptive_simpson(
+# Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15): the 15 Kronrod nodes
+# are the 7 Gauss-Legendre nodes (odd positions) plus 8 interleaved ones, so
+# one panel of 15 evaluations yields both estimates.
+_GK15_NODES = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0)
+_GK15_WEIGHTS = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_G7_WEIGHTS = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+
+def adaptive_quadrature(
     f: Callable[[float], float],
     a: float,
     b: float,
     tol: float = 1e-12,
     max_evals: int = 1_000_000,
 ) -> float:
-    """Adaptive Simpson quadrature of f over [a, b] to absolute error tol.
+    """Adaptive Gauss-Kronrod 7/15 quadrature of f over [a, b] to absolute
+    error tol.
 
-    Raises ConvergenceError if the refinement budget is exhausted.
+    A panel is accepted when |K15 - G7| is within its share of tol; otherwise
+    it is halved and each half gets half the tolerance.  Raises
+    ConvergenceError if the next panel would take the integrand evaluations
+    past max_evals, or if a panel can no longer be halved in floating point.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"bad interval [{a!r}, {b!r}]")
@@ -186,36 +213,40 @@ def adaptive_simpson(
     if a == b:
         return 0.0
 
-    evals = [0]
-
-    def ev(x: float) -> float:
-        evals[0] += 1
-        if evals[0] > max_evals:
+    evals = 0
+    total = 0.0
+    # Depth-first over (lo, hi, eps), left half first, so the panels are
+    # summed in order from a to b and the result does not depend on the
+    # recursion limit.
+    pending = [(a, b, tol)]
+    while pending:
+        lo, hi, eps = pending.pop()
+        evals += 15
+        if evals > max_evals:
             raise ConvergenceError(
                 f"quadrature budget of {max_evals} evaluations exhausted")
-        return f(x)
-
-    def simpson(fa: float, fm: float, fb: float, h: float) -> float:
-        return h * (fa + 4.0 * fm + fb) / 6.0
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm = ev(lmid)
-        frm = ev(rmid)
-        left = simpson(flo, flm, fmid, mid - lo)
-        right = simpson(fmid, frm, fhi, hi - mid)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        half = 0.5 * eps
-        return (recurse(lo, mid, flo, flm, fmid, left, half)
-                + recurse(mid, hi, fmid, frm, fhi, right, half))
-
-    fa, fm, fb = ev(a), ev(0.5 * (a + b)), ev(b)
-    whole = simpson(fa, fm, fb, b - a)
-    return recurse(a, b, fa, fm, fb, whole, tol)
+        centre = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fc = f(centre)
+        kronrod = _GK15_WEIGHTS[7] * fc
+        gauss = _G7_WEIGHTS[3] * fc
+        for j in range(7):
+            dx = half * _GK15_NODES[j]
+            pair = f(centre - dx) + f(centre + dx)
+            kronrod += _GK15_WEIGHTS[j] * pair
+            if j % 2:
+                gauss += _G7_WEIGHTS[j // 2] * pair
+        kronrod *= half
+        gauss *= half
+        if abs(kronrod - gauss) <= eps:
+            total += kronrod
+        elif lo < centre < hi:
+            pending.append((centre, hi, 0.5 * eps))
+            pending.append((lo, centre, 0.5 * eps))
+        else:
+            raise ConvergenceError(
+                f"quadrature cannot split [{lo!r}, {hi!r}] to reach tol {tol!r}")
+    return total
 
 
 def kappa_integral(
@@ -226,5 +257,5 @@ def kappa_integral(
     tol: float = 1e-12,
 ) -> float:
     """Deformed integral of f over [a, b]: the integrand is weighted by
-    1/sqrt(1 + k^2 x^2)."""
-    return adaptive_simpson(lambda x: f(x) * differential_weight(k, x), a, b, tol)
+    1/sqrt(1 + k^2 x^2) and integrated by adaptive_quadrature."""
+    return adaptive_quadrature(lambda x: f(x) * differential_weight(k, x), a, b, tol)

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 from .core import Kappa, kappa_exp
 from .errors import DomainError, FloorError
 from .ode import ab2_solve, euler_solve, rk4_solve
-from .series import decay_series_solution, evaluate_series, picard_iterate, picard_series_in_x
+from .series import (
+    decay_series_solution,
+    evaluate_series,
+    picard_iterate,
+    picard_iterate_in_x,
+)
 
 __all__ = [
     "ErrorReport",
@@ -147,11 +152,10 @@ def picard_vs_series(k: Kappa, n: int, x_grid) -> PicardSeriesReport:
     (both expanded in x through order n) and pointwise on the grid."""
     if not (0 <= n <= 20):
         raise DomainError(f"n must be in [0, 20], got {n!r}")
-    px = picard_series_in_x(k, n).coefficients
-    sx = decay_series_solution(k, n).coefficients
-    coeff_diff = max(abs(a - b) for a, b in zip(px, sx))
     it = picard_iterate(k, n)
     s = decay_series_solution(k, n)
+    px = picard_iterate_in_x(it, k, n).coefficients
+    coeff_diff = max(abs(a - b) for a, b in zip(px, s.coefficients))
     xs = tuple(float(x) for x in x_grid)
     diffs = tuple(
         abs(evaluate_series(it, k, x) - evaluate_series(s, k, x)) for x in xs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Kappa, adaptive_simpson, kappa_exp, scaled_arcsinh
+from .core import Kappa, adaptive_quadrature, kappa_exp, scaled_arcsinh
 from .errors import DomainError
 
 __all__ = [
@@ -139,10 +139,11 @@ def closed_form_decay(p: DecayProblem, x: float) -> float:
 
 def quadrature_decay(p: DecayProblem, x: float, tol: float = 1e-12) -> float:
     """Separable route: f0 * exp(-int_0^x beta / sqrt(1+k^2 b^2 t^2) dt),
-    with the integral done by adaptive quadrature."""
+    with the integral done by adaptive Gauss-Kronrod 7/15 quadrature to
+    absolute error tol."""
     if not (0.0 <= x <= p.x_max):
         raise DomainError(f"x must lie in [0, {p.x_max}], got {x!r}")
-    integral = adaptive_simpson(lambda t: p.beta * p.weight(t), 0.0, x, tol)
+    integral = adaptive_quadrature(lambda t: p.beta * p.weight(t), 0.0, x, tol)
     return p.f0 * math.exp(-integral)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "sqrt_weight_series",
     "decay_series_solution",
     "picard_iterate",
+    "picard_iterate_in_x",
     "picard_series_in_x",
     "evaluate_series",
 ]
@@ -118,24 +119,23 @@ def _coordinate_series(k: Kappa, order: int) -> list[float]:
     return c
 
 
-def _exp_series(order: int) -> list[float]:
-    c = [0.0] * (order + 1)
-    c[0] = 1.0
-    for j in range(1, order + 1):
-        c[j] = c[j - 1] / j
-    return c
-
-
 def exp_kappa_taylor(k: Kappa, order: int) -> PowerSeries:
     """Maclaurin coefficients of the deformed exponential about 0.
 
-    Built by composing the classical exp series with the coordinate series
-    u(x); the first few coefficients are 1, 1, 1/2, (1-k^2)/3!,
-    (1-4k^2)/4!, (1-k^2)(1-9k^2)/5!.
+    exp_k(x) = exp(u(x)) with u the coordinate series, so g = exp_k obeys
+    g' = u' g, and equating powers of x gives the O(order^2) recurrence
+        n g_n = sum_{j=1..n} j u_j g_{n-j},   g_0 = 1,
+    whose weights j u_j are the coefficients of u'(x) = (1+k^2 x^2)^(-1/2)
+    (only odd j are nonzero).  The first few coefficients are 1, 1, 1/2,
+    (1-k^2)/3!, (1-4k^2)/4!, (1-k^2)(1-9k^2)/5!.
     """
     _check_order(order)
-    coeffs = series_compose(_exp_series(order), _coordinate_series(k, order), order)
-    return PowerSeries("x", tuple(coeffs))
+    du = [j * c for j, c in enumerate(_coordinate_series(k, order))]
+    g = [0.0] * (order + 1)
+    g[0] = 1.0
+    for n in range(1, order + 1):
+        g[n] = sum(w * c for w, c in zip(du[1 : n + 1 : 2], g[n - 1 :: -2])) / n
+    return PowerSeries("x", tuple(g))
 
 
 def ln_kappa_shifted_taylor(k: Kappa, order: int) -> PowerSeries:
@@ -209,14 +209,18 @@ def picard_iterate(k: Kappa, n: int) -> PicardIterate:
     return PicardIterate(n, tuple(float(c) for c in coeffs))
 
 
-def picard_series_in_x(k: Kappa, n: int, order: int | None = None) -> PowerSeries:
-    """Maclaurin expansion in x of a Picard iterate (compose with u(x))."""
-    if order is None:
-        order = n
+def picard_iterate_in_x(it: PicardIterate, k: Kappa, order: int) -> PowerSeries:
+    """Maclaurin expansion in x of a Picard iterate through the given order
+    (compose it with u(x))."""
     _check_order(order)
-    it = picard_iterate(k, n)
     coeffs = series_compose(it.coefficients, _coordinate_series(k, order), order)
     return PowerSeries("x", tuple(coeffs))
+
+
+def picard_series_in_x(k: Kappa, n: int, order: int | None = None) -> PowerSeries:
+    """Maclaurin expansion in x of Picard iterate n, through order n unless
+    another order is given."""
+    return picard_iterate_in_x(picard_iterate(k, n), k, n if order is None else order)
 
 
 def evaluate_series(s: PowerSeries | PicardIterate, k: Kappa, x: float) -> float:

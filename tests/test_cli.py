@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from kappamath import Kappa, kappa_exp, to_kappa_number
 from kappamath.cli import main
 
 
@@ -35,6 +36,34 @@ def test_eval_arity_checks(capsys):
     assert rc == 2 and "--y" in err
     rc, _, _ = run(capsys, "eval", "--fn", "exp", "--kappa", "0.5", "--x", "1", "--y", "2")
     assert rc == 2
+
+
+def test_eval_product_overflow_prints_inf(capsys):
+    rc, out, err = run(capsys, "eval", "--fn", "product", "--kappa", "0.5",
+                       "--x", "1e10", "--y", "1e10")
+    assert rc == 0
+    assert out.strip() == "inf"
+    assert "Traceback" not in err
+
+
+def test_float_options_accept_negative_exponent_notation(capsys):
+    rc, out, _ = run(capsys, "eval", "--fn", "exp", "--kappa", "-3.2e-05", "--x", "1")
+    assert rc == 0
+    assert float(out) == kappa_exp(Kappa(-3.2e-05), 1.0)
+    rc, out, _ = run(capsys, "eval", "--fn", "knum", "--kappa", "-.5E+0", "--x", "-1e1")
+    assert rc == 0
+    assert float(out) == to_kappa_number(Kappa(-0.5), -10.0)
+    rc, out, _ = run(capsys, "solve", "--kappa", "-1e-3", "--beta", "2", "--f0", "-2.5e-1",
+                     "--method", "analytic", "--h", "0.5", "--x-max", "1")
+    assert rc == 0
+    assert out.split("\n")[1].split(",")[:2] == ["0", "-0.25"]
+    # still a usage error: not a number, or a float given to an int option
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "eval", "--fn", "exp", "--kappa", "-3.2e-05x", "--x", "1")
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "series", "--target", "exp", "--order", "-1e2")
+    assert exc.value.code == 2
 
 
 def test_solve_row_count_and_header(capsys):

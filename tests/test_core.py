@@ -9,7 +9,7 @@ from kappamath import (
     ConvergenceError,
     DomainError,
     Kappa,
-    adaptive_simpson,
+    adaptive_quadrature,
     differential_weight,
     from_kappa_number,
     kappa_exp,
@@ -169,6 +169,15 @@ def test_kappa_product_classical_limit_flag():
     assert kappa_product(k0, 2.0, 3.0, classical_limit=True) == 6.0
 
 
+def test_kappa_product_overflow_is_signed_inf():
+    # the sinh argument is asinh(5e9)^2 / 0.5, about 1.0e3: past sinh's range
+    k = Kappa(0.5)
+    assert kappa_product(k, 1e10, 1e10) == math.inf
+    assert kappa_product(k, -1e10, 1e10) == -math.inf
+    # the product is even in kappa, overflow included
+    assert kappa_product(Kappa(-0.5), 1e10, 1e10) == math.inf
+
+
 def test_group_axioms_random_triples():
     rng = random.Random(20240817)
     k = Kappa(0.75)
@@ -254,5 +263,5 @@ def test_kappa_integral_validation():
 
 def test_adaptive_simpson_budget_exhaustion():
     with pytest.raises(ConvergenceError):
-        adaptive_simpson(lambda x: math.sin(1e4 * x), 0.0, 1.0,
-                         tol=1e-300, max_evals=200)
+        adaptive_quadrature(lambda x: math.sin(1e4 * x), 0.0, 1.0,
+                            tol=1e-300, max_evals=200)

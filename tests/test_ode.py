@@ -78,6 +78,23 @@ def test_three_analytic_routes_agree(kv, beta):
         assert quadrature_decay(p, x, tol=1e-12) == pytest.approx(cf, rel=1e-10)
 
 
+# (kappa, beta, x) where adaptive Simpson at tol 1e-12 missed the relative
+# 1e-10 of acceptance criterion 5 by up to 60%
+QUADRATURE_HARD_CASES = [
+    (-0.5512826353806172, 1.0780968668975603, 0.9753015719555619),
+    (-0.4126007639416842, 1.1605831031722118, 1.2104857518557555),
+    (-0.5881006423409875, 0.8006732865146404, 1.2310077094355798),
+]
+
+
+@pytest.mark.parametrize("kv,beta,x", QUADRATURE_HARD_CASES)
+def test_analytic_routes_agree_on_hard_quadrature_inputs(kv, beta, x):
+    p = decay(kv, beta=beta, x_max=10.0)
+    values = [closed_form_decay(p, x), quadrature_decay(p, x, tol=1e-12),
+              substitution_decay(p, x)]
+    assert max(values) - min(values) <= 1e-10 * max(values)
+
+
 def test_residual_of_closed_form_is_tiny():
     p = decay()
     for x in [0.0, 0.5, 2.0, 5.0]:

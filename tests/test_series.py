@@ -15,7 +15,12 @@ from kappamath import (
     picard_series_in_x,
     sqrt_weight_series,
 )
-from kappamath.series import series_compose, series_multiply, series_truncate
+from kappamath.series import (
+    _coordinate_series,
+    series_compose,
+    series_multiply,
+    series_truncate,
+)
 
 ARCSINH_09_OVER_09 = 0.89874103961420273612
 
@@ -111,7 +116,7 @@ def test_decay_series_frozen_examples():
 
 @pytest.mark.parametrize("kv", [0.1, 0.5, 0.9])
 def test_decay_series_is_sign_alternated_exp_series(kv):
-    # oracle: the composition-built exp series with x -> -x
+    # oracle: the g' = u'g recurrence exp series with x -> -x
     exp_c = exp_kappa_taylor(Kappa(kv), 8).coefficients
     dec_c = decay_series_solution(Kappa(kv), 8).coefficients
     for n, (d, e) in enumerate(zip(dec_c, exp_c)):
@@ -183,6 +188,21 @@ def test_evaluate_series_examples():
     k0 = Kappa(0.0)
     val = evaluate_series(exp_kappa_taylor(k0, 10), k0, 1.0)
     assert abs(val - math.e) < 1e-7
+
+
+COMPOSITION_KAPPAS = [i * 0.95 / 10 for i in range(-10, 11)] + [1e-300, -3e-5]
+
+
+@pytest.mark.parametrize("kv", COMPOSITION_KAPPAS)
+@pytest.mark.parametrize("order", [5, 48, 64])
+def test_exp_taylor_recurrence_matches_composition(kv, order):
+    # the O(n^3) route: Horner composition of exp(t) with u(x)
+    k = Kappa(kv)
+    exp_c = [1.0 / math.factorial(j) for j in range(order + 1)]
+    composed = series_compose(exp_c, _coordinate_series(k, order), order)
+    got = exp_kappa_taylor(k, order).coefficients
+    assert len(got) == order + 1
+    assert max(abs(g - c) for g, c in zip(got, composed)) <= 1e-15
 
 
 def test_series_helpers():
