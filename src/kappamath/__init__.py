@@ -11,7 +11,6 @@ from .core import (
     kappa_product,
     kappa_product_identity,
     kappa_sum,
-    make_kappa,
     to_kappa_number,
 )
 from .errors import ConvergenceError, DomainError, FloorError
@@ -41,7 +40,6 @@ from .ode import (
     substitution_decay,
 )
 from .series import (
-    PicardIterate,
     PowerSeries,
     decay_series_solution,
     evaluate_series,

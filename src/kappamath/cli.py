@@ -29,8 +29,8 @@ from .core import (
     to_kappa_number,
 )
 from .errors import ConvergenceError, DomainError, FloorError
-from .harness import SOLVERS, error_table
-from .ode import DecayProblem, LogisticProblem, analytic_trace
+from .harness import SOLVERS, error_ladder, fit_ladder
+from .ode import MAX_POINTS, DecayProblem, LogisticProblem, analytic_trace
 from .series import (
     decay_series_solution,
     exp_kappa_taylor,
@@ -42,7 +42,12 @@ __all__ = ["main", "entrypoint"]
 
 
 def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+    # The one nan check of CSV and printed output; inf stays a documented
+    # result (e.g. an overflowing kappa_product).
+    v = float(v)
+    if math.isnan(v):
+        raise ConvergenceError("result is nan")
+    return format(v, ".17g")
 
 
 def _resolve(path: str) -> Path:
@@ -78,7 +83,21 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # nan or inf, which JSON cannot represent
+        raise ConvergenceError(f"non-finite value in JSON output: {exc}") from None
+
+
+def _finite_float(text: str) -> float:
+    """Type of every float option: nan, inf and non-numbers exit 2."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return v
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p, output=True):
-        p.add_argument("--kappa", type=float, default=0.9,
+        p.add_argument("--kappa", type=_finite_float, default=0.9,
                        help="deformation parameter, |kappa| < 1 (default 0.9)")
         if output:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -111,35 +130,35 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="evaluate a deformed function")
     pe.add_argument("--fn", required=True,
                     choices=("exp", "ln", "sum", "product", "weight", "knum"))
-    pe.add_argument("--kappa", type=float, required=True)
-    pe.add_argument("--x", type=float, required=True)
-    pe.add_argument("--y", type=float, default=None)
+    pe.add_argument("--kappa", type=_finite_float, required=True)
+    pe.add_argument("--x", type=_finite_float, required=True)
+    pe.add_argument("--y", type=_finite_float, default=None)
 
     ps = sub.add_parser("solve", help="solve the decay or logistic problem")
     add_common(ps)
     ps.add_argument("--problem", choices=("decay", "logistic"), default="decay")
     ps.add_argument("--method", default="analytic",
                     choices=("analytic", "euler", "ab2", "rk4"))
-    ps.add_argument("--beta", type=float, default=1.0)
-    ps.add_argument("--f0", type=float, default=None,
+    ps.add_argument("--beta", type=_finite_float, default=1.0)
+    ps.add_argument("--f0", type=_finite_float, default=None,
                     help="initial value (default 1 for decay, 0.5 for logistic)")
-    ps.add_argument("--h", type=float, default=0.01)
-    ps.add_argument("--x-max", type=float, default=5.0)
+    ps.add_argument("--h", type=_finite_float, default=0.01)
+    ps.add_argument("--x-max", type=_finite_float, default=5.0)
 
     pr = sub.add_parser("series", help="emit series coefficients as JSON")
     pr.add_argument("--target", required=True,
                     choices=("exp", "ln1p", "decay", "picard"))
     pr.add_argument("--order", type=int, default=8)
-    pr.add_argument("--kappa", type=float, default=0.9)
+    pr.add_argument("--kappa", type=_finite_float, default=0.9)
     pr.add_argument("--output", default=None)
 
     pc = sub.add_parser("compare", help="numerical-vs-analytic error reports")
     pc.add_argument("--methods", default="euler,ab2,rk4",
                     help="comma-separated subset of euler,ab2,rk4")
-    pc.add_argument("--kappa", type=float, default=0.9)
-    pc.add_argument("--beta", type=float, default=1.0)
-    pc.add_argument("--x-max", type=float, default=5.0)
-    pc.add_argument("--h", type=float, default=0.01,
+    pc.add_argument("--kappa", type=_finite_float, default=0.9)
+    pc.add_argument("--beta", type=_finite_float, default=1.0)
+    pc.add_argument("--x-max", type=_finite_float, default=5.0)
+    pc.add_argument("--h", type=_finite_float, default=0.01,
                     help="largest step size (ladder start when --levels > 1)")
     pc.add_argument("--levels", type=int, default=1,
                     help="halving ladder depth (1 = single step size)")
@@ -148,20 +167,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("slope-field", help="tangent-slope grid for the decay field")
     add_common(pf)
-    pf.add_argument("--beta", type=float, default=1.0)
-    pf.add_argument("--x-min", type=float, default=0.0)
-    pf.add_argument("--x-max", type=float, default=5.0)
-    pf.add_argument("--f-min", type=float, default=0.0)
-    pf.add_argument("--f-max", type=float, default=1.0)
+    pf.add_argument("--beta", type=_finite_float, default=1.0)
+    pf.add_argument("--x-min", type=_finite_float, default=0.0)
+    pf.add_argument("--x-max", type=_finite_float, default=5.0)
+    pf.add_argument("--f-min", type=_finite_float, default=0.0)
+    pf.add_argument("--f-max", type=_finite_float, default=1.0)
     pf.add_argument("--nx", type=int, default=21)
     pf.add_argument("--nf", type=int, default=21)
 
     pl = sub.add_parser("logistic", help="logistic closed form vs a numerical method")
     add_common(pl)
     pl.add_argument("--method", default="rk4", choices=("euler", "ab2", "rk4"))
-    pl.add_argument("--h", type=float, default=0.01)
-    pl.add_argument("--x-max", type=float, default=5.0)
-    pl.add_argument("--f0", type=float, default=0.5)
+    pl.add_argument("--h", type=_finite_float, default=0.01)
+    pl.add_argument("--x-max", type=_finite_float, default=5.0)
+    pl.add_argument("--f0", type=_finite_float, default=0.5)
     return ap
 
 
@@ -215,60 +234,52 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    k = Kappa(args.kappa)
-    if args.target == "picard":
-        it = picard_iterate(k, args.order)
-        variable, coeffs = "u", it.coefficients
-    else:
-        build = {"exp": exp_kappa_taylor,
-                 "ln1p": ln_kappa_shifted_taylor,
-                 "decay": decay_series_solution}[args.target]
-        s = build(k, args.order)
-        variable, coeffs = s.variable, s.coefficients
+    build = {"exp": exp_kappa_taylor,
+             "ln1p": ln_kappa_shifted_taylor,
+             "decay": decay_series_solution,
+             "picard": picard_iterate}[args.target]
+    s = build(Kappa(args.kappa), args.order)
     text = _json_text({
-        "variable": variable,
+        "variable": s.variable,
         "kappa": args.kappa,
         "order": args.order,
-        "coefficients": list(coeffs),
+        "coefficients": list(s.coefficients),
     })
     _write_text(args.output, text)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    methods = [m for m in args.methods.split(",") if m]
+    methods = sorted({m for m in args.methods.split(",") if m})
     if not methods:
         raise DomainError("empty method list")
-    if args.levels < 1:
-        raise DomainError(f"levels must be >= 1, got {args.levels}")
     p = DecayProblem(Kappa(args.kappa), beta=args.beta, x_max=args.x_max)
-    ladder = [args.h / 2**i for i in range(args.levels)]
+    ladders = {m: list(error_ladder(p, m, args.h, args.levels)) for m in methods}
 
     summary = {"kappa": args.kappa, "beta": args.beta, "x_max": args.x_max,
-               "reports": [], "fitted_orders": {}}
-    out_dir = args.out_dir
-    for method in sorted(set(methods)):
-        max_errs = []
-        for i, h in enumerate(ladder):
-            report = error_table(p, [method], h)[0]
-            rows = [[method, h, x, e] for x, e in zip(report.xs, report.abs_errors)]
+               "reports": [], "fitted_orders": {}, "hit_floor": {}}
+    for method, reports in ladders.items():
+        fit = fit_ladder(reports)
+        summary["reports"] += [{"method": method, "h": r.h, "max_error": r.max_error,
+                                "rms_error": r.rms_error} for r in reports]
+        summary["fitted_orders"][method] = list(fit.fitted_orders)
+        summary["hit_floor"][method] = fit.hit_floor
+    # Rendered before any file is written: every abs_error enters an
+    # rms_error, so a nan in a CSV makes the summary fail here first.
+    summary_text = _json_text(summary)
+    out_dir = Path(args.out_dir)
+    for method, reports in ladders.items():
+        for i, r in enumerate(reports):
             name = f"errors_{method}_{i}.csv" if args.levels > 1 else f"errors_{method}.csv"
-            _write_text(str(Path(out_dir) / name),
-                        _csv(["method", "h", "x", "abs_error"], rows))
-            summary["reports"].append({
-                "method": method, "h": h,
-                "max_error": report.max_error, "rms_error": report.rms_error,
-            })
-            max_errs.append(report.max_error)
-        summary["fitted_orders"][method] = [
-            math.log2(max_errs[i] / max_errs[i + 1]) for i in range(len(max_errs) - 1)]
-    _write_text(str(Path(out_dir) / "summary.json"), _json_text(summary))
+            rows = [[method, r.h, x, e] for x, e in zip(r.xs, r.abs_errors)]
+            _write_text(str(out_dir / name), _csv(["method", "h", "x", "abs_error"], rows))
+    _write_text(str(out_dir / "summary.json"), summary_text)
     return 0
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    if n < 1:
-        raise DomainError(f"grid size must be >= 1, got {n}")
+    if not (1 <= n <= MAX_POINTS):
+        raise DomainError(f"grid size must be in [1, {MAX_POINTS}], got {n}")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
@@ -281,6 +292,9 @@ def _cmd_slope_field(args) -> int:
     # x_max only bounds solver traces; the slope field just needs the rhs.
     p = DecayProblem(Kappa(args.kappa), beta=args.beta,
                      x_max=max(args.x_max, 1.0))
+    if args.nx * args.nf > MAX_POINTS:
+        raise DomainError(f"nx * nf must be at most {MAX_POINTS}, "
+                          f"got {args.nx} * {args.nf}")
     nodes = slope_field(p,
                         _linspace(args.x_min, args.x_max, args.nx),
                         _linspace(args.f_min, args.f_max, args.nf))

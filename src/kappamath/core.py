@@ -17,7 +17,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "Kappa",
-    "make_kappa",
     "kappa_exp",
     "kappa_ln",
     "kappa_sum",
@@ -47,10 +46,6 @@ class Kappa:
     @property
     def is_classical(self) -> bool:
         return self.value == 0.0
-
-
-def make_kappa(value: float) -> Kappa:
-    return Kappa(value)
 
 
 # Odd Maclaurin coefficients of arcsinh(z)/z: 1 - z^2/6 + 3 z^4/40 - ...

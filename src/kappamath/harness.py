@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import Kappa, kappa_exp
 from .errors import DomainError, FloorError
@@ -26,7 +27,10 @@ __all__ = [
     "PicardSeriesReport",
     "SOLVERS",
     "ROUNDOFF_FLOOR",
+    "MAX_LEVELS",
     "error_table",
+    "error_ladder",
+    "fit_ladder",
     "convergence_order",
     "series_error_curve",
     "asymptote_check",
@@ -38,6 +42,9 @@ SOLVERS = {"euler": euler_solve, "ab2": ab2_solve, "rk4": rk4_solve}
 # Below this max error a step-size ladder measures rounding noise, not
 # truncation, so fitted orders would be garbage.
 ROUNDOFF_FLOOR = 1e-13
+
+# Deepest halving ladder: h0 / 2**7 is already 128 times the work of h0.
+MAX_LEVELS = 8
 
 
 @dataclass(frozen=True)
@@ -93,34 +100,47 @@ def error_table(p, methods, h: float) -> list[ErrorReport]:
     return [_single_report(p, m, h) for m in sorted(set(methods))]
 
 
-def convergence_order(p, method: str, h0: float, levels: int,
-                      floor: float = ROUNDOFF_FLOOR) -> ConvergenceReport:
-    """Fit empirical orders from a halving step-size ladder h0, h0/2, ...
+def error_ladder(p, method: str, h0: float, levels: int,
+                 floor: float = ROUNDOFF_FLOOR):
+    """Yield the ErrorReport of each level of the halving ladder h0, h0/2, ...,
+    stopping after the first level whose max error is below the floor.
 
-    The ladder stops early once the max error drops below the round-off
-    floor, returning a partial fit; FloorError is raised only when fewer
-    than two levels complete so no order can be fitted at all.
+    FloorError is raised when a fit was asked for (levels >= 2) but the floor
+    stops the ladder at its first level.  Arguments are checked when
+    iteration starts.
     """
     if method not in SOLVERS:
         raise DomainError(f"unknown method {method!r}")
-    if not (3 <= levels <= 8):
-        raise DomainError(f"levels must be in [3, 8], got {levels!r}")
-    hs: list[float] = []
-    errs: list[float] = []
-    hit_floor = False
+    if not (1 <= levels <= MAX_LEVELS):
+        raise DomainError(f"levels must be in [1, {MAX_LEVELS}], got {levels!r}")
     for i in range(levels):
-        h = h0 / 2**i
-        err = _single_report(p, method, h).max_error
-        hs.append(h)
-        errs.append(err)
+        report = _single_report(p, method, h0 / 2**i)
+        err = report.max_error
+        yield report
+        # A consumer that keeps only h and the max error lets each level be
+        # freed before the next, twice as large, is built.
+        del report
         if err < floor:
-            hit_floor = True
-            break
-    if len(errs) < 2:
-        raise FloorError(
-            f"{method}: error {errs[0]:.3e} already below floor {floor:.1e} at h0")
+            if i == 0 and levels >= 2:
+                raise FloorError(f"{method}: error {err:.3e} already "
+                                 f"below floor {floor:.1e} at h0")
+            return
+
+
+def fit_ladder(reports, floor: float = ROUNDOFF_FLOOR) -> ConvergenceReport:
+    """Fit empirical orders, the log2 ratio of the max errors of adjacent
+    levels, to the reports of one error_ladder.  Only each level's h and max
+    error are kept, and no report is held while the next level is built."""
+    methods, hs, errs = zip(*map(attrgetter("method", "h", "max_error"), reports))
     orders = tuple(math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1))
-    return ConvergenceReport(method, tuple(hs), tuple(errs), orders, hit_floor)
+    return ConvergenceReport(methods[0], hs, errs, orders, errs[-1] < floor)
+
+
+def convergence_order(p, method: str, h0: float, levels: int,
+                      floor: float = ROUNDOFF_FLOOR) -> ConvergenceReport:
+    """Fit empirical orders from a halving step-size ladder h0, h0/2, ...;
+    the fit is partial when the round-off floor stops the ladder early."""
+    return fit_ladder(error_ladder(p, method, h0, levels, floor), floor)
 
 
 def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:

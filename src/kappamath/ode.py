@@ -15,6 +15,7 @@ from .core import Kappa, adaptive_quadrature, kappa_exp, scaled_arcsinh
 from .errors import DomainError
 
 __all__ = [
+    "MAX_POINTS",
     "DecayProblem",
     "LogisticProblem",
     "SolutionTrace",
@@ -30,6 +31,10 @@ __all__ = [
     "logistic_closed_form",
     "logistic_residual",
 ]
+
+# Most samples one grid may have, so that a step size or node count from
+# outside cannot ask for unbounded work; checked before any list is built.
+MAX_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,11 @@ def _grid(p, h: float, min_steps: int = 1) -> list[float]:
     span = p.x_end - p.x_start
     if not (math.isfinite(h) and h > 0.0 and h <= span / min_steps):
         raise DomainError(f"step size {h!r} invalid for span {span!r}")
-    n = int(math.floor(span / h + 1e-9))
+    steps = span / h + 1e-9
+    if steps >= MAX_POINTS:  # floor(steps) + 1 samples
+        raise DomainError(f"step size {h!r} gives more than {MAX_POINTS} "
+                          f"grid points over span {span!r}")
+    n = int(math.floor(steps))
     return [p.x_start + i * h for i in range(n + 1)]
 
 

@@ -18,7 +18,6 @@ from .errors import DomainError
 
 __all__ = [
     "PowerSeries",
-    "PicardIterate",
     "MAX_ORDER",
     "series_multiply",
     "series_compose",
@@ -54,15 +53,6 @@ class PowerSeries:
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
-
-
-@dataclass(frozen=True)
-class PicardIterate:
-    """Iterate n of the successive-approximation scheme, as a polynomial in
-    u = arcsinh(k x)/k.  Coefficient of u^j is (-1)^j/j! for j <= n."""
-
-    n: int
-    coefficients: tuple[float, ...]
 
 
 def _check_order(order: int) -> None:
@@ -192,8 +182,9 @@ def decay_series_solution(k: Kappa, order: int) -> PowerSeries:
     return PowerSeries("x", tuple(a))
 
 
-def picard_iterate(k: Kappa, n: int) -> PicardIterate:
-    """Iterate n of Picard's scheme for the decay equation, in u-coordinate.
+def picard_iterate(k: Kappa, n: int) -> PowerSeries:
+    """Iterate n of Picard's scheme for the decay equation, as a series in
+    u = arcsinh(k x)/k whose coefficient of u^j is (-1)^j/j! for j <= n.
 
     In u the equation is classical (df/du = -f, f = 1 at u = 0), so each
     iterate is the polynomial 1 - integral of the previous one, computed
@@ -206,13 +197,15 @@ def picard_iterate(k: Kappa, n: int) -> PicardIterate:
         integrated = [Fraction(0)] + [c / (j + 1) for j, c in enumerate(coeffs)]
         coeffs = [-c for c in integrated]
         coeffs[0] += 1
-    return PicardIterate(n, tuple(float(c) for c in coeffs))
+    return PowerSeries("u", coeffs)
 
 
-def picard_iterate_in_x(it: PicardIterate, k: Kappa, order: int) -> PowerSeries:
+def picard_iterate_in_x(it: PowerSeries, k: Kappa, order: int) -> PowerSeries:
     """Maclaurin expansion in x of a Picard iterate through the given order
     (compose it with u(x))."""
     _check_order(order)
+    if it.variable != "u":
+        raise DomainError(f"need a series in u, got one in {it.variable!r}")
     coeffs = series_compose(it.coefficients, _coordinate_series(k, order), order)
     return PowerSeries("x", tuple(coeffs))
 
@@ -223,11 +216,11 @@ def picard_series_in_x(k: Kappa, n: int, order: int | None = None) -> PowerSerie
     return picard_iterate_in_x(picard_iterate(k, n), k, n if order is None else order)
 
 
-def evaluate_series(s: PowerSeries | PicardIterate, k: Kappa, x: float) -> float:
+def evaluate_series(s: PowerSeries, k: Kappa, x: float) -> float:
     """Horner evaluation; series in the u-coordinate map x -> u first."""
     if not math.isfinite(x):
         raise DomainError(f"evaluate_series needs finite x, got {x!r}")
-    if isinstance(s, PicardIterate) or s.variable == "u":
+    if s.variable == "u":
         t = to_kappa_number(k, x)
     else:
         t = x

@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kappamath import Kappa, kappa_exp, to_kappa_number
-from kappamath.cli import main
+from kappamath import DomainError, Kappa, kappa_exp, to_kappa_number
+from kappamath.cli import _linspace, main
+from kappamath.ode import MAX_POINTS
 
 
 def run(capsys, *argv):
@@ -141,6 +150,23 @@ def test_compare_ladder_fits(capsys, tmp_path):
     assert all(abs(o - 4.0) < 0.25 for o in orders)
 
 
+def test_compare_ladder_stops_at_floor(capsys, tmp_path):
+    # at kappa = 0 the rk4 error reaches the round-off floor at level 7 of 8
+    rc, _, _ = run(capsys, "compare", "--methods", "rk4", "--h", "0.1",
+                   "--levels", "8", "--kappa", "0", "--out-dir", str(tmp_path))
+    assert rc == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["hit_floor"] == {"rk4": True}
+    orders = summary["fitted_orders"]["rk4"]
+    assert len(orders) == 6
+    assert all(abs(o - 4.0) < 0.25 for o in orders)
+    for levels in ("9", "0"):
+        rc, _, err = run(capsys, "compare", "--methods", "rk4", "--levels", levels,
+                         "--out-dir", str(tmp_path / levels))
+        assert rc == 2 and "levels" in err
+        assert not (tmp_path / levels).exists()
+
+
 def test_compare_empty_methods(capsys, tmp_path):
     rc, _, _ = run(capsys, "compare", "--methods", "", "--out-dir", str(tmp_path))
     assert rc == 2
@@ -188,3 +214,69 @@ def test_kappa_out_dir_env(capsys, tmp_path, monkeypatch):
     assert rc == 0
     doc = json.loads((tmp_path / "coeffs.json").read_text())
     assert doc["order"] == 3
+
+
+def test_float_options_reject_non_finite(capsys):
+    for argv in (["eval", "--fn", "knum", "--kappa", "0.5", "--x", "nan"],
+                 ["eval", "--fn", "sum", "--kappa", "0.5", "--x", "nan", "--y", "1"],
+                 ["eval", "--fn", "exp", "--kappa", "0.5", "--x", "1e400"],
+                 ["solve", "--h", "inf"]):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nan_output_is_numerical_failure(capsys, tmp_path, fmt):
+    out = tmp_path / f"trace.{fmt}"
+    rc, _, err = run(capsys, "solve", "--method", "rk4", "--beta", "1e308", "--h", "0.5",
+                     "--x-max", "2", "--format", fmt, "--output", str(out))
+    assert rc == 3 and "numerical failure" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_sizes_bounded(capsys):
+    # 1/h = MAX_POINTS steps and nx * nf = MAX_POINTS + 1 nodes are both refused
+    rc, out, _ = run(capsys, "solve", "--h", repr(1.0 / MAX_POINTS), "--x-max", "1")
+    assert rc == 2 and out == ""
+    assert (MAX_POINTS + 1) % 101 == 0
+    rc, out, _ = run(capsys, "slope-field", "--nx", "101",
+                     "--nf", str((MAX_POINTS + 1) // 101))
+    assert rc == 2 and out == ""
+    with pytest.raises(DomainError):
+        _linspace(0.0, 1.0, MAX_POINTS + 1)
+
+
+EVAL_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fn=st.sampled_from(["exp", "ln", "sum", "product", "weight", "knum"]),
+       kappa=EVAL_FLOATS, x=EVAL_FLOATS, y=st.none() | EVAL_FLOATS)
+def test_eval_exit_codes_and_no_nan(fn, kappa, x, y):
+    argv = ["eval", "--fn", fn, f"--kappa={kappa!r}", f"--x={x!r}"]
+    if y is not None:
+        argv.append(f"--y={y!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 2, 3)
+    assert "nan" not in out.getvalue().lower()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_runtime_imports_without_numpy():
+    # numpy is a test-only dependency: the package and the CLI run with it blocked
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "import kappamath, kappamath.cli; "
+            "sys.exit(kappamath.cli.main(['eval', '--fn', 'exp', '--kappa', '0.5', '--x', '1']))")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2.6180339887498949"

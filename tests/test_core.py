@@ -18,7 +18,6 @@ from kappamath import (
     kappa_product,
     kappa_product_identity,
     kappa_sum,
-    make_kappa,
     to_kappa_number,
 )
 
@@ -33,16 +32,16 @@ ARCSINH_09_OVER_09 = 0.89874103961420273612
 KAPPAS = [0.0, 0.1, -0.1, 0.5, -0.5, 0.9, -0.9]
 
 
-def test_make_kappa_accepts_open_interval():
-    assert make_kappa(0.75).value == 0.75
-    assert make_kappa(0.0).value == 0.0
-    assert make_kappa(-0.999).value == -0.999
+def test_kappa_accepts_open_interval():
+    assert Kappa(0.75).value == 0.75
+    assert Kappa(0.0).value == 0.0
+    assert Kappa(-0.999).value == -0.999
 
 
 @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, math.inf, math.nan])
-def test_make_kappa_rejects_out_of_range(bad):
+def test_kappa_rejects_out_of_range(bad):
     with pytest.raises(DomainError):
-        make_kappa(bad)
+        Kappa(bad)
 
 
 def test_kappa_exp_frozen_value():

@@ -64,7 +64,7 @@ def test_convergence_order_classical_rk4():
 
 def test_convergence_order_validation():
     with pytest.raises(DomainError):
-        convergence_order(decay(), "euler", 0.1, 2)
+        convergence_order(decay(), "euler", 0.1, 0)
     with pytest.raises(DomainError):
         convergence_order(decay(), "euler", 0.1, 9)
     with pytest.raises(DomainError):
@@ -82,6 +82,9 @@ def test_convergence_order_partial_ladder_on_floor():
 def test_convergence_order_floor_error_when_unfittable():
     with pytest.raises(FloorError):
         convergence_order(decay(0.9, x_max=5.0), "rk4", 0.1, 4, floor=1.0)
+    # a single level asks for no fit, so the floor only sets hit_floor
+    rep = convergence_order(decay(0.9, x_max=5.0), "rk4", 0.1, 1, floor=1.0)
+    assert rep.hit_floor and rep.fitted_orders == () and len(rep.max_errors) == 1
 
 
 def test_series_error_curve_behaviour():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from kappamath import ode
 from kappamath import (
     DecayProblem,
     DomainError,
@@ -137,6 +138,20 @@ def test_step_size_validation(solver):
         solver(decay(), -1.0)
     with pytest.raises(DomainError):
         solver(decay(), 0.0)
+
+
+def test_grid_bounded_by_max_points(monkeypatch):
+    # 1/h = MAX_POINTS steps make MAX_POINTS + 1 samples; a span/h that
+    # overflows to inf is refused the same way, before any list is built
+    for solver in (euler_solve, ab2_solve, rk4_solve, analytic_trace):
+        with pytest.raises(DomainError):
+            solver(decay(x_max=1.0), 1.0 / ode.MAX_POINTS)
+        with pytest.raises(DomainError):
+            solver(decay(x_max=1e300), 1e-10)
+    monkeypatch.setattr(ode, "MAX_POINTS", 11)
+    assert len(rk4_solve(decay(x_max=1.0), 0.1).xs) == 11
+    with pytest.raises(DomainError):
+        rk4_solve(decay(x_max=1.0), 1.0 / 11)
 
 
 def test_euler_single_steps():

@@ -6,6 +6,7 @@ import pytest
 from kappamath import (
     DomainError,
     Kappa,
+    PowerSeries,
     decay_series_solution,
     evaluate_series,
     exp_kappa_taylor,
@@ -17,6 +18,7 @@ from kappamath import (
 )
 from kappamath.series import (
     _coordinate_series,
+    picard_iterate_in_x,
     series_compose,
     series_multiply,
     series_truncate,
@@ -152,6 +154,15 @@ def test_picard_iterates_are_truncated_exponentials():
         assert len(it.coefficients) == n + 1
         for j, c in enumerate(it.coefficients):
             assert c == (-1) ** j / math.factorial(j)
+
+
+def test_picard_iterate_is_a_series_in_u():
+    k = Kappa(0.9)
+    it = picard_iterate(k, 5)
+    assert isinstance(it, PowerSeries)
+    assert it.variable == "u" and it.order == 5
+    with pytest.raises(DomainError):
+        picard_iterate_in_x(decay_series_solution(k, 5), k, 5)
 
 
 def test_picard_index_validation():
