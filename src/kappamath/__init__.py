@@ -46,7 +46,6 @@ from .series import (
     exp_kappa_taylor,
     ln_kappa_shifted_taylor,
     picard_iterate,
-    picard_series_in_x,
     sqrt_weight_series,
 )
 

@@ -29,8 +29,16 @@ from .core import (
     to_kappa_number,
 )
 from .errors import ConvergenceError, DomainError, FloorError
-from .harness import SOLVERS, error_ladder, fit_ladder
-from .ode import MAX_POINTS, DecayProblem, LogisticProblem, analytic_trace
+from .harness import error_ladder, fit_ladder
+from .ode import (
+    MAX_POINTS,
+    SOLVERS,
+    DecayProblem,
+    LogisticProblem,
+    analytic_trace,
+    logistic_closed_form,
+    slope_field,
+)
 from .series import (
     decay_series_solution,
     exp_kappa_taylor,
@@ -85,8 +93,12 @@ def _csv(header: list[str], rows: list[list]) -> str:
 def _json_text(obj) -> str:
     try:
         return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # nan or inf, which JSON cannot represent
-        raise ConvergenceError(f"non-finite value in JSON output: {exc}") from None
+    except ValueError:  # nan or inf, which JSON cannot represent
+        # Without allow_nan=False the encoder spells them NaN, Infinity and
+        # -Infinity; name the first one as Python prints it.
+        bad = re.search(r"NaN|-?Infinity", json.dumps(obj)).group()
+        raise ConvergenceError(
+            f"non-finite value {float(bad)!r} in JSON output") from None
 
 
 def _finite_float(text: str) -> float:
@@ -134,14 +146,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--x", type=_finite_float, required=True)
     pe.add_argument("--y", type=_finite_float, default=None)
 
-    ps = sub.add_parser("solve", help="solve the decay or logistic problem")
+    ps = sub.add_parser("solve", help="solve the decay problem")
     add_common(ps)
-    ps.add_argument("--problem", choices=("decay", "logistic"), default="decay")
-    ps.add_argument("--method", default="analytic",
-                    choices=("analytic", "euler", "ab2", "rk4"))
+    ps.add_argument("--method", default="analytic", choices=("analytic", *SOLVERS))
     ps.add_argument("--beta", type=_finite_float, default=1.0)
-    ps.add_argument("--f0", type=_finite_float, default=None,
-                    help="initial value (default 1 for decay, 0.5 for logistic)")
+    ps.add_argument("--f0", type=_finite_float, default=1.0)
     ps.add_argument("--h", type=_finite_float, default=0.01)
     ps.add_argument("--x-max", type=_finite_float, default=5.0)
 
@@ -153,8 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--output", default=None)
 
     pc = sub.add_parser("compare", help="numerical-vs-analytic error reports")
-    pc.add_argument("--methods", default="euler,ab2,rk4",
-                    help="comma-separated subset of euler,ab2,rk4")
+    methods = ",".join(SOLVERS)
+    pc.add_argument("--methods", default=methods,
+                    help=f"comma-separated subset of {methods}")
     pc.add_argument("--kappa", type=_finite_float, default=0.9)
     pc.add_argument("--beta", type=_finite_float, default=1.0)
     pc.add_argument("--x-max", type=_finite_float, default=5.0)
@@ -177,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("logistic", help="logistic closed form vs a numerical method")
     add_common(pl)
-    pl.add_argument("--method", default="rk4", choices=("euler", "ab2", "rk4"))
+    pl.add_argument("--method", default="rk4", choices=tuple(SOLVERS))
     pl.add_argument("--h", type=_finite_float, default=0.01)
     pl.add_argument("--x-max", type=_finite_float, default=5.0)
     pl.add_argument("--f0", type=_finite_float, default=0.5)
@@ -203,17 +213,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _make_problem(args):
-    k = Kappa(args.kappa)
-    if args.problem == "decay":
-        f0 = 1.0 if args.f0 is None else args.f0
-        return DecayProblem(k, beta=args.beta, f0=f0, x_max=args.x_max)
-    f0 = 0.5 if args.f0 is None else args.f0
-    return LogisticProblem(k, f0=f0, x_max=args.x_max)
-
-
 def _cmd_solve(args) -> int:
-    p = _make_problem(args)
+    p = DecayProblem(Kappa(args.kappa), beta=args.beta, f0=args.f0, x_max=args.x_max)
     if args.method == "analytic":
         trace = analytic_trace(p, args.h)
     else:
@@ -287,8 +288,6 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _cmd_slope_field(args) -> int:
-    from .ode import slope_field
-
     # x_max only bounds solver traces; the slope field just needs the rhs.
     p = DecayProblem(Kappa(args.kappa), beta=args.beta,
                      x_max=max(args.x_max, 1.0))
@@ -309,8 +308,6 @@ def _cmd_slope_field(args) -> int:
 
 
 def _cmd_logistic(args) -> int:
-    from .ode import logistic_closed_form
-
     lp = LogisticProblem(Kappa(args.kappa), f0=args.f0, x_max=args.x_max)
     trace = SOLVERS[args.method](lp, args.h)
     rows = []

@@ -127,25 +127,20 @@ def kappa_sum(k: Kappa, x: float, y: float) -> float:
     return x * math.hypot(1.0, kv * y) + y * math.hypot(1.0, kv * x)
 
 
-def kappa_product(k: Kappa, x: float, y: float, classical_limit: bool = False) -> float:
+def kappa_product(k: Kappa, x: float, y: float) -> float:
     """Group operation x (x) y = (1/k) sinh((1/k) arcsinh(k x) arcsinh(k y)).
 
-    The inner 1/k makes the identity element sinh(k)/k and the k -> 0 limit
-    the ordinary product.  The sinh form is 0/0 at k = 0; pass
-    classical_limit=True to get x*y there instead of a DomainError.
-    Overflow of the sinh is reported as a signed inf rather than raised.
+    Computed as the ordinary product of the kappa-numbers of x and y mapped
+    back, so k = 0 gives x*y and tiny k loses nothing to underflow.  The
+    inner 1/k makes the identity element sinh(k)/k.  Overflow of the sinh is
+    reported as an inf with the sign of x*y rather than raised.
     """
-    if k.is_classical:
-        if classical_limit:
-            return x * y
-        raise DomainError("kappa_product undefined at kappa = 0; "
-                          "pass classical_limit=True for x*y")
     kv = k.value
-    t = math.asinh(kv * x) * math.asinh(kv * y) / kv
+    uv = scaled_arcsinh(kv, x) * scaled_arcsinh(kv, y)
     try:
-        return math.sinh(t) / kv
+        return _scaled_sinh(kv, uv)
     except OverflowError:
-        return math.copysign(math.inf, t) / kv
+        return math.copysign(math.inf, uv)
 
 
 def kappa_product_identity(k: Kappa) -> float:

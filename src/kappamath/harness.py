@@ -12,7 +12,7 @@ from operator import attrgetter
 
 from .core import Kappa, kappa_exp
 from .errors import DomainError, FloorError
-from .ode import ab2_solve, euler_solve, rk4_solve
+from .ode import SOLVERS
 from .series import (
     decay_series_solution,
     evaluate_series,
@@ -25,7 +25,6 @@ __all__ = [
     "ConvergenceReport",
     "SeriesErrorCurve",
     "PicardSeriesReport",
-    "SOLVERS",
     "ROUNDOFF_FLOOR",
     "MAX_LEVELS",
     "error_table",
@@ -36,8 +35,6 @@ __all__ = [
     "asymptote_check",
     "picard_vs_series",
 ]
-
-SOLVERS = {"euler": euler_solve, "ab2": ab2_solve, "rk4": rk4_solve}
 
 # Below this max error a step-size ladder measures rounding noise, not
 # truncation, so fitted orders would be garbage.
@@ -86,7 +83,10 @@ def _single_report(p, method: str, h: float) -> ErrorReport:
     trace = SOLVERS[method](p, h)
     errors = tuple(abs(f - p.exact(x)) for x, f in zip(trace.xs, trace.fs))
     rms = math.sqrt(sum(e * e for e in errors) / len(errors))
-    return ErrorReport(method, h, trace.xs, errors, max(errors), rms)
+    # max() skips a nan that follows a number; the rms is nan exactly when
+    # some error is, so it carries the nan into max_error.
+    mx = rms if math.isnan(rms) else max(errors)
+    return ErrorReport(method, h, trace.xs, errors, mx, rms)
 
 
 def error_table(p, methods, h: float) -> list[ErrorReport]:
@@ -100,8 +100,7 @@ def error_table(p, methods, h: float) -> list[ErrorReport]:
     return [_single_report(p, m, h) for m in sorted(set(methods))]
 
 
-def error_ladder(p, method: str, h0: float, levels: int,
-                 floor: float = ROUNDOFF_FLOOR):
+def error_ladder(p, method: str, h0: float, levels: int):
     """Yield the ErrorReport of each level of the halving ladder h0, h0/2, ...,
     stopping after the first level whose max error is below the floor.
 
@@ -120,27 +119,26 @@ def error_ladder(p, method: str, h0: float, levels: int,
         # A consumer that keeps only h and the max error lets each level be
         # freed before the next, twice as large, is built.
         del report
-        if err < floor:
+        if err < ROUNDOFF_FLOOR:
             if i == 0 and levels >= 2:
                 raise FloorError(f"{method}: error {err:.3e} already "
-                                 f"below floor {floor:.1e} at h0")
+                                 f"below floor {ROUNDOFF_FLOOR:.1e} at h0")
             return
 
 
-def fit_ladder(reports, floor: float = ROUNDOFF_FLOOR) -> ConvergenceReport:
+def fit_ladder(reports) -> ConvergenceReport:
     """Fit empirical orders, the log2 ratio of the max errors of adjacent
     levels, to the reports of one error_ladder.  Only each level's h and max
     error are kept, and no report is held while the next level is built."""
     methods, hs, errs = zip(*map(attrgetter("method", "h", "max_error"), reports))
     orders = tuple(math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1))
-    return ConvergenceReport(methods[0], hs, errs, orders, errs[-1] < floor)
+    return ConvergenceReport(methods[0], hs, errs, orders, errs[-1] < ROUNDOFF_FLOOR)
 
 
-def convergence_order(p, method: str, h0: float, levels: int,
-                      floor: float = ROUNDOFF_FLOOR) -> ConvergenceReport:
+def convergence_order(p, method: str, h0: float, levels: int) -> ConvergenceReport:
     """Fit empirical orders from a halving step-size ladder h0, h0/2, ...;
     the fit is partial when the round-off floor stops the ladder early."""
-    return fit_ladder(error_ladder(p, method, h0, levels, floor), floor)
+    return fit_ladder(error_ladder(p, method, h0, levels))
 
 
 def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:

@@ -27,6 +27,7 @@ __all__ = [
     "euler_solve",
     "ab2_solve",
     "rk4_solve",
+    "SOLVERS",
     "analytic_trace",
     "logistic_closed_form",
     "logistic_residual",
@@ -138,8 +139,13 @@ class SolutionTrace:
 
 
 def closed_form_decay(p: DecayProblem, x: float) -> float:
-    """f0 * exp_k(-beta x)."""
-    return p.f0 * kappa_exp(p.k, -p.beta * x)
+    """f0 * exp_k(-beta x), and its limit 0 where beta x overflows to inf."""
+    try:
+        return p.f0 * kappa_exp(p.k, -p.beta * x)
+    except DomainError:
+        if p.beta * x != math.inf:
+            raise
+        return p.f0 * 0.0
 
 
 def quadrature_decay(p: DecayProblem, x: float, tol: float = 1e-12) -> float:
@@ -229,6 +235,9 @@ def rk4_solve(p, h: float) -> SolutionTrace:
     for x in xs[:-1]:
         fs.append(_rk4_step(p, x, fs[-1], h))
     return SolutionTrace("rk4", h, tuple(xs), tuple(fs))
+
+
+SOLVERS = {"euler": euler_solve, "ab2": ab2_solve, "rk4": rk4_solve}
 
 
 def analytic_trace(p, h: float) -> SolutionTrace:

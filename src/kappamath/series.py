@@ -28,7 +28,6 @@ __all__ = [
     "decay_series_solution",
     "picard_iterate",
     "picard_iterate_in_x",
-    "picard_series_in_x",
     "evaluate_series",
 ]
 
@@ -208,12 +207,6 @@ def picard_iterate_in_x(it: PowerSeries, k: Kappa, order: int) -> PowerSeries:
         raise DomainError(f"need a series in u, got one in {it.variable!r}")
     coeffs = series_compose(it.coefficients, _coordinate_series(k, order), order)
     return PowerSeries("x", tuple(coeffs))
-
-
-def picard_series_in_x(k: Kappa, n: int, order: int | None = None) -> PowerSeries:
-    """Maclaurin expansion in x of Picard iterate n, through order n unless
-    another order is given."""
-    return picard_iterate_in_x(picard_iterate(k, n), k, n if order is None else order)
 
 
 def evaluate_series(s: PowerSeries, k: Kappa, x: float) -> float:

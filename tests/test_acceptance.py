@@ -26,13 +26,13 @@ from kappamath import (
     logistic_closed_form,
     logistic_residual,
     picard_iterate,
-    picard_series_in_x,
     quadrature_decay,
     residual_decay,
     rk4_solve,
     substitution_decay,
 )
 from kappamath.cli import main as cli_main
+from kappamath.series import picard_iterate_in_x
 
 
 def check(num, description, ok):
@@ -91,7 +91,7 @@ def test_criterion_04_picard_agreement():
         it = picard_iterate(k, n)
         ok &= all(c == (-1) ** j / math.factorial(j)
                   for j, c in enumerate(it.coefficients))
-        px = picard_series_in_x(k, n).coefficients
+        px = picard_iterate_in_x(it, k, n).coefficients
         sx = decay_series_solution(k, n).coefficients
         ok &= all(abs(a - b) <= 1e-12 for a, b in zip(px, sx))
     check(4, "Picard iterates are exact truncated exponentials in u and "

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from kappamath import DomainError, Kappa, kappa_exp, to_kappa_number
 from kappamath.cli import _linspace, main
-from kappamath.ode import MAX_POINTS
+from kappamath.ode import MAX_POINTS, SOLVERS
 
 
 def run(capsys, *argv):
@@ -236,6 +237,25 @@ def test_nan_output_is_numerical_failure(capsys, tmp_path, fmt):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_compare_names_non_finite_error(capsys, tmp_path):
+    # rk4 blows up to nan after its first step: a numerical failure that says
+    # so, not a FloorError from the 0.0 error at x = 0
+    rc, _, err = run(capsys, "compare", "--beta", "1e300", "--methods", "rk4", "--h", "0.5",
+                     "--x-max", "2", "--levels", "2", "--out-dir", str(tmp_path))
+    assert rc == 3
+    assert "non-finite value nan" in err and "floor" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_analytic_past_overflow(capsys):
+    # beta x overflows to inf at x = 2, where the closed form is 0
+    rc, out, err = run(capsys, "solve", "--method", "analytic", "--beta", "1e308",
+                       "--h", "0.5", "--x-max", "2")
+    assert rc == 0, err
+    fs = [ln.split(",")[1] for ln in out.strip().split("\n")[1:]]
+    assert fs == ["1", "0", "0", "0", "0"]
+
+
 def test_grid_sizes_bounded(capsys):
     # 1/h = MAX_POINTS steps and nx * nf = MAX_POINTS + 1 nodes are both refused
     rc, out, _ = run(capsys, "solve", "--h", repr(1.0 / MAX_POINTS), "--x-max", "1")
@@ -249,15 +269,14 @@ def test_grid_sizes_bounded(capsys):
 
 
 EVAL_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
+# plus subnormals, and a share of moderate values so that some runs get past
+# the argument checks
+CLI_FLOATS = (EVAL_FLOATS | st.sampled_from([5e-324, -5e-324, 2.2e-308, 1e-300])
+              | st.floats(-2.0, 2.0))
 
 
-@settings(max_examples=300, deadline=None)
-@given(fn=st.sampled_from(["exp", "ln", "sum", "product", "weight", "knum"]),
-       kappa=EVAL_FLOATS, x=EVAL_FLOATS, y=st.none() | EVAL_FLOATS)
-def test_eval_exit_codes_and_no_nan(fn, kappa, x, y):
-    argv = ["eval", "--fn", fn, f"--kappa={kappa!r}", f"--x={x!r}"]
-    if y is not None:
-        argv.append(f"--y={y!r}")
+def _assert_exit_contract(argv, out_dir=None):
+    """Exit code 0, 2 or 3, no traceback, and no nan printed or written."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -267,6 +286,77 @@ def test_eval_exit_codes_and_no_nan(fn, kappa, x, y):
     assert rc in (0, 2, 3)
     assert "nan" not in out.getvalue().lower()
     assert "Traceback" not in err.getvalue()
+    if out_dir is not None:
+        for f in Path(out_dir).iterdir():
+            assert "nan" not in f.read_text().lower(), f.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(fn=st.sampled_from(["exp", "ln", "sum", "product", "weight", "knum"]),
+       kappa=EVAL_FLOATS, x=EVAL_FLOATS, y=st.none() | EVAL_FLOATS)
+def test_eval_exit_codes_and_no_nan(fn, kappa, x, y):
+    argv = ["eval", "--fn", fn, f"--kappa={kappa!r}", f"--x={x!r}"]
+    if y is not None:
+        argv.append(f"--y={y!r}")
+    _assert_exit_contract(argv)
+
+
+@st.composite
+def _command_argv(draw, command):
+    """One invocation of command with arbitrary floats for --kappa, --beta,
+    --f0 and --x-max, on a grid of at most a few hundred points."""
+    argv = [command, f"--kappa={draw(CLI_FLOATS)!r}"]
+    if command == "series":
+        target = draw(st.sampled_from(["exp", "ln1p", "decay", "picard"]))
+        return argv + ["--target", target, "--order", str(draw(st.integers(-1, 24)))]
+    x_max = draw(CLI_FLOATS)
+    argv.append(f"--x-max={x_max!r}")
+    if command != "logistic":
+        argv.append(f"--beta={draw(CLI_FLOATS)!r}")
+    if command in ("solve", "logistic"):
+        argv.append(f"--f0={draw(CLI_FLOATS)!r}")
+    if command == "slope-field":
+        argv += ["--nx", str(draw(st.integers(1, 10))), "--nf", str(draw(st.integers(1, 10)))]
+    else:
+        n = draw(st.integers(1, 100))
+        h = x_max / n if math.isfinite(x_max) and x_max > 0.0 else 0.5
+        argv.append(f"--h={h!r}")
+    if command == "compare":
+        methods = draw(st.lists(st.sampled_from(list(SOLVERS)), min_size=1, unique=True))
+        return argv + ["--methods", ",".join(methods),
+                       "--levels", str(draw(st.integers(1, 3)))]
+    if command != "slope-field":
+        choices = ["analytic", *SOLVERS] if command == "solve" else list(SOLVERS)
+        argv += ["--method", draw(st.sampled_from(choices))]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+# Inputs where a trace or an exact value overflows to inf or nan; random
+# draws reach them only now and then, so every run checks them.
+CLI_EDGES = {
+    "solve": [["--method", m, "--beta=1e300", "--h=0.5", "--x-max=2", "--format", f]
+              for m in ("analytic", "rk4") for f in ("csv", "json")],
+    "series": [],
+    "compare": [["--methods", "euler,rk4", "--beta=1e300", "--h=0.5", "--x-max=2",
+                 "--levels=2"],
+                ["--beta=1e308", "--h=0.5", "--x-max=2"]],
+    "slope-field": [["--beta=1e308", "--x-max=1e308", "--f-max=1e308"]],
+    "logistic": [["--kappa=0", "--f0=5e-324", "--x-max=1000", "--h=10", "--format", f]
+                 for f in ("csv", "json")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_EDGES))
+def test_cli_exit_codes_and_no_nan(command):
+    def check(argv):
+        with tempfile.TemporaryDirectory() as out_dir:
+            if command == "compare":
+                argv = argv + ["--out-dir", out_dir]
+            _assert_exit_contract(argv, out_dir)
+
+    for argv in CLI_EDGES[command]:
+        check([command, *argv])
+    settings(max_examples=150, deadline=None)(given(_command_argv(command))(check))()
 
 
 def test_runtime_imports_without_numpy():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,10 +163,10 @@ def test_kappa_product_identity_element():
 
 
 def test_kappa_product_classical_limit_flag():
-    k0 = Kappa(0.0)
-    with pytest.raises(DomainError):
-        kappa_product(k0, 2.0, 3.0)
-    assert kappa_product(k0, 2.0, 3.0, classical_limit=True) == 6.0
+    # k = 0 is the ordinary product, and tiny k is continuous with it
+    assert kappa_product(Kappa(0.0), 2.0, 3.0) == 6.0
+    assert kappa_product(Kappa(1e-200), 2.0, 3.0) == 6.0
+    assert kappa_product(Kappa(-5e-324), -2.0, 3.0) == -6.0
 
 
 def test_kappa_product_overflow_is_signed_inf():
@@ -175,6 +176,52 @@ def test_kappa_product_overflow_is_signed_inf():
     assert kappa_product(k, -1e10, 1e10) == -math.inf
     # the product is even in kappa, overflow included
     assert kappa_product(Kappa(-0.5), 1e10, 1e10) == math.inf
+
+
+# 50-digit references of the defining closed forms; k = 0 is the classical limit.
+def _mp_exp(k, x):
+    return mp.exp(x if k == 0 else mp.asinh(k * x) / k)
+
+
+def _mp_ln(k, x):
+    return mp.log(x) if k == 0 else mp.sinh(k * mp.log(x)) / k
+
+
+def _mp_sum(k, x, y):
+    return x * mp.sqrt(1 + k**2 * y**2) + y * mp.sqrt(1 + k**2 * x**2)
+
+
+def _mp_product(k, x, y):
+    return x * y if k == 0 else mp.sinh(mp.asinh(k * x) * mp.asinh(k * y) / k) / k
+
+
+MP_KAPPAS = [0.0] + [s * v for v in (5e-324, 1e-300, 1e-200, 3e-5, 1e-4, 0.5, 0.99)
+                     for s in (1.0, -1.0)]
+MP_XS = [-10.0, -3.7, -1.0, -0.3, -1e-3, 0.0, 1e-3, 0.3, 1.0, 3.7, 10.0]
+MP_KERNELS = {
+    "exp": (kappa_exp, _mp_exp, [(x,) for x in MP_XS]),
+    "ln": (kappa_ln, _mp_ln, [(x,) for x in MP_XS if x > 0.0]),
+    "sum": (kappa_sum, _mp_sum, [(x, y) for x in MP_XS for y in MP_XS]),
+    "product": (kappa_product, _mp_product, [(x, y) for x in MP_XS for y in MP_XS]),
+}
+
+
+@pytest.mark.parametrize("kv", MP_KAPPAS)
+@pytest.mark.parametrize("name", sorted(MP_KERNELS))
+def test_scalar_kernels_match_mpmath(name, kv):
+    # Worst relative error measured over this grid is 1.5e-15 (kappa_exp at
+    # k = 1e-4, x = -10): exp turns the rounding of its argument u, |u| <= 10,
+    # into a relative error of about |u| ulp.  4e-15 (18 ulp) leaves room for
+    # that and a few ulp of the other steps.  The absolute floor only admits
+    # results that are exactly 0 (x = 0, x = -y, ln 1), where a relative error
+    # is undefined.
+    fn, ref, args = MP_KERNELS[name]
+    k = Kappa(kv)
+    with mp.workdps(50):
+        for a in args:
+            want = ref(mp.mpf(kv), *map(mp.mpf, a))
+            got = fn(k, *a)
+            assert abs(got - want) <= 4e-15 * abs(want) + 1e-300, (a, got, float(want))
 
 
 def test_group_axioms_random_triples():

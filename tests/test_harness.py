@@ -15,6 +15,7 @@ from kappamath import (
     picard_vs_series,
     series_error_curve,
 )
+from kappamath.harness import ROUNDOFF_FLOOR
 
 
 def decay(kv=0.9, **kw):
@@ -57,6 +58,13 @@ def test_convergence_orders(method, expected, tol):
     assert all(abs(o - expected) <= tol for o in rep.fitted_orders)
 
 
+def test_error_table_max_error_keeps_nan():
+    # rk4 blows up after the first step; max() alone would report the 0.0 of x = 0
+    report, = error_table(decay(0.5, beta=1e300, x_max=2.0), ["rk4"], 0.5)
+    assert report.abs_errors[0] == 0.0 and math.isnan(report.abs_errors[1])
+    assert math.isnan(report.max_error) and math.isnan(report.rms_error)
+
+
 def test_convergence_order_classical_rk4():
     rep = convergence_order(decay(0.0, x_max=5.0), "rk4", 0.2, 3)
     assert all(abs(o - 4.0) <= 0.25 for o in rep.fitted_orders)
@@ -72,18 +80,20 @@ def test_convergence_order_validation():
 
 
 def test_convergence_order_partial_ladder_on_floor():
-    # with an artificially high floor the rk4 ladder stops early
-    rep = convergence_order(decay(0.9, x_max=5.0), "rk4", 0.1, 8, floor=1e-8)
+    # the rk4 error reaches the round-off floor at level 7 of 8
+    rep = convergence_order(decay(0.9, x_max=5.0), "rk4", 0.1, 8)
     assert rep.hit_floor
-    assert len(rep.max_errors) < 8
-    assert rep.max_errors[-1] < 1e-8
+    assert len(rep.max_errors) == 7
+    assert rep.max_errors[-1] < ROUNDOFF_FLOOR <= rep.max_errors[-2]
 
 
 def test_convergence_order_floor_error_when_unfittable():
+    # one rk4 step of 1e-3 is already exact to round-off
+    p = decay(0.9, x_max=1e-3)
     with pytest.raises(FloorError):
-        convergence_order(decay(0.9, x_max=5.0), "rk4", 0.1, 4, floor=1.0)
+        convergence_order(p, "rk4", 1e-3, 4)
     # a single level asks for no fit, so the floor only sets hit_floor
-    rep = convergence_order(decay(0.9, x_max=5.0), "rk4", 0.1, 1, floor=1.0)
+    rep = convergence_order(p, "rk4", 1e-3, 1)
     assert rep.hit_floor and rep.fitted_orders == () and len(rep.max_errors) == 1
 
 

@@ -53,6 +53,16 @@ def test_closed_form_decay_values():
     assert closed_form_decay(p0, 1.0) == pytest.approx(math.exp(-1), rel=1e-15)
 
 
+def test_closed_form_decay_past_overflow():
+    # beta x overflows to inf at x = 2, where exp_k(-beta x) has the limit 0
+    p = decay(0.5, beta=1e308, f0=-3.0, x_max=2.0)
+    assert closed_form_decay(p, 1.0) == 0.0
+    assert closed_form_decay(p, 2.0) == 0.0
+    assert math.copysign(1.0, closed_form_decay(p, 2.0)) == -1.0
+    with pytest.raises(DomainError):
+        closed_form_decay(p, math.nan)
+
+
 def test_quadrature_decay_values():
     p = decay()
     assert quadrature_decay(p, 1.0, tol=1e-12) == pytest.approx(DECAY_09_AT_1, abs=1e-11)

@@ -13,7 +13,6 @@ from kappamath import (
     kappa_exp,
     ln_kappa_shifted_taylor,
     picard_iterate,
-    picard_series_in_x,
     sqrt_weight_series,
 )
 from kappamath.series import (
@@ -185,7 +184,7 @@ def test_picard_second_iterate_matches_expanded_form():
 @pytest.mark.parametrize("n", range(9))
 def test_picard_taylor_agrees_with_decay_series(n):
     k = Kappa(0.5)
-    px = picard_series_in_x(k, n).coefficients
+    px = picard_iterate_in_x(picard_iterate(k, n), k, n).coefficients
     sx = decay_series_solution(k, n).coefficients
     for a, b in zip(px, sx):
         assert a == pytest.approx(b, abs=1e-12)
