@@ -5,7 +5,7 @@ point) and UTF-8 JSON with snake_case keys.  Numbers are printed with 17
 significant digits so doubles round-trip, and files are written atomically
 (temp file then rename).  Output is fully deterministic: no timestamps.
 
-Exit codes: 0 success, 2 usage or domain error, 3 numerical failure.
+Exit codes: 0 success, 2 usage, domain or output error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import math
 import os
 import re
 import sys
-import tempfile
-from pathlib import Path
 
 from .core import (
     Kappa,
@@ -58,23 +56,16 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _resolve(path: str) -> Path:
-    out = Path(path)
-    base = os.environ.get("KAPPA_OUT_DIR")
-    if base and not out.is_absolute():
-        out = Path(base) / out
-    return out
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    target = _resolve(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+    # An absolute path discards $KAPPA_OUT_DIR in the join.
+    target = os.path.join(os.environ.get("KAPPA_OUT_DIR") or "", path)
+    os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:
@@ -130,14 +121,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deformed exponential mathematics and decay-equation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, output=True):
+    def add_common(p):
         p.add_argument("--kappa", type=_finite_float, default=0.9,
                        help="deformation parameter, |kappa| < 1 (default 0.9)")
-        if output:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-            p.add_argument("--output", default=None,
-                           help="output file (default: stdout); relative paths "
-                            "resolve against $KAPPA_OUT_DIR when set")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--output", default=None,
+                       help="output file (default: stdout); relative paths "
+                       "resolve against $KAPPA_OUT_DIR when set")
 
     pe = sub.add_parser("eval", help="evaluate a deformed function")
     pe.add_argument("--fn", required=True,
@@ -268,13 +258,13 @@ def _cmd_compare(args) -> int:
     # Rendered before any file is written: every abs_error enters an
     # rms_error, so a nan in a CSV makes the summary fail here first.
     summary_text = _json_text(summary)
-    out_dir = Path(args.out_dir)
     for method, reports in ladders.items():
         for i, r in enumerate(reports):
             name = f"errors_{method}_{i}.csv" if args.levels > 1 else f"errors_{method}.csv"
             rows = [[method, r.h, x, e] for x, e in zip(r.xs, r.abs_errors)]
-            _write_text(str(out_dir / name), _csv(["method", "h", "x", "abs_error"], rows))
-    _write_text(str(out_dir / "summary.json"), summary_text)
+            _write_text(os.path.join(args.out_dir, name),
+                        _csv(["method", "h", "x", "abs_error"], rows))
+    _write_text(os.path.join(args.out_dir, "summary.json"), summary_text)
     return 0
 
 
@@ -340,7 +330,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, FloorError) as exc:

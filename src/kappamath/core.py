@@ -10,8 +10,7 @@ case rather than by small-k division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import ConvergenceError, DomainError
 
@@ -31,17 +30,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Kappa:
+class Record:
+    """Immutable value type whose fields are the subclass's __slots__.
+
+    __init__ sets each field once, from exactly one value per slot; ==,
+    hash and repr go field by field, assignment raises AttributeError, and
+    pickle and copy rebuild the object through __init__, so a validating
+    subclass checks its values again.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+                            f"values, got {len(values)}")
+        for name, v in zip(names, values):
+            object.__setattr__(self, name, v)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Kappa(Record):
     """Deformation parameter, restricted to the open interval (-1, 1)."""
 
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        v = self.value
-        if not math.isfinite(v) or abs(v) >= 1.0:
-            raise DomainError(f"kappa out of range: need |kappa| < 1, got {v!r}")
-        object.__setattr__(self, "value", float(v))
+    def __init__(self, value: float) -> None:
+        if not math.isfinite(value) or abs(value) >= 1.0:
+            raise DomainError(f"kappa out of range: need |kappa| < 1, got {value!r}")
+        super().__init__(float(value))
 
     @property
     def is_classical(self) -> bool:
@@ -97,12 +138,8 @@ def kappa_exp(k: Kappa, x: float) -> float:
     """
     if not math.isfinite(x):
         raise DomainError(f"kappa_exp needs finite x, got {x!r}")
-    if k.is_classical:
-        u = x
-    else:
-        u = scaled_arcsinh(k.value, x)
     try:
-        return math.exp(u)
+        return math.exp(scaled_arcsinh(k.value, x))
     except OverflowError:
         return math.inf
 
@@ -115,10 +152,7 @@ def kappa_ln(k: Kappa, x: float) -> float:
     """
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"kappa_ln needs x > 0, got {x!r}")
-    lx = math.log(x)
-    if k.is_classical:
-        return lx
-    return _scaled_sinh(k.value, lx)
+    return _scaled_sinh(k.value, math.log(x))
 
 
 def kappa_sum(k: Kappa, x: float, y: float) -> float:

@@ -7,10 +7,9 @@ quantify what the solver comparison plots only show qualitatively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 
-from .core import Kappa, kappa_exp
+from .core import Kappa, Record, kappa_exp
 from .errors import DomainError, FloorError
 from .ode import SOLVERS
 from .series import (
@@ -44,39 +43,22 @@ ROUNDOFF_FLOOR = 1e-13
 MAX_LEVELS = 8
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    method: str
-    h: float
-    xs: tuple[float, ...]
-    abs_errors: tuple[float, ...]
-    max_error: float
-    rms_error: float
+class ErrorReport(Record):
+    __slots__ = ("method", "h", "xs", "abs_errors", "max_error", "rms_error")
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    method: str
-    step_sizes: tuple[float, ...]
-    max_errors: tuple[float, ...]
-    fitted_orders: tuple[float, ...]  # log2 ratio per adjacent ladder pair
-    hit_floor: bool
+class ConvergenceReport(Record):
+    # fitted_orders: log2 ratio per adjacent ladder pair
+    __slots__ = ("method", "step_sizes", "max_errors", "fitted_orders", "hit_floor")
 
 
-@dataclass(frozen=True)
-class SeriesErrorCurve:
-    kappa: float
-    orders: tuple[int, ...]
-    xs: tuple[float, ...]
-    abs_errors: dict[int, tuple[float, ...]]
+class SeriesErrorCurve(Record):
+    # abs_errors: order -> errors on xs
+    __slots__ = ("kappa", "orders", "xs", "abs_errors")
 
 
-@dataclass(frozen=True)
-class PicardSeriesReport:
-    n: int
-    max_coefficient_diff: float
-    xs: tuple[float, ...]
-    pointwise_diffs: tuple[float, ...]
+class PicardSeriesReport(Record):
+    __slots__ = ("n", "max_coefficient_diff", "xs", "pointwise_diffs")
 
 
 def _single_report(p, method: str, h: float) -> ErrorReport:

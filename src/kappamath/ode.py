@@ -9,9 +9,8 @@ plus fixed-step Euler, two-step Adams-Bashforth, and classical RK4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import Kappa, adaptive_quadrature, kappa_exp, scaled_arcsinh
+from .core import Kappa, Record, adaptive_quadrature, kappa_exp, scaled_arcsinh
 from .errors import DomainError
 
 __all__ = [
@@ -38,26 +37,24 @@ __all__ = [
 MAX_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class DecayProblem:
+class DecayProblem(Record):
     """Decay equation data: rhs G(x, f) = -beta * f / sqrt(1 + k^2 beta^2 x^2).
 
     beta = 1 recovers the plain deformed decay equation; the general weight
     carries beta inside the square root so the closed form stays exp_k(-beta x).
     """
 
-    k: Kappa
-    beta: float = 1.0
-    f0: float = 1.0
-    x_max: float = 5.0
+    __slots__ = ("k", "beta", "f0", "x_max")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(f"beta must be positive, got {self.beta!r}")
-        if not (math.isfinite(self.x_max) and self.x_max > 0.0):
-            raise DomainError(f"x_max must be positive, got {self.x_max!r}")
-        if not math.isfinite(self.f0):
-            raise DomainError(f"f0 must be finite, got {self.f0!r}")
+    def __init__(self, k: Kappa, beta: float = 1.0, f0: float = 1.0,
+                 x_max: float = 5.0) -> None:
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise DomainError(f"beta must be positive, got {beta!r}")
+        if not (math.isfinite(x_max) and x_max > 0.0):
+            raise DomainError(f"x_max must be positive, got {x_max!r}")
+        if not math.isfinite(f0):
+            raise DomainError(f"f0 must be finite, got {f0!r}")
+        super().__init__(k, beta, f0, x_max)
 
     @property
     def x_start(self) -> float:
@@ -75,29 +72,32 @@ class DecayProblem:
         return 1.0 / math.hypot(1.0, self.k.value * self.beta * x)
 
     def rhs(self, x: float, f: float) -> float:
-        return -self.beta * f * self.weight(x)
+        g = -self.beta * f * (1.0 / math.hypot(1.0, self.k.value * self.beta * x))
+        if g == g:
+            return g
+        # beta * f overflowed to inf and met a weight of 0: beta * weight(x)
+        # is 1/hypot(1/beta, k x), and -f times it is finite
+        return -f / math.hypot(1.0 / self.beta, self.k.value * x)
 
     def exact(self, x: float) -> float:
         return closed_form_decay(self, x)
 
 
-@dataclass(frozen=True)
-class LogisticProblem:
+class LogisticProblem(Record):
     """Logistic equation sqrt(1 + k^2 x^2) f' = f (1 - f) on [-x_max, x_max].
 
     f0 is the value at x = 0; the displayed closed form 1/(1 + exp_k(-x))
     corresponds to the default f0 = 1/2.
     """
 
-    k: Kappa
-    f0: float = 0.5
-    x_max: float = 5.0
+    __slots__ = ("k", "f0", "x_max")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.f0) and 0.0 < self.f0 < 1.0):
-            raise DomainError(f"f0 must lie in (0, 1), got {self.f0!r}")
-        if not (math.isfinite(self.x_max) and self.x_max > 0.0):
-            raise DomainError(f"x_max must be positive, got {self.x_max!r}")
+    def __init__(self, k: Kappa, f0: float = 0.5, x_max: float = 5.0) -> None:
+        if not (math.isfinite(f0) and 0.0 < f0 < 1.0):
+            raise DomainError(f"f0 must lie in (0, 1), got {f0!r}")
+        if not (math.isfinite(x_max) and x_max > 0.0):
+            raise DomainError(f"x_max must be positive, got {x_max!r}")
+        super().__init__(k, f0, x_max)
 
     @property
     def x_start(self) -> float:
@@ -123,15 +123,11 @@ class LogisticProblem:
         return logistic_closed_form(self, x)
 
 
-@dataclass(frozen=True)
-class SolutionTrace:
+class SolutionTrace(Record):
     """One solver run: uniformly spaced samples starting at the problem's
     initial point."""
 
-    method: str
-    h: float
-    xs: tuple[float, ...]
-    fs: tuple[float, ...]
+    __slots__ = ("method", "h", "xs", "fs")
 
     @property
     def samples(self) -> list[tuple[float, float]]:
@@ -247,20 +243,19 @@ def analytic_trace(p, h: float) -> SolutionTrace:
 
 
 def logistic_closed_form(lp: LogisticProblem, x: float) -> float:
-    """1/(1 + c * exp_k(-x)) with c = (1 - f0)/f0; the default f0 = 1/2
-    gives the plain 1/(1 + exp_k(-x))."""
+    """f0 / (f0 + (1 - f0) * exp_k(-x)); the default f0 = 1/2 gives the
+    plain 1/(1 + exp_k(-x)).  Unlike 1/(1 + c exp_k(-x)) with
+    c = (1 - f0)/f0, this stays finite for a subnormal f0."""
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
-    c = (1.0 - lp.f0) / lp.f0
-    return 1.0 / (1.0 + c * kappa_exp(lp.k, -x))
+    return lp.f0 / (lp.f0 + (1.0 - lp.f0) * kappa_exp(lp.k, -x))
 
 
 def logistic_residual(lp: LogisticProblem, x: float) -> float:
     """sqrt(1+k^2 x^2) f'(x) - f(x)(1 - f(x)) on the closed form, with the
     derivative taken analytically (quotient rule)."""
-    c = (1.0 - lp.f0) / lp.f0
-    e = c * kappa_exp(lp.k, -x)
+    e = (1.0 - lp.f0) * kappa_exp(lp.k, -x)
     w = lp.weight(x)
-    f = 1.0 / (1.0 + e)
-    dfdx = w * e / (1.0 + e) ** 2  # d/dx exp_k(-x) = -w * exp_k(-x)
+    f = lp.f0 / (lp.f0 + e)
+    dfdx = w * f * e / (lp.f0 + e)  # d/dx exp_k(-x) = -w * exp_k(-x)
     return dfdx / w - f * (1.0 - f)

@@ -9,11 +9,10 @@ rational arithmetic and only converted to floats at the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .core import Kappa, to_kappa_number
+from .core import Kappa, Record, to_kappa_number
 from .errors import DomainError
 
 __all__ = [
@@ -34,20 +33,18 @@ __all__ = [
 MAX_ORDER = 64
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Record):
     """Truncated series sum_j c_j * v^j in the variable tag ("x" or "u")."""
 
-    variable: str
-    coefficients: tuple[float, ...]
+    __slots__ = ("variable", "coefficients")
 
-    def __post_init__(self) -> None:
-        if self.variable not in ("x", "u"):
-            raise DomainError(f"unknown series variable {self.variable!r}")
-        coeffs = tuple(float(c) for c in self.coefficients)
+    def __init__(self, variable: str, coefficients: Sequence[float]) -> None:
+        if variable not in ("x", "u"):
+            raise DomainError(f"unknown series variable {variable!r}")
+        coeffs = tuple(float(c) for c in coefficients)
         if not coeffs or not all(math.isfinite(c) for c in coeffs):
             raise DomainError("coefficients must be a nonempty finite list")
-        object.__setattr__(self, "coefficients", coeffs)
+        super().__init__(variable, coeffs)
 
     @property
     def order(self) -> int:

@@ -217,6 +217,39 @@ def test_kappa_out_dir_env(capsys, tmp_path, monkeypatch):
     assert doc["order"] == 3
 
 
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    # an output path under a regular file, an output path that is a directory,
+    # and an --out-dir under a regular file: exit 2, and no temp file is left
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    (tmp_path / "dir").mkdir()
+    for argv in (["solve", "--h", "0.5", "--output", str(blocker / "x.csv")],
+                 ["solve", "--h", "0.5", "--output", str(tmp_path / "dir")],
+                 ["compare", "--h", "0.5", "--out-dir", str(blocker / "out")]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and err.startswith("error: "), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+def test_slope_field_where_beta_f_overflows(capsys):
+    # beta * f is inf where the weight is 0; the slope -f/(k x) is finite
+    rc, out, _ = run(capsys, "slope-field", "--beta", "1e308", "--x-max", "1e308",
+                     "--f-max", "1e308")
+    assert rc == 0 and "nan" not in out
+
+
+def test_logistic_subnormal_f0(capsys):
+    rc, out, _ = run(capsys, "logistic", "--kappa", "0", "--f0", "5e-324",
+                     "--x-max", "1000", "--h", "10")
+    assert rc == 0
+    f = {float(x): float(fa) for x, fa, _, _ in
+         (line.split(",") for line in out.strip().split("\n")[1:])}
+    assert f[700.0] == pytest.approx(5e-324 * math.exp(700.0), rel=1e-12)
+    assert 5e-20 < f[700.0] < 5.1e-20
+    assert f[1000.0] == 1.0
+
+
 def test_float_options_reject_non_finite(capsys):
     for argv in (["eval", "--fn", "knum", "--kappa", "0.5", "--x", "nan"],
                  ["eval", "--fn", "sum", "--kappa", "0.5", "--x", "nan", "--y", "1"],
@@ -359,14 +392,22 @@ def test_cli_exit_codes_and_no_nan(command):
     settings(max_examples=150, deadline=None)(given(_command_argv(command))(check))()
 
 
-def test_runtime_imports_without_numpy():
-    # numpy is a test-only dependency: the package and the CLI run with it blocked
+def test_runtime_imports_without_numpy(tmp_path):
+    # numpy is a test-only dependency, and the package uses none of the other
+    # modules: the package and the CLI, file output included, run with them
+    # blocked (an import of a module set to None in sys.modules raises)
+    blocked = ["numpy", "dataclasses", "inspect", "typing", "tempfile", "pathlib"]
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys; sys.modules['numpy'] = None; "
-            "import kappamath, kappamath.cli; "
-            "sys.exit(kappamath.cli.main(['eval', '--fn', 'exp', '--kappa', '0.5', '--x', '1']))")
+    out = tmp_path / "sub" / "trace.csv"
+    code = ("import sys\n"
+            f"for name in {blocked!r}: sys.modules[name] = None\n"
+            "import kappamath, kappamath.cli\n"
+            "rc = kappamath.cli.main(['eval', '--fn', 'exp', '--kappa', '0.5', '--x', '1'])\n"
+            "sys.exit(rc or kappamath.cli.main(['solve', '--h', '0.5', '--output', sys.argv[1]]))")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "2.6180339887498949"
+    assert out.read_text().startswith("x,f,method,kappa,h\n0,1,analytic,")
+    assert [p.name for p in out.parent.iterdir()] == ["trace.csv"]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import mpmath as mp
@@ -8,9 +10,16 @@ from hypothesis import strategies as st
 
 from kappamath import (
     ConvergenceError,
+    DecayProblem,
     DomainError,
+    ErrorReport,
     Kappa,
+    LogisticProblem,
+    PowerSeries,
     adaptive_quadrature,
+    convergence_order,
+    error_table,
+    exp_kappa_taylor,
     differential_weight,
     from_kappa_number,
     kappa_exp,
@@ -19,6 +28,9 @@ from kappamath import (
     kappa_product,
     kappa_product_identity,
     kappa_sum,
+    picard_vs_series,
+    rk4_solve,
+    series_error_curve,
     to_kappa_number,
 )
 
@@ -43,6 +55,54 @@ def test_kappa_accepts_open_interval():
 def test_kappa_rejects_out_of_range(bad):
     with pytest.raises(DomainError):
         Kappa(bad)
+
+
+def test_record_types_are_immutable_values():
+    k = Kappa(0.5)
+    p = DecayProblem(k, beta=2.0, x_max=1.0)
+    records = [k, p, LogisticProblem(k, f0=0.25), exp_kappa_taylor(k, 4),
+               rk4_solve(p, 0.5), error_table(p, ["euler"], 0.5)[0],
+               convergence_order(p, "rk4", 0.5, 2),
+               series_error_curve(k, [2, 4], [0.5, 1.0]), picard_vs_series(k, 3, [0.5])]
+    assert sorted(type(r).__name__ for r in records) == [
+        "ConvergenceReport", "DecayProblem", "ErrorReport", "Kappa", "LogisticProblem",
+        "PicardSeriesReport", "PowerSeries", "SeriesErrorCurve", "SolutionTrace"]
+    for r in records:
+        for twin in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(twin) is type(r) and twin == r and twin is not r
+        fields = r.__slots__
+        assert r != tuple(getattr(r, n) for n in fields)
+        assert repr(r).startswith(f"{type(r).__name__}({fields[0]}=")
+        for name in (fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(r, fields[0])
+        if type(r).__name__ == "SeriesErrorCurve":
+            with pytest.raises(TypeError):  # its abs_errors field is a dict
+                hash(r)
+        else:
+            assert hash(copy.deepcopy(r)) == hash(r)
+    assert repr(k) == "Kappa(value=0.5)"
+    assert repr(PowerSeries("u", [1, -1])) == "PowerSeries(variable='u', coefficients=(1.0, -1.0))"
+    same = DecayProblem(Kappa(0.5), 2.0, 1.0, 1.0)
+    assert same == p and hash(same) == hash(p) and same is not p
+    assert p != DecayProblem(k, beta=3.0, x_max=1.0) and p != LogisticProblem(k)
+    assert len({Kappa(0.5), Kappa(0.5), Kappa(-0.5)}) == 2
+    with pytest.raises(TypeError):
+        ErrorReport("rk4", 0.5)
+    for make, msg in [
+            (lambda: Kappa(1.0), "kappa out of range: need |kappa| < 1, got 1.0"),
+            (lambda: DecayProblem(k, beta=0.0), "beta must be positive, got 0.0"),
+            (lambda: DecayProblem(k, x_max=-1.0), "x_max must be positive, got -1.0"),
+            (lambda: DecayProblem(k, f0=math.inf), "f0 must be finite, got inf"),
+            (lambda: LogisticProblem(k, f0=1.0), "f0 must lie in (0, 1), got 1.0"),
+            (lambda: LogisticProblem(k, x_max=0.0), "x_max must be positive, got 0.0"),
+            (lambda: PowerSeries("t", [1.0]), "unknown series variable 't'"),
+            (lambda: PowerSeries("x", []), "coefficients must be a nonempty finite list")]:
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert str(exc.value) == msg
 
 
 def test_kappa_exp_frozen_value():

@@ -227,6 +227,13 @@ def test_decay_traces_monotone_and_positive():
         assert all(f > 0 for f in tr.fs)
 
 
+def test_decay_rhs_finite_where_beta_f_overflows():
+    # beta * f overflows to inf and the weight at x = 5e306 is 0 in floating
+    # point, but beta * weight(x) = 1/hypot(1/beta, k x) is not
+    p = DecayProblem(Kappa(0.9), beta=1e308, x_max=1e308)
+    assert p.rhs(5e306, 1e308) == pytest.approx(-1e308 / (0.9 * 5e306), rel=1e-15)
+
+
 def test_logistic_closed_form_values():
     assert logistic_closed_form(LogisticProblem(Kappa(0.3)), 0.0) == 0.5
     lp0 = LogisticProblem(Kappa(0.0))
