@@ -2,15 +2,16 @@
 
 Series come in two coordinates: the raw variable x, and the deformed
 coordinate u = arcsinh(k x)/k in which the decay equation becomes classical.
-Picard iterates are exact polynomials in u, so they are built there with
-rational arithmetic and only converted to floats at the boundary.
+Picard iterates are exact polynomials in u, so they are built there in
+integers scaled by n! and only converted to floats at the boundary.
+Composition sums the powers of the inner series, each pruned of the leading
+zeros that its zero constant term implies.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .core import Kappa, Record, to_kappa_number
 from .errors import DomainError
@@ -78,16 +79,20 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
     """Composition outer(inner(v)) truncated at the given order.
 
     The inner series must have zero constant term, otherwise truncation
-    would not commute with composition.
+    would not commute with composition.  It is the sum of outer[j] * inner^j
+    with the power kept running: inner^j starts at order j, so the zero skip
+    in series_multiply prunes its leading zeros and the cost is about
+    order^3/6 multiply-adds.
     """
     inner = series_truncate(inner, order)
     if inner[0] != 0.0:
         raise DomainError("series_compose needs inner constant term 0")
-    # Horner over polynomials: result = outer[n]; result = result*inner + outer[j]
     out = [0.0] * (order + 1)
-    for cj in reversed(list(outer[: order + 1])):
-        out = series_multiply(out, inner, order)
-        out[0] += cj
+    power = [1.0] + [0.0] * order
+    for j, cj in enumerate(outer[: order + 1]):
+        for i in range(j, order + 1):
+            out[i] += cj * power[i]
+        power = series_multiply(power, inner, order)
     return out
 
 
@@ -183,17 +188,18 @@ def picard_iterate(k: Kappa, n: int) -> PowerSeries:
     u = arcsinh(k x)/k whose coefficient of u^j is (-1)^j/j! for j <= n.
 
     In u the equation is classical (df/du = -f, f = 1 at u = 0), so each
-    iterate is the polynomial 1 - integral of the previous one, computed
-    exactly over rationals: f_{m+1}(u) = 1 - int_0^u f_m(t) dt.
+    iterate is the polynomial 1 - integral of the previous one,
+    f_{m+1}(u) = 1 - int_0^u f_m(t) dt, computed exactly in integers scaled
+    by N = n!.  Every division by j + 1 is exact because (j + 1)! divides n!,
+    and c / N rounds each coefficient once at the end.
     """
     if not (0 <= n <= 20):
         raise DomainError(f"picard index must be in [0, 20], got {n!r}")
-    coeffs = [Fraction(1)]
+    scale = math.factorial(n)
+    coeffs = [scale]
     for _ in range(n):
-        integrated = [Fraction(0)] + [c / (j + 1) for j, c in enumerate(coeffs)]
-        coeffs = [-c for c in integrated]
-        coeffs[0] += 1
-    return PowerSeries("u", coeffs)
+        coeffs = [scale] + [-c // (j + 1) for j, c in enumerate(coeffs)]
+    return PowerSeries("u", [c / scale for c in coeffs])
 
 
 def picard_iterate_in_x(it: PowerSeries, k: Kappa, order: int) -> PowerSeries:

@@ -396,7 +396,8 @@ def test_runtime_imports_without_numpy(tmp_path):
     # numpy is a test-only dependency, and the package uses none of the other
     # modules: the package and the CLI, file output included, run with them
     # blocked (an import of a module set to None in sys.modules raises)
-    blocked = ["numpy", "dataclasses", "inspect", "typing", "tempfile", "pathlib"]
+    blocked = ["numpy", "dataclasses", "inspect", "typing", "tempfile", "pathlib",
+               "fractions", "decimal", "numbers"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = tmp_path / "sub" / "trace.csv"
     code = ("import sys\n"

@@ -65,6 +65,18 @@ def test_error_table_max_error_keeps_nan():
     assert math.isnan(report.max_error) and math.isnan(report.rms_error)
 
 
+def test_error_table_rms_of_huge_finite_errors():
+    # the squares of errors near 1e199 overflow; the rms must not
+    report, = error_table(decay(0.5, f0=1e200, x_max=2.0), ["euler"], 0.5)
+    assert all(math.isfinite(e) for e in report.abs_errors)
+    assert math.isfinite(report.rms_error)
+    assert report.rms_error <= report.max_error
+    with mp.workdps(50):
+        squares = mp.fsum(mp.mpf(e) ** 2 for e in report.abs_errors)
+        want = float(mp.sqrt(squares / len(report.abs_errors)))
+    assert abs(report.rms_error - want) <= 1e-15 * want
+
+
 def test_convergence_order_classical_rk4():
     rep = convergence_order(decay(0.0, x_max=5.0), "rk4", 0.2, 3)
     assert all(abs(o - 4.0) <= 0.25 for o in rep.fitted_orders)
@@ -140,3 +152,9 @@ def test_picard_vs_series_agreement():
     # units of the order-6 remainder, measured at 2.2e-6
     rep5 = picard_vs_series(Kappa(0.9), 5, [0.2])
     assert rep5.pointwise_diffs[0] < 1e-5
+
+
+@pytest.mark.parametrize("n", [21, -1])
+def test_picard_vs_series_index_validation(n):
+    with pytest.raises(DomainError):
+        picard_vs_series(Kappa(0.5), n, [0.1])

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -24,6 +26,16 @@ from kappamath.series import (
 )
 
 ARCSINH_09_OVER_09 = 0.89874103961420273612
+
+
+def horner_compose(outer, inner, order):
+    # reference composition: Horner over polynomials,
+    # result = outer[n]; result = result*inner + outer[j]
+    out = [0.0] * (order + 1)
+    for cj in reversed(list(outer[: order + 1])):
+        out = series_multiply(out, inner, order)
+        out[0] += cj
+    return out
 
 
 def exp_coefficient_formulas(k):
@@ -81,11 +93,13 @@ def test_ln1p_taylor_frozen_examples():
 
 def test_ln1p_taylor_mpmath_oracle():
     kv = 0.85
-    with mp.workdps(40):
-        oracle = mp.taylor(lambda x: mp.sinh(kv * mp.log(1 + x)) / kv, 0, 8)
-    s = ln_kappa_shifted_taylor(Kappa(kv), 8)
-    for got, want in zip(s.coefficients, oracle):
-        assert got == pytest.approx(float(want), abs=1e-14)
+    for order, abs_tol, rel_tol in [(8, 1e-14, 0.0), (32, 0.0, 1e-14)]:
+        with mp.workdps(40):
+            oracle = mp.taylor(lambda x: mp.sinh(kv * mp.log(1 + x)) / kv, 0, order)
+        s = ln_kappa_shifted_taylor(Kappa(kv), order)
+        assert len(s.coefficients) == order + 1
+        for got, want in zip(s.coefficients, oracle):
+            assert abs(got - float(want)) <= max(abs_tol, rel_tol * abs(float(want)))
 
 
 def test_sqrt_weight_series_values():
@@ -148,11 +162,10 @@ def test_picard_iterates_are_truncated_exponentials():
     k = Kappa(0.9)
     assert picard_iterate(k, 0).coefficients == (1.0,)
     assert picard_iterate(k, 1).coefficients == (1.0, -1.0)
-    for n in (2, 5, 12, 20):
+    for n in range(21):
         it = picard_iterate(k, n)
-        assert len(it.coefficients) == n + 1
-        for j, c in enumerate(it.coefficients):
-            assert c == (-1) ** j / math.factorial(j)
+        assert it.coefficients == tuple(
+            float(Fraction((-1) ** j, math.factorial(j))) for j in range(n + 1))
 
 
 def test_picard_iterate_is_a_series_in_u():
@@ -209,10 +222,29 @@ def test_exp_taylor_recurrence_matches_composition(kv, order):
     # the O(n^3) route: Horner composition of exp(t) with u(x)
     k = Kappa(kv)
     exp_c = [1.0 / math.factorial(j) for j in range(order + 1)]
-    composed = series_compose(exp_c, _coordinate_series(k, order), order)
+    composed = horner_compose(exp_c, _coordinate_series(k, order), order)
     got = exp_kappa_taylor(k, order).coefficients
     assert len(got) == order + 1
     assert max(abs(g - c) for g, c in zip(got, composed)) <= 1e-15
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 16, 32, 64])
+@pytest.mark.parametrize("gaps", [False, True])
+def test_series_compose_matches_horner(order, gaps):
+    # composition by powers vs Horner, each coefficient within 1e-15 of the
+    # sum of the magnitudes of its terms (|outer| composed with |inner|)
+    rng = random.Random(1000 * order + gaps)
+    for _ in range(5):
+        outer = [rng.uniform(-1.0, 1.0) for _ in range(order + 1)]
+        inner = [0.0] + [rng.uniform(-1.0, 1.0) for _ in range(order)]
+        if gaps:
+            inner[2::3] = [0.0] * len(inner[2::3])
+        got = series_compose(outer, inner, order)
+        want = horner_compose(outer, inner, order)
+        scale = horner_compose([abs(c) for c in outer], [abs(c) for c in inner], order)
+        assert len(got) == order + 1
+        for g, w, sc in zip(got, want, scale):
+            assert abs(g - w) <= 1e-15 * sc
 
 
 def test_series_helpers():
