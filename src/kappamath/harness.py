@@ -7,7 +7,7 @@ quantify what the solver comparison plots only show qualitatively.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from operator import attrgetter, sub
 
 from .core import Kappa, Record, kappa_exp
 from .errors import DomainError, FloorError
@@ -61,9 +61,22 @@ class PicardSeriesReport(Record):
     __slots__ = ("n", "max_coefficient_diff", "xs", "pointwise_diffs")
 
 
-def _single_report(p, method: str, h: float) -> ErrorReport:
+def _single_report(p, method: str, h: float, prev_xs=(),
+                   prev_exact=()) -> tuple[ErrorReport, list[float]]:
+    """One solver run's ErrorReport, and the closed form on its grid.
+
+    prev_xs and prev_exact are the grid and closed form of the level with
+    step 2h.  Where prev_xs is the even points of this grid, prev_exact is
+    reused there and p.exact runs only at the odd points."""
     trace = SOLVERS[method](p, h)
-    errors = tuple(abs(f - p.exact(x)) for x, f in zip(trace.xs, trace.fs))
+    xs = trace.xs
+    if xs[::2] == prev_xs:
+        ex = [0.0] * len(xs)
+        ex[::2] = prev_exact
+        ex[1::2] = [p.exact(x) for x in xs[1::2]]
+    else:
+        ex = [p.exact(x) for x in xs]
+    errors = tuple(map(abs, map(sub, trace.fs, ex)))
     rms = math.sqrt(sum(e * e for e in errors) / len(errors))
     # max() skips a nan that follows a number; the rms is nan exactly when
     # some error is, so it carries the nan into max_error.
@@ -71,7 +84,7 @@ def _single_report(p, method: str, h: float) -> ErrorReport:
     if rms == math.inf and mx < math.inf:
         # finite errors above about 1e154 overflow their squares
         rms = mx * math.sqrt(sum((e / mx) ** 2 for e in errors) / len(errors))
-    return ErrorReport(method, h, trace.xs, errors, mx, rms)
+    return ErrorReport(method, h, xs, errors, mx, rms), ex
 
 
 def error_table(p, methods, h: float) -> list[ErrorReport]:
@@ -82,12 +95,17 @@ def error_table(p, methods, h: float) -> list[ErrorReport]:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
     if not methods:
         raise DomainError("need at least one method")
-    return [_single_report(p, m, h) for m in sorted(set(methods))]
+    return [_single_report(p, m, h)[0] for m in sorted(set(methods))]
 
 
 def error_ladder(p, method: str, h0: float, levels: int):
     """Yield the ErrorReport of each level of the halving ladder h0, h0/2, ...,
     stopping after the first level whose max error is below the floor.
+
+    The even points of each level's grid are, bit for bit, the points of the
+    level before, so the closed form is evaluated only at the new odd points:
+    a ladder makes as many exact evaluations as its finest grid has points.
+    Only the previous level's grid and exact values are held, no report.
 
     FloorError is raised when a fit was asked for (levels >= 2) but the floor
     stops the ladder at its first level.  Arguments are checked when
@@ -95,11 +113,12 @@ def error_ladder(p, method: str, h0: float, levels: int):
     """
     if method not in SOLVERS:
         raise DomainError(f"unknown method {method!r}")
-    if not (1 <= levels <= MAX_LEVELS):
+    if not (isinstance(levels, int) and 1 <= levels <= MAX_LEVELS):
         raise DomainError(f"levels must be in [1, {MAX_LEVELS}], got {levels!r}")
+    xs, ex = (), ()
     for i in range(levels):
-        report = _single_report(p, method, h0 / 2**i)
-        err = report.max_error
+        report, ex = _single_report(p, method, h0 / 2**i, xs, ex)
+        xs, err = report.xs, report.max_error
         yield report
         # A consumer that keeps only h and the max error lets each level be
         # freed before the next, twice as large, is built.
@@ -111,12 +130,22 @@ def error_ladder(p, method: str, h0: float, levels: int):
             return
 
 
+def _log2_ratio(a: float, b: float) -> float:
+    """log2(a / b), and its limits where the ratio is 0 or b is 0: an error
+    that grows from a number to inf has order -inf."""
+    if b == 0.0:
+        return math.inf if a > 0.0 else math.nan
+    r = a / b
+    return math.log2(r) if r else -math.inf
+
+
 def fit_ladder(reports) -> ConvergenceReport:
     """Fit empirical orders, the log2 ratio of the max errors of adjacent
     levels, to the reports of one error_ladder.  Only each level's h and max
-    error are kept, and no report is held while the next level is built."""
+    error are kept, and no report is held while the next level is built
+    (error_ladder itself keeps the last grid and its exact values)."""
     methods, hs, errs = zip(*map(attrgetter("method", "h", "max_error"), reports))
-    orders = tuple(math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1))
+    orders = tuple(map(_log2_ratio, errs[:-1], errs[1:]))
     return ConvergenceReport(methods[0], hs, errs, orders, errs[-1] < ROUNDOFF_FLOOR)
 
 

@@ -117,7 +117,7 @@ class LogisticProblem(Record):
         return 1.0 / math.hypot(1.0, self.k.value * x)
 
     def rhs(self, x: float, f: float) -> float:
-        return f * (1.0 - f) * self.weight(x)
+        return f * (1.0 - f) * (1.0 / math.hypot(1.0, self.k.value * x))
 
     def exact(self, x: float) -> float:
         return logistic_closed_form(self, x)

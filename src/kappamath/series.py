@@ -53,7 +53,7 @@ class PowerSeries(Record):
 
 
 def _check_order(order: int) -> None:
-    if not (0 <= order <= MAX_ORDER):
+    if not (isinstance(order, int) and 0 <= order <= MAX_ORDER):
         raise DomainError(f"series order must be in [0, {MAX_ORDER}], got {order!r}")
 
 
@@ -193,7 +193,7 @@ def picard_iterate(k: Kappa, n: int) -> PowerSeries:
     by N = n!.  Every division by j + 1 is exact because (j + 1)! divides n!,
     and c / N rounds each coefficient once at the end.
     """
-    if not (0 <= n <= 20):
+    if not (isinstance(n, int) and 0 <= n <= 20):
         raise DomainError(f"picard index must be in [0, 20], got {n!r}")
     scale = math.factorial(n)
     coeffs = [scale]

@@ -372,7 +372,11 @@ CLI_EDGES = {
     "series": [],
     "compare": [["--methods", "euler,rk4", "--beta=1e300", "--h=0.5", "--x-max=2",
                  "--levels=2"],
-                ["--beta=1e308", "--h=0.5", "--x-max=2"]],
+                ["--beta=1e308", "--h=0.5", "--x-max=2"],
+                # the euler error grows from a number to inf between levels
+                ["--kappa=0.0", "--x-max=6.80564733841877e+38",
+                 "--beta=6.80564733841877e+38", "--h=6.80564733841877e+38",
+                 "--methods", "euler", "--levels", "3"]],
     "slope-field": [["--beta=1e308", "--x-max=1e308", "--f-max=1e308"]],
     "logistic": [["--kappa=0", "--f0=5e-324", "--x-max=1000", "--h=10", "--format", f]
                  for f in ("csv", "json")],

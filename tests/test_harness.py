@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import mpmath as mp
 import pytest
@@ -11,11 +12,14 @@ from kappamath import (
     LogisticProblem,
     asymptote_check,
     convergence_order,
+    decay_series_solution,
     error_table,
+    exp_kappa_taylor,
+    picard_iterate,
     picard_vs_series,
     series_error_curve,
 )
-from kappamath.harness import ROUNDOFF_FLOOR
+from kappamath.harness import ROUNDOFF_FLOOR, ErrorReport, error_ladder, fit_ladder
 
 
 def decay(kv=0.9, **kw):
@@ -107,6 +111,83 @@ def test_convergence_order_floor_error_when_unfittable():
     # a single level asks for no fit, so the floor only sets hit_floor
     rep = convergence_order(p, "rk4", 1e-3, 1)
     assert rep.hit_floor and rep.fitted_orders == () and len(rep.max_errors) == 1
+
+
+@pytest.mark.parametrize("x_max,h0,levels", [
+    (2.0, 0.25, 5),
+    # the +1e-9 in the grid size gives the decay ladder 4 points at h0 and 6
+    # at h0/2: the even points of level 1 are not level 0's grid
+    (0.1 * (3 - 7e-10), 0.1, 4)])
+@pytest.mark.parametrize("method", ["euler", "ab2", "rk4"])
+@pytest.mark.parametrize("problem", [DecayProblem, LogisticProblem])
+def test_error_ladder_equals_full_evaluation(problem, method, x_max, h0, levels):
+    # reusing the exact values of the previous level changes no bit
+    p = problem(Kappa(0.9), x_max=x_max)
+    reports = list(error_ladder(p, method, h0, levels))
+    assert len(reports) == levels
+    for r in reports:
+        assert r == error_table(p, [method], r.h)[0]
+
+
+def counting_decay(**kw):
+    calls = []
+
+    # no __slots__ of its own: Record takes its fields from DecayProblem's
+    class CountingDecay(DecayProblem):
+        def exact(self, x):
+            calls.append(x)
+            return super().exact(x)
+
+    return CountingDecay(Kappa(0.9), **kw), calls
+
+
+def test_error_ladder_exact_evaluations():
+    # 51 + 50 + 100 + 200 + 400 new points; full evaluation makes 1555 calls
+    p, calls = counting_decay(x_max=5.0)
+    reports = list(error_ladder(p, "rk4", 0.1, 5))
+    assert len(calls) == 801 == len(reports[-1].xs)
+    assert sorted(calls) == list(reports[-1].xs)
+    # a consumer that stops early pays for no finer level
+    p, calls = counting_decay(x_max=5.0)
+    list(islice(error_ladder(p, "rk4", 0.1, 5), 2))
+    assert len(calls) == 101
+    # 4 points at h0 and 6 at h0/2 are not nested: level 1 evaluates all 6
+    p, calls = counting_decay(x_max=0.1 * (3 - 7e-10))
+    r0, r1 = error_ladder(p, "euler", 0.1, 2)
+    assert (len(r0.xs), len(r1.xs), len(calls)) == (4, 6, 10)
+
+
+def test_error_ladder_stopped_by_floor_evaluates_no_finer_level():
+    # the rk4 error reaches the round-off floor at level 7 of 8
+    p, calls = counting_decay(x_max=5.0)
+    reports = list(error_ladder(p, "rk4", 0.1, 8))
+    assert len(reports) == 7 and reports[-1].max_error < ROUNDOFF_FLOOR
+    assert len(calls) == len(reports[-1].xs) == 3201
+
+
+@pytest.mark.parametrize("call", [
+    lambda: picard_iterate(Kappa(0.5), 2.0),
+    lambda: exp_kappa_taylor(Kappa(0.5), 3.0),
+    lambda: decay_series_solution(Kappa(0.5), 4.0),
+    lambda: list(error_ladder(decay(), "rk4", 0.1, 2.0))],
+    ids=["picard_iterate", "exp_kappa_taylor", "decay_series_solution",
+         "error_ladder"])
+def test_integer_indexes_reject_floats(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def report(max_error):
+    return ErrorReport("euler", 0.1, (0.0,), (max_error,), max_error, max_error)
+
+
+def test_fit_ladder_orders_at_zero_ratios():
+    # an error that grows from a number to inf has order -inf; an error
+    # that drops to exactly 0 has order inf
+    fit = fit_ladder(map(report, [4.6e77, 5e154, math.inf]))
+    assert fit.fitted_orders[1] == -math.inf
+    assert fit.fitted_orders[0] == math.log2(4.6e77 / 5e154)
+    assert fit_ladder(map(report, [1e-3, 0.0])).fitted_orders == (math.inf,)
 
 
 def test_series_error_curve_behaviour():
