@@ -89,31 +89,18 @@ class Kappa(Record):
         return self.value == 0.0
 
 
-# Odd Maclaurin coefficients of arcsinh(z)/z: 1 - z^2/6 + 3 z^4/40 - ...
-def _arcsinh_ratio_series(z: float) -> float:
-    z2 = z * z
-    term = 1.0
-    total = 1.0
-    n = 0
-    while True:
-        n += 1
-        term *= -z2 * (2 * n - 1) ** 2 / (2 * n * (2 * n + 1))
-        if total + term == total:
-            return total
-        total += term
-
-
 def scaled_arcsinh(c: float, x: float) -> float:
     """arcsinh(c*x)/c, continuously extended to x at c = 0.
 
-    For 0 < |c| < 1e-4 with |c*x| < 0.5 the odd series of arcsinh(z)/z is
-    used so the small-parameter division loses no precision.
+    For |z| < 1e-4, z = c*x, the series x (1 - z^2/6 + 3 z^4/40) is used,
+    as in the sinh map, so a c*x that underflows still gives x.
     """
     if c == 0.0:
         return x
     z = c * x
-    if abs(c) < 1e-4 and abs(z) < 0.5:
-        return x * _arcsinh_ratio_series(z)
+    if abs(z) < 1e-4:
+        z2 = z * z
+        return x * (1.0 - z2 / 6.0 * (1.0 - 0.45 * z2))
     return math.asinh(z) / c
 
 
@@ -215,25 +202,23 @@ _G7_WEIGHTS = (
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
 
-def adaptive_quadrature(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    max_evals: int = 1_000_000,
-) -> float:
-    """Adaptive Gauss-Kronrod 7/15 quadrature of f over [a, b] to absolute
-    error tol.
+# Absolute error target and integrand-evaluation budget of every quadrature.
+QUAD_TOL = 1e-12
+QUAD_MAX_EVALS = 1_000_000
 
-    A panel is accepted when |K15 - G7| is within its share of tol; otherwise
-    it is halved and each half gets half the tolerance.  Raises
+
+def adaptive_quadrature(f: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive Gauss-Kronrod 7/15 quadrature of f over [a, b] to absolute
+    error QUAD_TOL.
+
+    A panel is accepted when |K15 - G7| is within its share of QUAD_TOL;
+    otherwise it is halved and each half gets half the tolerance.  Raises
     ConvergenceError if the next panel would take the integrand evaluations
-    past max_evals, or if a panel can no longer be halved in floating point.
+    past QUAD_MAX_EVALS, or if a panel can no longer be halved in floating
+    point.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"bad interval [{a!r}, {b!r}]")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     if a == b:
         return 0.0
 
@@ -242,13 +227,13 @@ def adaptive_quadrature(
     # Depth-first over (lo, hi, eps), left half first, so the panels are
     # summed in order from a to b and the result does not depend on the
     # recursion limit.
-    pending = [(a, b, tol)]
+    pending = [(a, b, QUAD_TOL)]
     while pending:
         lo, hi, eps = pending.pop()
         evals += 15
-        if evals > max_evals:
+        if evals > QUAD_MAX_EVALS:
             raise ConvergenceError(
-                f"quadrature budget of {max_evals} evaluations exhausted")
+                f"quadrature budget of {QUAD_MAX_EVALS} evaluations exhausted")
         centre = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         fc = f(centre)
@@ -269,17 +254,11 @@ def adaptive_quadrature(
             pending.append((lo, centre, 0.5 * eps))
         else:
             raise ConvergenceError(
-                f"quadrature cannot split [{lo!r}, {hi!r}] to reach tol {tol!r}")
+                f"quadrature cannot split [{lo!r}, {hi!r}] to reach tol {QUAD_TOL!r}")
     return total
 
 
-def kappa_integral(
-    k: Kappa,
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-) -> float:
+def kappa_integral(k: Kappa, f: Callable[[float], float], a: float, b: float) -> float:
     """Deformed integral of f over [a, b]: the integrand is weighted by
     1/sqrt(1 + k^2 x^2) and integrated by adaptive_quadrature."""
-    return adaptive_quadrature(lambda x: f(x) * differential_weight(k, x), a, b, tol)
+    return adaptive_quadrature(lambda x: f(x) * differential_weight(k, x), a, b)

@@ -61,41 +61,16 @@ class PicardSeriesReport(Record):
     __slots__ = ("n", "max_coefficient_diff", "xs", "pointwise_diffs")
 
 
-def _single_report(p, method: str, h: float, prev_xs=(),
-                   prev_exact=()) -> tuple[ErrorReport, list[float]]:
-    """One solver run's ErrorReport, and the closed form on its grid.
-
-    prev_xs and prev_exact are the grid and closed form of the level with
-    step 2h.  Where prev_xs is the even points of this grid, prev_exact is
-    reused there and p.exact runs only at the odd points."""
-    trace = SOLVERS[method](p, h)
-    xs = trace.xs
-    if xs[::2] == prev_xs:
-        ex = [0.0] * len(xs)
-        ex[::2] = prev_exact
-        ex[1::2] = [p.exact(x) for x in xs[1::2]]
-    else:
-        ex = [p.exact(x) for x in xs]
-    errors = tuple(map(abs, map(sub, trace.fs, ex)))
-    rms = math.sqrt(sum(e * e for e in errors) / len(errors))
-    # max() skips a nan that follows a number; the rms is nan exactly when
-    # some error is, so it carries the nan into max_error.
-    mx = rms if math.isnan(rms) else max(errors)
-    if rms == math.inf and mx < math.inf:
-        # finite errors above about 1e154 overflow their squares
-        rms = mx * math.sqrt(sum((e / mx) ** 2 for e in errors) / len(errors))
-    return ErrorReport(method, h, xs, errors, mx, rms), ex
-
-
 def error_table(p, methods, h: float) -> list[ErrorReport]:
     """Per-method absolute errors against the closed form on the trace grid,
-    assembled in sorted method order for determinism."""
+    in sorted method order for determinism: the one-level error_ladder of
+    each method."""
     unknown = set(methods) - set(SOLVERS)
     if unknown:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
     if not methods:
         raise DomainError("need at least one method")
-    return [_single_report(p, m, h)[0] for m in sorted(set(methods))]
+    return [next(error_ladder(p, m, h, 1)) for m in sorted(set(methods))]
 
 
 def error_ladder(p, method: str, h0: float, levels: int):
@@ -105,7 +80,9 @@ def error_ladder(p, method: str, h0: float, levels: int):
     The even points of each level's grid are, bit for bit, the points of the
     level before, so the closed form is evaluated only at the new odd points:
     a ladder makes as many exact evaluations as its finest grid has points.
-    Only the previous level's grid and exact values are held, no report.
+    Where a grid's even points differ from the level before, every point is
+    evaluated.  Only the previous level's grid and exact values are held, no
+    report.
 
     FloorError is raised when a fit was asked for (levels >= 2) but the floor
     stops the ladder at its first level.  Arguments are checked when
@@ -115,14 +92,31 @@ def error_ladder(p, method: str, h0: float, levels: int):
         raise DomainError(f"unknown method {method!r}")
     if not (isinstance(levels, int) and 1 <= levels <= MAX_LEVELS):
         raise DomainError(f"levels must be in [1, {MAX_LEVELS}], got {levels!r}")
-    xs, ex = (), ()
+    prev_xs, prev_ex = (), ()
     for i in range(levels):
-        report, ex = _single_report(p, method, h0 / 2**i, xs, ex)
-        xs, err = report.xs, report.max_error
-        yield report
+        h = h0 / 2**i
+        trace = SOLVERS[method](p, h)
+        xs = trace.xs
+        if xs[::2] == prev_xs:
+            ex = [0.0] * len(xs)
+            ex[::2] = prev_ex
+            ex[1::2] = [p.exact(x) for x in xs[1::2]]
+        else:
+            ex = [p.exact(x) for x in xs]
+        errors = tuple(map(abs, map(sub, trace.fs, ex)))
+        del trace
+        rms = math.sqrt(sum(e * e for e in errors) / len(errors))
+        # max() skips a nan that follows a number; the rms is nan exactly
+        # when some error is, so it carries the nan into max_error.
+        err = rms if math.isnan(rms) else max(errors)
+        if rms == math.inf and err < math.inf:
+            # finite errors above about 1e154 overflow their squares
+            rms = err * math.sqrt(sum((e / err) ** 2 for e in errors) / len(errors))
         # A consumer that keeps only h and the max error lets each level be
         # freed before the next, twice as large, is built.
-        del report
+        yield ErrorReport(method, h, xs, errors, err, rms)
+        del errors
+        prev_xs, prev_ex = xs, ex
         if err < ROUNDOFF_FLOOR:
             if i == 0 and levels >= 2:
                 raise FloorError(f"{method}: error {err:.3e} already "
@@ -157,7 +151,7 @@ def convergence_order(p, method: str, h0: float, levels: int) -> ConvergenceRepo
 
 def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:
     """|truncated decay series - exp_k(-x)| per order on the grid."""
-    orders = tuple(int(n) for n in orders)
+    orders = tuple(orders)
     if not orders:
         raise DomainError("need at least one order")
     xs = tuple(float(x) for x in x_grid)

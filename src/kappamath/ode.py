@@ -9,6 +9,7 @@ plus fixed-step Euler, two-step Adams-Bashforth, and classical RK4.
 from __future__ import annotations
 
 import math
+import sys
 
 from .core import Kappa, Record, adaptive_quadrature, kappa_exp, scaled_arcsinh
 from .errors import DomainError
@@ -50,6 +51,11 @@ class DecayProblem(Record):
                  x_max: float = 5.0) -> None:
         if not (math.isfinite(beta) and beta > 0.0):
             raise DomainError(f"beta must be positive, got {beta!r}")
+        # rhs divides by hypot(1/beta, k x), which must stay finite for every
+        # float k x: this holds for beta above about 5.3e-301
+        if math.hypot(1.0 / beta, sys.float_info.max) == math.inf:
+            raise DomainError(f"beta too small: hypot(1/beta, kappa x) "
+                              f"overflows, got {beta!r}")
         if not (math.isfinite(x_max) and x_max > 0.0):
             raise DomainError(f"x_max must be positive, got {x_max!r}")
         if not math.isfinite(f0):
@@ -72,11 +78,7 @@ class DecayProblem(Record):
         return 1.0 / math.hypot(1.0, self.k.value * self.beta * x)
 
     def rhs(self, x: float, f: float) -> float:
-        g = -self.beta * f * (1.0 / math.hypot(1.0, self.k.value * self.beta * x))
-        if g == g:
-            return g
-        # beta * f overflowed to inf and met a weight of 0: beta * weight(x)
-        # is 1/hypot(1/beta, k x), and -f times it is finite
+        # beta * weight(x) as one quotient: no beta * f to overflow
         return -f / math.hypot(1.0 / self.beta, self.k.value * x)
 
     def exact(self, x: float) -> float:
@@ -144,13 +146,13 @@ def closed_form_decay(p: DecayProblem, x: float) -> float:
         return p.f0 * 0.0
 
 
-def quadrature_decay(p: DecayProblem, x: float, tol: float = 1e-12) -> float:
+def quadrature_decay(p: DecayProblem, x: float) -> float:
     """Separable route: f0 * exp(-int_0^x beta / sqrt(1+k^2 b^2 t^2) dt),
     with the integral done by adaptive Gauss-Kronrod 7/15 quadrature to
-    absolute error tol."""
+    the fixed absolute error 1e-12."""
     if not (0.0 <= x <= p.x_max):
         raise DomainError(f"x must lie in [0, {p.x_max}], got {x!r}")
-    integral = adaptive_quadrature(lambda t: p.beta * p.weight(t), 0.0, x, tol)
+    integral = adaptive_quadrature(lambda t: p.beta * p.weight(t), 0.0, x)
     return p.f0 * math.exp(-integral)
 
 

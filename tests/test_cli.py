@@ -98,6 +98,16 @@ def test_solve_rejects_bad_step(capsys):
     assert rc == 2
 
 
+def test_decay_commands_reject_subnormal_beta(capsys, monkeypatch, tmp_path):
+    # 1/beta overflows, so the slope would be -0 and no trace would decay
+    monkeypatch.setenv("KAPPA_OUT_DIR", str(tmp_path))
+    for argv in (["solve", "--method", "rk4", "--h", "1e306"],
+                 ["compare", "--h", "1e306"],
+                 ["slope-field"]):
+        rc, _, err = run(capsys, *argv, "--beta", "5e-309", "--x-max", "1e308")
+        assert rc == 2 and "beta too small" in err
+
+
 def test_solve_json_format(capsys):
     rc, out, _ = run(capsys, "solve", "--kappa", "0.5", "--method", "analytic",
                      "--h", "0.5", "--x-max", "1", "--format", "json")
@@ -273,7 +283,7 @@ def test_nan_output_is_numerical_failure(capsys, tmp_path, fmt):
 def test_compare_names_non_finite_error(capsys, tmp_path):
     # rk4 blows up to nan after its first step: a numerical failure that says
     # so, not a FloorError from the 0.0 error at x = 0
-    rc, _, err = run(capsys, "compare", "--beta", "1e300", "--methods", "rk4", "--h", "0.5",
+    rc, _, err = run(capsys, "compare", "--beta", "1e308", "--methods", "rk4", "--h", "0.5",
                      "--x-max", "2", "--levels", "2", "--out-dir", str(tmp_path))
     assert rc == 3
     assert "non-finite value nan" in err and "floor" not in err
@@ -397,9 +407,9 @@ def test_cli_exit_codes_and_no_nan(command):
 
 
 def test_runtime_imports_without_numpy(tmp_path):
-    # numpy is a test-only dependency, and the package uses none of the other
-    # modules: the package and the CLI, file output included, run with them
-    # blocked (an import of a module set to None in sys.modules raises)
+    # the package uses none of these modules, numpy included: the package
+    # and the CLI, file output included, run with them blocked (an import of
+    # a module set to None in sys.modules raises)
     blocked = ["numpy", "dataclasses", "inspect", "typing", "tempfile", "pathlib",
                "fractions", "decimal", "numbers"]
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -64,7 +64,7 @@ def test_convergence_orders(method, expected, tol):
 
 def test_error_table_max_error_keeps_nan():
     # rk4 blows up after the first step; max() alone would report the 0.0 of x = 0
-    report, = error_table(decay(0.5, beta=1e300, x_max=2.0), ["rk4"], 0.5)
+    report, = error_table(decay(0.5, beta=1e308, x_max=2.0), ["rk4"], 0.5)
     assert report.abs_errors[0] == 0.0 and math.isnan(report.abs_errors[1])
     assert math.isnan(report.max_error) and math.isnan(report.rms_error)
 
@@ -169,9 +169,10 @@ def test_error_ladder_stopped_by_floor_evaluates_no_finer_level():
     lambda: picard_iterate(Kappa(0.5), 2.0),
     lambda: exp_kappa_taylor(Kappa(0.5), 3.0),
     lambda: decay_series_solution(Kappa(0.5), 4.0),
-    lambda: list(error_ladder(decay(), "rk4", 0.1, 2.0))],
+    lambda: list(error_ladder(decay(), "rk4", 0.1, 2.0)),
+    lambda: series_error_curve(Kappa(0.5), [2.7], [0.5])],
     ids=["picard_iterate", "exp_kappa_taylor", "decay_series_solution",
-         "error_ladder"])
+         "error_ladder", "series_error_curve"])
 def test_integer_indexes_reject_floats(call):
     with pytest.raises(DomainError):
         call()

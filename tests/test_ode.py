@@ -65,7 +65,7 @@ def test_closed_form_decay_past_overflow():
 
 def test_quadrature_decay_values():
     p = decay()
-    assert quadrature_decay(p, 1.0, tol=1e-12) == pytest.approx(DECAY_09_AT_1, abs=1e-11)
+    assert quadrature_decay(p, 1.0) == pytest.approx(DECAY_09_AT_1, abs=1e-11)
     assert quadrature_decay(p, 0.0) == 1.0
     assert quadrature_decay(decay(0.0), 2.0) == pytest.approx(math.exp(-2), rel=1e-11)
     with pytest.raises(DomainError):
@@ -86,7 +86,7 @@ def test_three_analytic_routes_agree(kv, beta):
     for x in [0.0, 0.5, 2.0, 7.0, 10.0]:
         cf = closed_form_decay(p, x)
         assert substitution_decay(p, x) == pytest.approx(cf, rel=1e-13)
-        assert quadrature_decay(p, x, tol=1e-12) == pytest.approx(cf, rel=1e-10)
+        assert quadrature_decay(p, x) == pytest.approx(cf, rel=1e-10)
 
 
 # (kappa, beta, x) where adaptive Simpson at tol 1e-12 missed the relative
@@ -101,7 +101,7 @@ QUADRATURE_HARD_CASES = [
 @pytest.mark.parametrize("kv,beta,x", QUADRATURE_HARD_CASES)
 def test_analytic_routes_agree_on_hard_quadrature_inputs(kv, beta, x):
     p = decay(kv, beta=beta, x_max=10.0)
-    values = [closed_form_decay(p, x), quadrature_decay(p, x, tol=1e-12),
+    values = [closed_form_decay(p, x), quadrature_decay(p, x),
               substitution_decay(p, x)]
     assert max(values) - min(values) <= 1e-10 * max(values)
 
@@ -232,6 +232,21 @@ def test_decay_rhs_finite_where_beta_f_overflows():
     # point, but beta * weight(x) = 1/hypot(1/beta, k x) is not
     p = DecayProblem(Kappa(0.9), beta=1e308, x_max=1e308)
     assert p.rhs(5e306, 1e308) == pytest.approx(-1e308 / (0.9 * 5e306), rel=1e-15)
+    # beta * f overflows against a finite weight
+    p = DecayProblem(Kappa(0.9), beta=1e300, x_max=2.0)
+    assert p.rhs(1.0, 1e10) == pytest.approx(-1e10 / 0.9, rel=1e-15)
+
+
+def test_decay_rejects_beta_whose_slope_denominator_overflows():
+    # 1/beta is inf, or hypot(1/beta, k x) overflows at large x; either way
+    # the slope -f/hypot(1/beta, k x) would be -0 where the decay is real
+    for beta in (5e-324, 5e-309, 6e-309, 5e-301):
+        with pytest.raises(DomainError, match="beta too small"):
+            decay(beta=beta, x_max=1e308)
+    p = decay(beta=1e-300, x_max=1e308)
+    for x in (0.0, 1e300, 1e308, 1.7976931348623157e308):
+        slope = -p.beta * 1e308 * p.weight(x)
+        assert p.rhs(x, 1e308) == pytest.approx(slope, rel=1e-15)
 
 
 def test_logistic_closed_form_values():
