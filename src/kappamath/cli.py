@@ -274,7 +274,12 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    # nodes run monotonically from lo, so the last one bounds them all
+    if math.isfinite(lo + (n - 1) * step):
+        return [lo + i * step for i in range(n)]
+    # hi - lo overflows, or the last node rounds past the float range:
+    # weight the ends instead, which stays finite and puts lo and hi at them
+    return [lo * ((n - 1 - i) / (n - 1)) + hi * (i / (n - 1)) for i in range(n)]
 
 
 def _cmd_slope_field(args) -> int:

@@ -184,31 +184,52 @@ def slope_field(p, x_grid, f_grid) -> list[tuple[float, float, float]]:
 
 
 def _grid(p, h: float, min_steps: int = 1) -> list[float]:
-    span = p.x_end - p.x_start
-    if not (math.isfinite(h) and h > 0.0 and h <= span / min_steps):
-        raise DomainError(f"step size {h!r} invalid for span {span!r}")
-    steps = span / h + 1e-9
+    x0 = p.x_start
+    x1 = p.x_end
+    # x0 is 0 or -x1, so wherever x1 - x0 is finite this count is exactly
+    # (x1 - x0) / h; it stays finite where x1 - x0 overflows
+    steps = x1 / h - x0 / h if h > 0.0 else math.nan
+    if not steps >= min_steps:  # also refuses a nan or infinite h
+        raise DomainError(f"step size {h!r} invalid for [{x0!r}, {x1!r}]")
+    steps += 1e-9
     if steps >= MAX_POINTS:  # floor(steps) + 1 samples
         raise DomainError(f"step size {h!r} gives more than {MAX_POINTS} "
-                          f"grid points over span {span!r}")
+                          f"grid points over [{x0!r}, {x1!r}]")
     n = int(math.floor(steps))
-    return [p.x_start + i * h for i in range(n + 1)]
+    if x1 - x0 < math.inf:
+        return [x0 + i * h for i in range(n + 1)]
+    # i * h overflows as well: place the points at half scale, where the
+    # halving and the doubling are exact
+    x0, h = 0.5 * x0, 0.5 * h
+    return [2.0 * (x0 + i * h) for i in range(n + 1)]
 
 
-def _rk4_step(p, x: float, f: float, h: float) -> float:
-    k1 = p.rhs(x, f)
-    k2 = p.rhs(x + 0.5 * h, f + 0.5 * h * k1)
-    k3 = p.rhs(x + 0.5 * h, f + 0.5 * h * k2)
-    k4 = p.rhs(x + h, f + h * k3)
-    return f + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+def _rk4_values(rhs, xs, f: float, h: float) -> list[float]:
+    """Classical RK4 from f at xs[0] over the grid xs of spacing h."""
+    hh = 0.5 * h
+    fs = [f]
+    append = fs.append
+    for x in xs[:-1]:
+        xm = x + hh
+        k1 = rhs(x, f)
+        k2 = rhs(xm, f + hh * k1)
+        k3 = rhs(xm, f + hh * k2)
+        k4 = rhs(x + h, f + h * k3)
+        f = f + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        append(f)
+    return fs
 
 
 def euler_solve(p, h: float) -> SolutionTrace:
     """Forward Euler: f_{n+1} = f_n + h G(x_n, f_n)."""
     xs = _grid(p, h)
-    fs = [p.initial_value]
+    rhs = p.rhs
+    f = p.initial_value
+    fs = [f]
+    append = fs.append
     for x in xs[:-1]:
-        fs.append(fs[-1] + h * p.rhs(x, fs[-1]))
+        f = f + h * rhs(x, f)
+        append(f)
     return SolutionTrace("euler", h, tuple(xs), tuple(fs))
 
 
@@ -216,12 +237,16 @@ def ab2_solve(p, h: float) -> SolutionTrace:
     """Explicit two-step Adams-Bashforth, bootstrapped with one RK4 step:
     f_{n+1} = f_n + h (3 G_n - G_{n-1}) / 2."""
     xs = _grid(p, h, min_steps=2)
-    fs = [p.initial_value]
-    g_prev = p.rhs(xs[0], fs[0])
-    fs.append(_rk4_step(p, xs[0], fs[0], h))
+    rhs = p.rhs
+    f = p.initial_value
+    g_prev = rhs(xs[0], f)
+    fs = _rk4_values(rhs, xs[:2], f, h)
+    f = fs[1]
+    append = fs.append
     for x in xs[1:-1]:
-        g = p.rhs(x, fs[-1])
-        fs.append(fs[-1] + h * (3.0 * g - g_prev) / 2.0)
+        g = rhs(x, f)
+        f = f + h * (3.0 * g - g_prev) / 2.0
+        append(f)
         g_prev = g
     return SolutionTrace("ab2", h, tuple(xs), tuple(fs))
 
@@ -229,9 +254,7 @@ def ab2_solve(p, h: float) -> SolutionTrace:
 def rk4_solve(p, h: float) -> SolutionTrace:
     """Classical four-stage fourth-order Runge-Kutta."""
     xs = _grid(p, h)
-    fs = [p.initial_value]
-    for x in xs[:-1]:
-        fs.append(_rk4_step(p, x, fs[-1], h))
+    fs = _rk4_values(p.rhs, xs, p.initial_value, h)
     return SolutionTrace("rk4", h, tuple(xs), tuple(fs))
 
 

@@ -56,6 +56,19 @@ def test_eval_product_overflow_prints_inf(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--fn", "exp", "--kappa", "0.99", "--x", "1e308"),
+    ("--fn", "sum", "--kappa", "0", "--x", "1e308", "--y", "1e308")],
+    ids=["exp", "sum"])
+def test_eval_correctly_rounded_overflow_prints_inf(capsys, argv):
+    # exp_k(1e308) and 1e308 (+)_0 1e308 exceed the float range: inf is their
+    # correctly rounded value, as for the kappa-product above
+    rc, out, err = run(capsys, "eval", *argv)
+    assert rc == 0
+    assert out.strip() == "inf"
+    assert "Traceback" not in err
+
+
 def test_float_options_accept_negative_exponent_notation(capsys):
     rc, out, _ = run(capsys, "eval", "--fn", "exp", "--kappa", "-3.2e-05", "--x", "1")
     assert rc == 0
@@ -247,6 +260,44 @@ def test_slope_field_where_beta_f_overflows(capsys):
     rc, out, _ = run(capsys, "slope-field", "--beta", "1e308", "--x-max", "1e308",
                      "--f-max", "1e308")
     assert rc == 0 and "nan" not in out
+
+
+def test_slope_field_range_wider_than_float_range(capsys):
+    # (hi - lo)/(n - 1) is inf, and lo + 0 * inf would be nan
+    for lo_opt, hi_opt, n_opt in (("--x-min=-1e308", "--x-max=1e308", "--nx"),
+                                  ("--f-min=-1e308", "--f-max=1e308", "--nf")):
+        rc, out, _ = run(capsys, "slope-field", "--kappa", "0.5", lo_opt, hi_opt,
+                         "--nx", "3", "--nf", "3", n_opt, "3")
+        assert rc == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        col = 0 if lo_opt.startswith("--x") else 1
+        assert sorted({float(r[col]) for r in rows}) == [-1e308, 0.0, 1e308]
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
+    # 3 * ((max - 0)/3) rounds past the float range: the last node is max
+    rc, out, _ = run(capsys, "slope-field", "--kappa", "0.5",
+                     "--x-max", "1.7976931348623157e308", "--nx", "4", "--nf", "1")
+    assert rc == 0
+    xs = [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]]
+    assert xs[0] == 0.0 and xs[-1] == 1.7976931348623157e308 and len(xs) == 4
+
+
+def test_linspace_nodes_where_the_range_is_finite():
+    for lo, hi, n in ((0.0, 5.0, 21), (-1.0, 1.0, 3), (0.1, 0.7, 4), (2.0, -3.0, 7),
+                      (-1e308, 7e307, 5)):
+        step = (hi - lo) / (n - 1)
+        assert _linspace(lo, hi, n) == [lo + i * step for i in range(n)]
+
+
+def test_logistic_span_past_half_the_float_range(capsys):
+    # 2 * x_max overflows; the 20 steps of h = 1e307 do not
+    for method in SOLVERS:
+        rc, out, err = run(capsys, "logistic", "--kappa", "0.5", "--f0", "0.5",
+                           "--x-max", "1e308", "--h", "1e307", "--method", method)
+        assert rc == 0, err
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 21
+        xs = [float(r.split(",")[0]) for r in rows]
+        assert xs[0] == -1e308 and xs[10] == 0.0 and xs[-1] == 1e308
 
 
 def test_logistic_subnormal_f0(capsys):

@@ -227,6 +227,80 @@ def test_decay_traces_monotone_and_positive():
         assert all(f > 0 for f in tr.fs)
 
 
+# Textbook steppers, one p.rhs call per stage in the order the solvers make
+# them, on the solver's own grid.
+def euler_oracle(p, xs, h):
+    fs = [p.initial_value]
+    for x in xs[:-1]:
+        fs.append(fs[-1] + h * p.rhs(x, fs[-1]))
+    return fs
+
+
+def rk4_oracle_step(p, x, f, h):
+    k1 = p.rhs(x, f)
+    k2 = p.rhs(x + 0.5 * h, f + 0.5 * h * k1)
+    k3 = p.rhs(x + 0.5 * h, f + 0.5 * h * k2)
+    k4 = p.rhs(x + h, f + h * k3)
+    return f + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+def rk4_oracle(p, xs, h):
+    fs = [p.initial_value]
+    for x in xs[:-1]:
+        fs.append(rk4_oracle_step(p, x, fs[-1], h))
+    return fs
+
+
+def ab2_oracle(p, xs, h):
+    fs = [p.initial_value]
+    g_prev = p.rhs(xs[0], fs[0])
+    fs.append(rk4_oracle_step(p, xs[0], fs[0], h))  # bootstrap
+    for x in xs[1:-1]:
+        g = p.rhs(x, fs[-1])
+        fs.append(fs[-1] + h * (3.0 * g - g_prev) / 2.0)
+        g_prev = g
+    return fs
+
+
+def counting(cls, *args, **kw):
+    calls = []
+
+    # no __slots__ of its own: Record takes its fields from the base class
+    class Counting(cls):
+        def rhs(self, x, f):
+            calls.append((x, f))
+            return super().rhs(x, f)
+
+    return Counting(*args, **kw), calls
+
+
+ORACLE_PROBLEMS = (
+    [(DecayProblem, Kappa(kv), beta) for kv in (0.0, 0.5, -0.9)
+     for beta in (0.5, 2.0, 1e300)]
+    + [(LogisticProblem, Kappa(kv), f0) for kv in (0.0, 0.5, 0.9)
+       for f0 in (0.5, 0.1, 0.9)])
+
+
+@pytest.mark.parametrize("solver,oracle,calls_per_step,extra_calls", [
+    (euler_solve, euler_oracle, 1, 0),
+    (ab2_solve, ab2_oracle, 1, 4),
+    (rk4_solve, rk4_oracle, 4, 0)], ids=["euler", "ab2", "rk4"])
+@pytest.mark.parametrize("h", [0.5, 0.1, 0.037])
+@pytest.mark.parametrize("cls,k,arg", ORACLE_PROBLEMS)
+def test_solvers_match_textbook_oracles(solver, oracle, calls_per_step,
+                                        extra_calls, h, cls, k, arg):
+    # repr compares bit for bit and lets the nan of an overflowing trace
+    # (beta = 1e300 at kappa = 0) equal itself
+    p, calls = counting(cls, k, arg, x_max=2.0)
+    tr = solver(p, h)
+    n = len(tr.xs) - 1
+    assert tr.xs == tuple(p.x_start + i * h for i in range(n + 1))
+    assert len(calls) == calls_per_step * n + extra_calls
+    q, oracle_calls = counting(cls, k, arg, x_max=2.0)
+    assert repr(tr.fs) == repr(tuple(oracle(q, tr.xs, h)))
+    assert repr(calls) == repr(oracle_calls)
+
+
 def test_decay_rhs_finite_where_beta_f_overflows():
     # beta * f overflows to inf and the weight at x = 5e306 is 0 in floating
     # point, but beta * weight(x) = 1/hypot(1/beta, k x) is not
