@@ -143,9 +143,24 @@ def kappa_ln(k: Kappa, x: float) -> float:
 
 
 def kappa_sum(k: Kappa, x: float, y: float) -> float:
-    """Group operation x (+) y = x*sqrt(1+k^2 y^2) + y*sqrt(1+k^2 x^2)."""
+    """Group operation x (+) y = x*sqrt(1+k^2 y^2) + y*sqrt(1+k^2 x^2).
+
+    Where x and y have opposite signs the two terms cancel, so the equal
+    (x + y)(x - y)/(x a - y b), a and b the two square roots, is used: both
+    terms of its denominator have one sign.  x - y and the denominator are
+    scaled by 0.5/max(|x|, |y|), so nothing overflows, and k = 0 gives
+    x + y exactly.
+    """
     kv = k.value
-    return x * math.hypot(1.0, kv * y) + y * math.hypot(1.0, kv * x)
+    a = math.hypot(1.0, kv * y)
+    b = math.hypot(1.0, kv * x)
+    # where x * y underflows to 0, |x| and |y| are either far apart or both
+    # below 1e-161, where a and b round to 1: the direct form is then x + y
+    if x * y < 0.0:
+        s = 0.5 / max(abs(x), abs(y))
+        sx, sy = x * s, y * s
+        return (x + y) * ((sx - sy) / (sx * a - sy * b))
+    return x * a + y * b
 
 
 def kappa_product(k: Kappa, x: float, y: float) -> float:

@@ -64,7 +64,7 @@ class PicardSeriesReport(Record):
 def error_table(p, methods, h: float) -> list[ErrorReport]:
     """Per-method absolute errors against the closed form on the trace grid,
     in sorted method order for determinism: the one-level error_ladder of
-    each method."""
+    each method, so every method reads the same exact values."""
     unknown = set(methods) - set(SOLVERS)
     if unknown:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
@@ -73,16 +73,55 @@ def error_table(p, methods, h: float) -> list[ErrorReport]:
     return [next(error_ladder(p, m, h, 1)) for m in sorted(set(methods))]
 
 
+# (problem, grid, exact values): the finest grid evaluated so far for the
+# last Record problem.  Replaced in one assignment and never mutated, so
+# threads that share it can at worst repeat work.
+_memo = (None, (), ())
+
+
+def _exact_values(p, xs):
+    """p.exact on the grid xs, reusing the memo where p is a Record equal to
+    the memo's problem: a grid that is the memo's grid at an integer stride
+    costs no evaluation, and one whose even points are the memo's grid costs
+    evaluations only at its odd points.  Any other grid is evaluated in full
+    and becomes the memo.  A p that is not a Record is evaluated in full and
+    never stored: only Records are immutable with an == that compares type
+    and fields.  Equal fields give the same values up to the sign of a zero,
+    which no absolute error sees."""
+    global _memo
+    if not isinstance(p, Record):
+        return tuple(map(p.exact, xs))
+    memo_p, memo_xs, memo_ex = _memo
+    if p != memo_p:
+        memo_xs = ()
+    n, m = len(xs) - 1, len(memo_xs) - 1
+    if m > 0 and m % n == 0 and xs == memo_xs[::m // n]:
+        return memo_ex[::m // n]
+    if xs[::2] == memo_xs:
+        ex = [0.0] * len(xs)
+        ex[::2] = memo_ex
+        ex[1::2] = map(p.exact, xs[1::2])
+    else:
+        ex = map(p.exact, xs)
+    ex = tuple(ex)
+    _memo = (p, xs, ex)
+    return ex
+
+
 def error_ladder(p, method: str, h0: float, levels: int):
     """Yield the ErrorReport of each level of the halving ladder h0, h0/2, ...,
     stopping after the first level whose max error is below the floor.
 
+    The closed form is read through a one-entry module memo that holds the
+    finest grid evaluated so far for the last problem, and its exact values.
     The even points of each level's grid are, bit for bit, the points of the
-    level before, so the closed form is evaluated only at the new odd points:
-    a ladder makes as many exact evaluations as its finest grid has points.
-    Where a grid's even points differ from the level before, every point is
-    evaluated.  Only the previous level's grid and exact values are held, no
-    report.
+    level before, so a level evaluates the closed form only at its new odd
+    points, and a ladder on a grid the memo already covers (another method's
+    ladder on an equal problem) makes no evaluation at all.  The memo is
+    reused only for a core.Record problem equal to the memo's; a grid that
+    is not nested, or any other problem, is evaluated in full.  After the
+    ladder returns, the memo keeps the last problem's finest grid and its
+    exact values, at most MAX_POINTS each; no report is held.
 
     FloorError is raised when a fit was asked for (levels >= 2) but the floor
     stops the ladder at its first level.  Arguments are checked when
@@ -92,18 +131,11 @@ def error_ladder(p, method: str, h0: float, levels: int):
         raise DomainError(f"unknown method {method!r}")
     if not (isinstance(levels, int) and 1 <= levels <= MAX_LEVELS):
         raise DomainError(f"levels must be in [1, {MAX_LEVELS}], got {levels!r}")
-    prev_xs, prev_ex = (), ()
     for i in range(levels):
         h = h0 / 2**i
         trace = SOLVERS[method](p, h)
         xs = trace.xs
-        if xs[::2] == prev_xs:
-            ex = [0.0] * len(xs)
-            ex[::2] = prev_ex
-            ex[1::2] = [p.exact(x) for x in xs[1::2]]
-        else:
-            ex = [p.exact(x) for x in xs]
-        errors = tuple(map(abs, map(sub, trace.fs, ex)))
+        errors = tuple(map(abs, map(sub, trace.fs, _exact_values(p, xs))))
         del trace
         rms = math.sqrt(sum(e * e for e in errors) / len(errors))
         # max() skips a nan that follows a number; the rms is nan exactly
@@ -116,7 +148,6 @@ def error_ladder(p, method: str, h0: float, levels: int):
         # freed before the next, twice as large, is built.
         yield ErrorReport(method, h, xs, errors, err, rms)
         del errors
-        prev_xs, prev_ex = xs, ex
         if err < ROUNDOFF_FLOOR:
             if i == 0 and levels >= 2:
                 raise FloorError(f"{method}: error {err:.3e} already "

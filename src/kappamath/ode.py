@@ -197,11 +197,18 @@ def _grid(p, h: float, min_steps: int = 1) -> list[float]:
                           f"grid points over [{x0!r}, {x1!r}]")
     n = int(math.floor(steps))
     if x1 - x0 < math.inf:
-        return [x0 + i * h for i in range(n + 1)]
-    # i * h overflows as well: place the points at half scale, where the
-    # halving and the doubling are exact
-    x0, h = 0.5 * x0, 0.5 * h
-    return [2.0 * (x0 + i * h) for i in range(n + 1)]
+        xs = [x0 + i * h for i in range(n + 1)]
+    else:
+        # i * h overflows as well: place the points at half scale, where the
+        # halving and the doubling are exact
+        x0, h = 0.5 * x0, 0.5 * h
+        xs = [2.0 * (x0 + i * h) for i in range(n + 1)]
+    # the 1e-9 keeps a last point that rounds past x1; near the float maximum
+    # that point overflows to inf, and is dropped.  The first min_steps steps
+    # end at or before x1, so they remain.
+    if xs[-1] == math.inf:
+        del xs[-1]
+    return xs
 
 
 def _rk4_values(rhs, xs, f: float, h: float) -> list[float]:

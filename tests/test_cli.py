@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kappamath import DomainError, Kappa, kappa_exp, to_kappa_number
@@ -67,6 +67,14 @@ def test_eval_correctly_rounded_overflow_prints_inf(capsys, argv):
     assert rc == 0
     assert out.strip() == "inf"
     assert "Traceback" not in err
+
+
+def test_eval_sum_of_inverses_near_the_float_maximum(capsys):
+    # x (+) -x = 0, though both terms of the direct form overflow
+    rc, out, err = run(capsys, "eval", "--fn", "sum", "--kappa", "0.5",
+                       "--x", "1e308", "--y=-1e308")
+    assert rc == 0, err
+    assert out.strip() == "0"
 
 
 def test_float_options_accept_negative_exponent_notation(capsys):
@@ -300,6 +308,16 @@ def test_logistic_span_past_half_the_float_range(capsys):
         assert xs[0] == -1e308 and xs[10] == 0.0 and xs[-1] == 1e308
 
 
+def test_solve_grid_ends_before_an_overflowing_point(capsys):
+    # the third grid point, 2 h, rounds past the float maximum
+    rc, out, err = run(capsys, "solve", "--kappa", "0.5", "--method", "euler",
+                       "--x-max", "1.7976931348623157e308", "--h", "8.988465674401464e+307")
+    assert rc == 0, err
+    rows = out.strip().split("\n")[1:]
+    assert [r.split(",")[0] for r in rows] == ["0", "8.9884656744014642e+307"]
+    assert "inf" not in out
+
+
 def test_logistic_subnormal_f0(capsys):
     rc, out, _ = run(capsys, "logistic", "--kappa", "0", "--f0", "5e-324",
                      "--x-max", "1000", "--h", "10")
@@ -388,6 +406,7 @@ def _assert_exit_contract(argv, out_dir=None):
 @settings(max_examples=300, deadline=None)
 @given(fn=st.sampled_from(["exp", "ln", "sum", "product", "weight", "knum"]),
        kappa=EVAL_FLOATS, x=EVAL_FLOATS, y=st.none() | EVAL_FLOATS)
+@example(fn="sum", kappa=0.5, x=1e308, y=-1e308)
 def test_eval_exit_codes_and_no_nan(fn, kappa, x, y):
     argv = ["eval", "--fn", fn, f"--kappa={kappa!r}", f"--x={x!r}"]
     if y is not None:

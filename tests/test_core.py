@@ -249,7 +249,12 @@ def _mp_ln(k, x):
 
 
 def _mp_sum(k, x, y):
-    return x * mp.sqrt(1 + k**2 * y**2) + y * mp.sqrt(1 + k**2 * x**2)
+    a, b = mp.sqrt(1 + k**2 * y**2), mp.sqrt(1 + k**2 * x**2)
+    if x * y < 0:
+        # the direct form cancels to no correct digit once |x y| passes about
+        # 1e50; its conjugate form, the same value, does not cancel
+        return (x + y) * (x - y) / (x * a - y * b)
+    return x * a + y * b
 
 
 def _mp_product(k, x, y):
@@ -259,10 +264,16 @@ def _mp_product(k, x, y):
 MP_KAPPAS = [0.0] + [s * v for v in (5e-324, 1e-300, 1e-200, 3e-5, 1e-4, 0.5, 0.99)
                      for s in (1.0, -1.0)]
 MP_XS = [-10.0, -3.7, -1.0, -0.3, -1e-3, 0.0, 1e-3, 0.3, 1.0, 3.7, 10.0]
+# x and -x(1 +- 1e-6) up to the float maximum, where the two terms of the
+# direct kappa-sum cancel (or overflow to inf - inf), in both orders
+SUM_CANCELLING = [
+    pair for x in (1e-3, 3.7, 4e5, 9.46e11, 1e100, 1e154, 1e300, 1.79e308)
+    for y in (-x * (1 + 1e-6), -x * (1 - 1e-6), -x) if math.isfinite(y)
+    for pair in ((x, y), (y, x))]
 MP_KERNELS = {
     "exp": (kappa_exp, _mp_exp, [(x,) for x in MP_XS]),
     "ln": (kappa_ln, _mp_ln, [(x,) for x in MP_XS if x > 0.0]),
-    "sum": (kappa_sum, _mp_sum, [(x, y) for x in MP_XS for y in MP_XS]),
+    "sum": (kappa_sum, _mp_sum, [(x, y) for x in MP_XS for y in MP_XS] + SUM_CANCELLING),
     "product": (kappa_product, _mp_product, [(x, y) for x in MP_XS for y in MP_XS]),
 }
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from itertools import islice
 
 import mpmath as mp
@@ -20,6 +22,7 @@ from kappamath import (
     series_error_curve,
 )
 from kappamath.harness import ROUNDOFF_FLOOR, ErrorReport, error_ladder, fit_ladder
+from kappamath.ode import SOLVERS
 
 
 def decay(kv=0.9, **kw):
@@ -125,8 +128,17 @@ def test_error_ladder_equals_full_evaluation(problem, method, x_max, h0, levels)
     p = problem(Kappa(0.9), x_max=x_max)
     reports = list(error_ladder(p, method, h0, levels))
     assert len(reports) == levels
+    assert_fresh(p, reports)
+
+
+def assert_fresh(p, reports):
+    """Each report's errors equal those against p.exact evaluated anew at
+    every grid point, with no memo in between."""
     for r in reports:
-        assert r == error_table(p, [method], r.h)[0]
+        trace = SOLVERS[r.method](p, r.h)
+        assert r.xs == trace.xs
+        want = tuple(abs(f - e) for f, e in zip(trace.fs, [p.exact(x) for x in r.xs]))
+        assert r.abs_errors == want
 
 
 def counting_decay(**kw):
@@ -163,6 +175,108 @@ def test_error_ladder_stopped_by_floor_evaluates_no_finer_level():
     reports = list(error_ladder(p, "rk4", 0.1, 8))
     assert len(reports) == 7 and reports[-1].max_error < ROUNDOFF_FLOOR
     assert len(calls) == len(reports[-1].xs) == 3201
+
+
+METHODS = ("ab2", "euler", "rk4")
+
+
+def test_ladders_of_all_methods_share_the_exact_values():
+    # the first ladder evaluates the 801 points of its finest grid; the other
+    # methods' ladders read the same grids
+    p, calls = counting_decay(x_max=5.0)
+    fits = [convergence_order(p, m, 0.1, 5) for m in METHODS]
+    assert len(calls) == 801
+    assert fits == [convergence_order(decay(x_max=5.0), m, 0.1, 5) for m in METHODS]
+
+
+def test_coarser_ladder_after_finer_makes_no_evaluation():
+    p, calls = counting_decay(x_max=5.0)
+    list(error_ladder(p, "rk4", 0.1, 5))
+    del calls[:]
+    coarse = list(error_ladder(p, "euler", 0.2, 3))
+    # the memo still holds the finer grid
+    error_table(p, METHODS, 0.1 / 16)
+    assert calls == []
+    assert_fresh(p, coarse)
+
+
+def test_interleaved_problems_get_their_own_values():
+    a, b = decay(0.9, x_max=2.0), decay(0.3, x_max=2.0)
+    first = list(error_ladder(a, "rk4", 0.1, 3))
+    other = list(error_ladder(b, "rk4", 0.1, 3))
+    again = list(error_ladder(a, "rk4", 0.1, 3))
+    assert again == first
+    assert_fresh(a, again)
+    assert_fresh(b, other)
+
+
+def test_equal_fields_of_another_class_do_not_reuse():
+    # each counting_decay() makes its own class: equal fields, unequal problems
+    p, calls = counting_decay(x_max=5.0)
+    q, q_calls = counting_decay(x_max=5.0)
+    assert p != q and p != decay(x_max=5.0)
+    list(error_ladder(decay(x_max=5.0), "rk4", 0.1, 5))
+    list(error_ladder(p, "rk4", 0.1, 5))
+    list(error_ladder(q, "rk4", 0.1, 5))
+    assert len(calls) == len(q_calls) == 801
+
+
+class MutableProblem:
+    """A duck-typed problem whose underlying problem can be swapped, and
+    which claims to equal everything."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def __getattr__(self, name):
+        return getattr(self.p, name)
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = None
+
+
+def test_mutable_problem_gets_fresh_values():
+    p, q = decay(0.9, x_max=2.0), decay(0.5, x_max=2.0)
+    list(error_ladder(q, "rk4", 0.1, 3))
+    # m claims to equal q, whose values the memo holds
+    m = MutableProblem(p)
+    assert_fresh(p, list(error_ladder(m, "rk4", 0.1, 3)))
+    m.p = q
+    reports = list(error_ladder(m, "rk4", 0.1, 3))
+    assert reports == list(error_ladder(q, "rk4", 0.1, 3))
+    m.p = p
+    assert_fresh(p, list(error_ladder(m, "rk4", 0.1, 3)))
+
+
+def test_threads_laddering_different_problems():
+    # more threads than cores, switching often; two threads per problem, so
+    # that a memo torn between two problems would be read
+    problems = [decay(0.9, x_max=1.0), LogisticProblem(Kappa(0.4), x_max=1.0)]
+    want = [[convergence_order(p, m, 0.1, 4) for m in METHODS] for p in problems]
+    n_threads, rounds = 4, 20
+    got = [[] for _ in range(n_threads)]
+    start = threading.Barrier(n_threads)
+
+    def run(i):
+        start.wait(timeout=60)
+        p = problems[i % 2]
+        for _ in range(rounds):
+            got[i].append([convergence_order(p, m, 0.1, 4) for m in METHODS])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want[i % 2]] * rounds for i in range(n_threads)]
 
 
 @pytest.mark.parametrize("call", [

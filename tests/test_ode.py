@@ -164,6 +164,35 @@ def test_grid_bounded_by_max_points(monkeypatch):
         rk4_solve(decay(x_max=1.0), 1.0 / 11)
 
 
+def test_grid_drops_a_last_point_that_overflows():
+    # 2 h rounds past the float maximum: the grid ends at h, not at inf
+    h = 8.988465674401464e307
+    p = decay(0.5, x_max=1.7976931348623157e308)
+    for solver in (euler_solve, rk4_solve, analytic_trace):
+        assert solver(p, h).xs == (0.0, h)
+    # 3 h as well, and then two steps remain for ab2; on the logistic grid
+    # it is the sixth point, 6 h - x_max
+    h = 5.992310450140284e307
+    assert rk4_solve(p, h).xs == ab2_solve(p, h).xs == (0.0, h, 2.0 * h)
+    lp = LogisticProblem(Kappa(0.5), x_max=1.7976931348623157e308)
+    xs = rk4_solve(lp, h).xs
+    assert len(xs) == 6 and all(math.isfinite(x) for x in xs)
+
+
+@pytest.mark.parametrize("problem", [DecayProblem, LogisticProblem])
+@pytest.mark.parametrize("x_max,h", [
+    (5.0, 0.1), (1.0, 0.1), (0.1 * (3 - 7e-10), 0.1), (1e308, 1e307), (1e300, 3e298)])
+def test_finite_grids_unchanged(problem, x_max, h):
+    # uniformly spaced from x_start, floor(span/h + 1e-9) steps
+    p = problem(Kappa(0.5), x_max=x_max)
+    xs = euler_solve(p, h).xs
+    n = math.floor(x_max / h - p.x_start / h + 1e-9)
+    if x_max - p.x_start < math.inf:
+        assert xs == tuple(p.x_start + i * h for i in range(n + 1))
+    else:
+        assert xs == tuple(2.0 * (0.5 * p.x_start + i * 0.5 * h) for i in range(n + 1))
+
+
 def test_euler_single_steps():
     tr = euler_solve(decay(0.0, x_max=0.5), 0.5)
     assert tr.fs[1] == pytest.approx(0.5)
