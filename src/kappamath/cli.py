@@ -115,91 +115,97 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+# Each name table is also its option's choices.
+_EVAL_FNS = {"exp": kappa_exp, "ln": kappa_ln, "sum": kappa_sum, "product": kappa_product,
+             "weight": differential_weight, "knum": to_kappa_number}
+_SERIES_TARGETS = {"exp": exp_kappa_taylor, "ln1p": ln_kappa_shifted_taylor,
+                   "decay": decay_series_solution, "picard": picard_iterate}
+
+# Options that several commands share, each with its one type and default.
+_SHARED_OPTIONS = {
+    "--kappa": {"type": _finite_float, "default": 0.9,
+                "help": "deformation parameter, |kappa| < 1"},
+    "--beta": {"type": _finite_float, "default": 1.0},
+    "--x-max": {"type": _finite_float, "default": 5.0},
+    "--h": {"type": _finite_float, "default": 0.01},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--output": {"default": None,
+                 "help": "output file (default: stdout); relative paths "
+                 "resolve against $KAPPA_OUT_DIR when set"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="kappamath",
         description="Deformed exponential mathematics and decay-equation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--kappa", type=_finite_float, default=0.9,
-                       help="deformation parameter, |kappa| < 1 (default 0.9)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default=None,
-                       help="output file (default: stdout); relative paths "
-                       "resolve against $KAPPA_OUT_DIR when set")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    pe = sub.add_parser("eval", help="evaluate a deformed function")
-    pe.add_argument("--fn", required=True,
-                    choices=("exp", "ln", "sum", "product", "weight", "knum"))
-    pe.add_argument("--kappa", type=_finite_float, required=True)
+    def shared(p, *names):
+        for name in names:
+            p.add_argument(name, **_SHARED_OPTIONS[name])
+
+    pe = command("eval", _cmd_eval, "evaluate a deformed function")
+    pe.add_argument("--fn", required=True, choices=_EVAL_FNS)
+    pe.add_argument("--kappa", **_SHARED_OPTIONS["--kappa"], required=True)
     pe.add_argument("--x", type=_finite_float, required=True)
     pe.add_argument("--y", type=_finite_float, default=None)
 
-    ps = sub.add_parser("solve", help="solve the decay problem")
-    add_common(ps)
+    ps = command("solve", _cmd_solve, "solve the decay problem")
+    shared(ps, "--kappa", "--format", "--output")
     ps.add_argument("--method", default="analytic", choices=("analytic", *SOLVERS))
-    ps.add_argument("--beta", type=_finite_float, default=1.0)
+    shared(ps, "--beta")
     ps.add_argument("--f0", type=_finite_float, default=1.0)
-    ps.add_argument("--h", type=_finite_float, default=0.01)
-    ps.add_argument("--x-max", type=_finite_float, default=5.0)
+    shared(ps, "--h", "--x-max")
 
-    pr = sub.add_parser("series", help="emit series coefficients as JSON")
-    pr.add_argument("--target", required=True,
-                    choices=("exp", "ln1p", "decay", "picard"))
+    pr = command("series", _cmd_series, "emit series coefficients as JSON")
+    pr.add_argument("--target", required=True, choices=_SERIES_TARGETS)
     pr.add_argument("--order", type=int, default=8)
-    pr.add_argument("--kappa", type=_finite_float, default=0.9)
-    pr.add_argument("--output", default=None)
+    shared(pr, "--kappa", "--output")
 
-    pc = sub.add_parser("compare", help="numerical-vs-analytic error reports")
+    pc = command("compare", _cmd_compare, "numerical-vs-analytic error reports")
     methods = ",".join(SOLVERS)
     pc.add_argument("--methods", default=methods,
                     help=f"comma-separated subset of {methods}")
-    pc.add_argument("--kappa", type=_finite_float, default=0.9)
-    pc.add_argument("--beta", type=_finite_float, default=1.0)
-    pc.add_argument("--x-max", type=_finite_float, default=5.0)
-    pc.add_argument("--h", type=_finite_float, default=0.01,
+    shared(pc, "--kappa", "--beta", "--x-max")
+    pc.add_argument("--h", **_SHARED_OPTIONS["--h"],
                     help="largest step size (ladder start when --levels > 1)")
     pc.add_argument("--levels", type=int, default=1,
                     help="halving ladder depth (1 = single step size)")
     pc.add_argument("--out-dir", default=".",
                     help="directory for the per-report CSVs and summary.json")
 
-    pf = sub.add_parser("slope-field", help="tangent-slope grid for the decay field")
-    add_common(pf)
-    pf.add_argument("--beta", type=_finite_float, default=1.0)
+    pf = command("slope-field", _cmd_slope_field, "tangent-slope grid for the decay field")
+    shared(pf, "--kappa", "--format", "--output", "--beta")
     pf.add_argument("--x-min", type=_finite_float, default=0.0)
-    pf.add_argument("--x-max", type=_finite_float, default=5.0)
+    shared(pf, "--x-max")
     pf.add_argument("--f-min", type=_finite_float, default=0.0)
     pf.add_argument("--f-max", type=_finite_float, default=1.0)
     pf.add_argument("--nx", type=int, default=21)
     pf.add_argument("--nf", type=int, default=21)
 
-    pl = sub.add_parser("logistic", help="logistic closed form vs a numerical method")
-    add_common(pl)
+    pl = command("logistic", _cmd_logistic, "logistic closed form vs a numerical method")
+    shared(pl, "--kappa", "--format", "--output")
     pl.add_argument("--method", default="rk4", choices=tuple(SOLVERS))
-    pl.add_argument("--h", type=_finite_float, default=0.01)
-    pl.add_argument("--x-max", type=_finite_float, default=5.0)
+    shared(pl, "--h", "--x-max")
     pl.add_argument("--f0", type=_finite_float, default=0.5)
     return ap
 
 
 def _cmd_eval(args) -> int:
     k = Kappa(args.kappa)
-    two_arg = args.fn in ("sum", "product")
+    fn = _EVAL_FNS[args.fn]
+    two_arg = fn in (kappa_sum, kappa_product)
     if two_arg and args.y is None:
         raise DomainError(f"--fn {args.fn} needs --y")
     if not two_arg and args.y is not None:
         raise DomainError(f"--fn {args.fn} takes only --x")
-    fns = {
-        "exp": lambda: kappa_exp(k, args.x),
-        "ln": lambda: kappa_ln(k, args.x),
-        "sum": lambda: kappa_sum(k, args.x, args.y),
-        "product": lambda: kappa_product(k, args.x, args.y),
-        "weight": lambda: differential_weight(k, args.x),
-        "knum": lambda: to_kappa_number(k, args.x),
-    }
-    print(_fmt(fns[args.fn]()))
+    print(_fmt(fn(k, args.x, args.y) if two_arg else fn(k, args.x)))
     return 0
 
 
@@ -225,11 +231,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    build = {"exp": exp_kappa_taylor,
-             "ln1p": ln_kappa_shifted_taylor,
-             "decay": decay_series_solution,
-             "picard": picard_iterate}[args.target]
-    s = build(Kappa(args.kappa), args.order)
+    s = _SERIES_TARGETS[args.target](Kappa(args.kappa), args.order)
     text = _json_text({
         "variable": s.variable,
         "kappa": args.kappa,
@@ -283,9 +285,8 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _cmd_slope_field(args) -> int:
-    # x_max only bounds solver traces; the slope field just needs the rhs.
-    p = DecayProblem(Kappa(args.kappa), beta=args.beta,
-                     x_max=max(args.x_max, 1.0))
+    # the rhs does not read x_max, which only bounds solver traces
+    p = DecayProblem(Kappa(args.kappa), beta=args.beta)
     if args.nx * args.nf > MAX_POINTS:
         raise DomainError(f"nx * nf must be at most {MAX_POINTS}, "
                           f"got {args.nx} * {args.nf}")
@@ -321,20 +322,10 @@ def _cmd_logistic(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "solve": _cmd_solve,
-    "series": _cmd_series,
-    "compare": _cmd_compare,
-    "slope-field": _cmd_slope_field,
-    "logistic": _cmd_logistic,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (DomainError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -105,15 +105,19 @@ def scaled_arcsinh(c: float, x: float) -> float:
 
 
 def _scaled_sinh(c: float, x: float) -> float:
-    # sinh(c*x)/c, extended to x at c = 0; sinh is cancellation-free, but the
-    # series keeps subnormal c out of the division.
+    """sinh(c*x)/c, extended to x at c = 0, and +-inf with the sign of x, its
+    correctly rounded value, where sinh overflows.  sinh is cancellation-free,
+    but the series keeps subnormal c out of the division."""
     if c == 0.0:
         return x
     z = c * x
     if abs(z) < 1e-4:
         z2 = z * z
         return x * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0))
-    return math.sinh(z) / c
+    try:
+        return math.sinh(z) / c
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def kappa_exp(k: Kappa, x: float) -> float:
@@ -135,7 +139,7 @@ def kappa_ln(k: Kappa, x: float) -> float:
     """Deformed logarithm, inverse of kappa_exp; requires x > 0.
 
     Computed as sinh(k*ln x)/k, which equals (x^k - x^(-k))/(2k) but is
-    stable near x = 1.
+    stable near x = 1; -inf where the sinh overflows (x = 5e-324 at k = 0.99).
     """
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"kappa_ln needs x > 0, got {x!r}")
@@ -168,15 +172,11 @@ def kappa_product(k: Kappa, x: float, y: float) -> float:
 
     Computed as the ordinary product of the kappa-numbers of x and y mapped
     back, so k = 0 gives x*y and tiny k loses nothing to underflow.  The
-    inner 1/k makes the identity element sinh(k)/k.  Overflow of the sinh is
-    reported as an inf with the sign of x*y rather than raised.
+    inner 1/k makes the identity element sinh(k)/k; +-inf where the sinh
+    overflows.
     """
     kv = k.value
-    uv = scaled_arcsinh(kv, x) * scaled_arcsinh(kv, y)
-    try:
-        return _scaled_sinh(kv, uv)
-    except OverflowError:
-        return math.copysign(math.inf, uv)
+    return _scaled_sinh(kv, scaled_arcsinh(kv, x) * scaled_arcsinh(kv, y))
 
 
 def kappa_product_identity(k: Kappa) -> float:
@@ -190,7 +190,8 @@ def to_kappa_number(k: Kappa, x: float) -> float:
 
 
 def from_kappa_number(k: Kappa, u: float) -> float:
-    """Inverse coordinate map u -> sinh(k u)/k; identity at k = 0."""
+    """Inverse coordinate map u -> sinh(k u)/k, +-inf where it overflows;
+    identity at k = 0."""
     return _scaled_sinh(k.value, u)
 
 

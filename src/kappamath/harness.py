@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from operator import attrgetter, sub
 
-from .core import Kappa, Record, kappa_exp
+from .core import Kappa, Record, kappa_exp, scaled_arcsinh
 from .errors import DomainError, FloorError
 from .ode import SOLVERS
 from .series import (
@@ -64,7 +64,7 @@ class PicardSeriesReport(Record):
 def error_table(p, methods, h: float) -> list[ErrorReport]:
     """Per-method absolute errors against the closed form on the trace grid,
     in sorted method order for determinism: the one-level error_ladder of
-    each method, so every method reads the same exact values."""
+    each method."""
     unknown = set(methods) - set(SOLVERS)
     if unknown:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
@@ -87,7 +87,13 @@ def _exact_values(p, xs):
     and becomes the memo.  A p that is not a Record is evaluated in full and
     never stored: only Records are immutable with an == that compares type
     and fields.  Equal fields give the same values up to the sign of a zero,
-    which no absolute error sees."""
+    which no absolute error sees.
+
+    Each level of a halving ladder has the points of the level before, bit
+    for bit, as its even points, so a ladder evaluates the closed form once
+    per point of its finest grid, and the ladders of the other methods on an
+    equal problem make no evaluation.  The memo holds at most MAX_POINTS
+    values, of the last problem's finest grid."""
     global _memo
     if not isinstance(p, Record):
         return tuple(map(p.exact, xs))
@@ -110,18 +116,8 @@ def _exact_values(p, xs):
 
 def error_ladder(p, method: str, h0: float, levels: int):
     """Yield the ErrorReport of each level of the halving ladder h0, h0/2, ...,
-    stopping after the first level whose max error is below the floor.
-
-    The closed form is read through a one-entry module memo that holds the
-    finest grid evaluated so far for the last problem, and its exact values.
-    The even points of each level's grid are, bit for bit, the points of the
-    level before, so a level evaluates the closed form only at its new odd
-    points, and a ladder on a grid the memo already covers (another method's
-    ladder on an equal problem) makes no evaluation at all.  The memo is
-    reused only for a core.Record problem equal to the memo's; a grid that
-    is not nested, or any other problem, is evaluated in full.  After the
-    ladder returns, the memo keeps the last problem's finest grid and its
-    exact values, at most MAX_POINTS each; no report is held.
+    stopping after the first level whose max error is below the floor; no
+    report is held across levels.
 
     FloorError is raised when a fit was asked for (levels >= 2) but the floor
     stops the ladder at its first level.  Arguments are checked when
@@ -167,8 +163,7 @@ def _log2_ratio(a: float, b: float) -> float:
 def fit_ladder(reports) -> ConvergenceReport:
     """Fit empirical orders, the log2 ratio of the max errors of adjacent
     levels, to the reports of one error_ladder.  Only each level's h and max
-    error are kept, and no report is held while the next level is built
-    (error_ladder itself keeps the last grid and its exact values)."""
+    error are kept, and no report is held while the next level is built."""
     methods, hs, errs = zip(*map(attrgetter("method", "h", "max_error"), reports))
     orders = tuple(map(_log2_ratio, errs[:-1], errs[1:]))
     return ConvergenceReport(methods[0], hs, errs, orders, errs[-1] < ROUNDOFF_FLOOR)
@@ -195,13 +190,14 @@ def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:
 
 
 def asymptote_check(k: Kappa, x: float) -> float:
-    """Tail ratio exp_k(-x) * (2|k|x)^(1/|k|); tends to 1 as x -> inf."""
+    """Tail ratio exp_k(-x) * (2|k|x)^(1/|k|); tends to 1 as x -> inf.  Taken
+    as the exp of its log: at large x one factor underflows, the other overflows."""
     if k.is_classical:
         raise DomainError("asymptote_check needs kappa != 0")
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive, got {x!r}")
     kk = abs(k.value)
-    return kappa_exp(k, -x) * (2.0 * kk * x) ** (1.0 / kk)
+    return math.exp((math.log(2.0 * kk) + math.log(x)) / kk - scaled_arcsinh(kk, x))
 
 
 def picard_vs_series(k: Kappa, n: int, x_grid) -> PicardSeriesReport:

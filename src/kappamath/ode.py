@@ -138,12 +138,8 @@ class SolutionTrace(Record):
 
 def closed_form_decay(p: DecayProblem, x: float) -> float:
     """f0 * exp_k(-beta x), and its limit 0 where beta x overflows to inf."""
-    try:
-        return p.f0 * kappa_exp(p.k, -p.beta * x)
-    except DomainError:
-        if p.beta * x != math.inf:
-            raise
-        return p.f0 * 0.0
+    bx = p.beta * x
+    return p.f0 * (0.0 if bx == math.inf else kappa_exp(p.k, -bx))
 
 
 def quadrature_decay(p: DecayProblem, x: float) -> float:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kappamath import DomainError, Kappa, kappa_exp, to_kappa_number
-from kappamath.cli import _linspace, main
+from kappamath.cli import _build_parser, _linspace, main
 from kappamath.ode import MAX_POINTS, SOLVERS
 
 
@@ -56,17 +56,54 @@ def test_eval_product_overflow_prints_inf(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("--fn", "exp", "--kappa", "0.99", "--x", "1e308"),
-    ("--fn", "sum", "--kappa", "0", "--x", "1e308", "--y", "1e308")],
-    ids=["exp", "sum"])
-def test_eval_correctly_rounded_overflow_prints_inf(capsys, argv):
-    # exp_k(1e308) and 1e308 (+)_0 1e308 exceed the float range: inf is their
-    # correctly rounded value, as for the kappa-product above
+@pytest.mark.parametrize("argv, want", [
+    (("--fn", "exp", "--kappa", "0.99", "--x", "1e308"), "inf"),
+    (("--fn", "sum", "--kappa", "0", "--x", "1e308", "--y", "1e308"), "inf"),
+    (("--fn", "ln", "--kappa", "0.99", "--x", "5e-324"), "-inf")],
+    ids=["exp", "sum", "ln"])
+def test_eval_correctly_rounded_overflow_prints_inf(capsys, argv, want):
+    # exp_k(1e308), 1e308 (+)_0 1e308 and ln_0.99(5e-324), about -5.98e319,
+    # exceed the float range: +-inf is their correctly rounded value, as for
+    # the kappa-product above
     rc, out, err = run(capsys, "eval", *argv)
     assert rc == 0
-    assert out.strip() == "inf"
+    assert out.strip() == want
     assert "Traceback" not in err
+
+
+# Each command's required arguments, and the value of every option after
+# parsing them alone.
+CLI_DEFAULTS = {
+    "eval": (["--fn", "exp", "--kappa", "0.5", "--x", "1"],
+             {"fn": "exp", "kappa": 0.5, "x": 1.0, "y": None}),
+    "solve": ([], {"kappa": 0.9, "format": "csv", "output": None, "method": "analytic",
+                   "beta": 1.0, "f0": 1.0, "h": 0.01, "x_max": 5.0}),
+    "series": (["--target", "exp"],
+               {"target": "exp", "order": 8, "kappa": 0.9, "output": None}),
+    "compare": ([], {"methods": "euler,ab2,rk4", "kappa": 0.9, "beta": 1.0,
+                     "x_max": 5.0, "h": 0.01, "levels": 1, "out_dir": "."}),
+    "slope-field": ([], {"kappa": 0.9, "format": "csv", "output": None, "beta": 1.0,
+                         "x_min": 0.0, "x_max": 5.0, "f_min": 0.0, "f_max": 1.0,
+                         "nx": 21, "nf": 21}),
+    "logistic": ([], {"kappa": 0.9, "format": "csv", "output": None, "method": "rk4",
+                      "h": 0.01, "x_max": 5.0, "f0": 0.5}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_DEFAULTS))
+def test_command_help_and_defaults(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: kappamath {command} ")
+    required, want = CLI_DEFAULTS[command]
+    args = vars(_build_parser().parse_args([command, *required]))
+    assert args.pop("command") == command and callable(args.pop("handler"))
+    assert args == want
+    for i in range(0, len(required), 2):  # each required option stays required
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required[:i], *required[i + 2:]])
+        assert exc.value.code == 2
 
 
 def test_eval_sum_of_inverses_near_the_float_maximum(capsys):
@@ -407,6 +444,7 @@ def _assert_exit_contract(argv, out_dir=None):
 @given(fn=st.sampled_from(["exp", "ln", "sum", "product", "weight", "knum"]),
        kappa=EVAL_FLOATS, x=EVAL_FLOATS, y=st.none() | EVAL_FLOATS)
 @example(fn="sum", kappa=0.5, x=1e308, y=-1e308)
+@example(fn="ln", kappa=0.99, x=5e-324, y=None)
 def test_eval_exit_codes_and_no_nan(fn, kappa, x, y):
     argv = ["eval", "--fn", fn, f"--kappa={kappa!r}", f"--x={x!r}"]
     if y is not None:

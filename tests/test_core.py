@@ -1,7 +1,9 @@
 import copy
+import itertools
 import math
 import pickle
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -17,6 +19,7 @@ from kappamath import (
     LogisticProblem,
     PowerSeries,
     adaptive_quadrature,
+    asymptote_check,
     convergence_order,
     error_table,
     exp_kappa_taylor,
@@ -237,6 +240,44 @@ def test_kappa_product_overflow_is_signed_inf():
     assert kappa_product(k, -1e10, 1e10) == -math.inf
     # the product is even in kappa, overflow included
     assert kappa_product(Kappa(-0.5), 1e10, 1e10) == math.inf
+
+
+def test_sinh_map_overflow_is_signed_inf():
+    # kappa_ln and the inverse coordinate map overflow in the same sinh as the
+    # kappa-product: -inf for ln_0.99(5e-324), whose value is about -5.98e319
+    assert kappa_ln(Kappa(0.99), 5e-324) == -math.inf
+    assert from_kappa_number(Kappa(0.5), 1500.0) == math.inf
+    assert from_kappa_number(Kappa(-0.5), -1500.0) == -math.inf
+    assert from_kappa_number(Kappa(1e-300), sys.float_info.max) == math.inf
+
+
+SWEEP_KAPPAS = [0.0, 1e-300, 0.1, 0.5, 0.9, 0.99, 0.999999, -0.5, -0.99]
+SWEEP_XS = [s * v for v in (0.0, 5e-324, 1e-300, 1e-10, 0.5, 1.0, 2.0, 10.0, 700.0,
+                            1e10, 1e100, 1e200, 1e300, sys.float_info.max)
+            for s in (1.0, -1.0)]
+SWEEP_KERNELS = {fn.__name__: fn for fn in (
+    kappa_exp, kappa_ln, kappa_sum, kappa_product, to_kappa_number,
+    from_kappa_number, differential_weight, asymptote_check)}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_KERNELS))
+def test_kernels_return_a_number_or_raise_domain_error(name):
+    # every finite argument from 0 to the float maximum, both signs: a result
+    # that leaves the float range is +-inf or 0, never an OverflowError or nan
+    fn = SWEEP_KERNELS[name]
+    arity = 2 if fn in (kappa_sum, kappa_product) else 1
+    bad = []
+    for kv in SWEEP_KAPPAS:
+        for args in itertools.product(SWEEP_XS, repeat=arity):
+            try:
+                v = fn(Kappa(kv), *args)
+            except DomainError:
+                continue
+            except ArithmeticError as exc:
+                v = exc
+            if type(v) is not float or math.isnan(v):
+                bad.append((kv, args, v))
+    assert not bad, f"{len(bad)} failures, first {bad[:5]}"
 
 
 # 50-digit references of the defining closed forms; k = 0 is the classical limit.

@@ -331,6 +331,16 @@ def test_asymptote_check_monotone_toward_one():
         assert gaps[0] > gaps[1] > gaps[2]
 
 
+def test_asymptote_check_where_the_factors_leave_the_float_range():
+    # exp_k(-x) underflows to 0 where (2|k|x)^(1/|k|) overflows.  The true
+    # ratio is 1 to 30 digits; its exponent is the difference of two terms
+    # near log(2|k|x)/|k|, 2300 at k = 0.1, whose rounding costs a few 1e-13
+    for kv, x in ((0.1, 1e100), (0.5, 1e200), (-0.5, 1e300), (0.9, sys.float_info.max)):
+        assert asymptote_check(Kappa(kv), x) == pytest.approx(1.0, rel=2e-12)
+    # k x = 1 is far from the tail: the ratio is (2 (sqrt 2 - 1))^(1e300) = 0
+    assert asymptote_check(Kappa(1e-300), 1e300) == 0.0
+
+
 def test_asymptote_check_validation():
     with pytest.raises(DomainError):
         asymptote_check(Kappa(0.0), 10.0)
