@@ -92,6 +92,22 @@ def _json_text(obj) -> str:
             f"non-finite value {float(bad)!r} in JSON output") from None
 
 
+def _write_table(args, columns, rows, key="samples", **meta) -> None:
+    """Write one table to args.output in args.format, by one rule: each row
+    holds the values of the columns that are not meta fields, and the
+    columns that are meta fields come last.  CSV has the header `columns`,
+    and a meta column repeats its value on every row.  JSON is one object:
+    the meta fields in order, then the rows under `key`, each an object of
+    the columns that are not meta fields, so a meta field appears once."""
+    names = [c for c in columns if c not in meta]
+    if args.format == "json":
+        text = _json_text({**meta, key: [dict(zip(names, row)) for row in rows]})
+    else:
+        tail = [meta[c] for c in columns[len(names):]]
+        text = _csv(columns, [[*row, *tail] for row in rows])
+    _write_text(args.output, text)
+
+
 def _finite_float(text: str) -> float:
     """Type of every float option: nan, inf and non-numbers exit 2."""
     try:
@@ -120,6 +136,7 @@ _EVAL_FNS = {"exp": kappa_exp, "ln": kappa_ln, "sum": kappa_sum, "product": kapp
              "weight": differential_weight, "knum": to_kappa_number}
 _SERIES_TARGETS = {"exp": exp_kappa_taylor, "ln1p": ln_kappa_shifted_taylor,
                    "decay": decay_series_solution, "picard": picard_iterate}
+_SOLVE_METHODS = {"analytic": analytic_trace, **SOLVERS}
 
 # Options that several commands share, each with its one type and default.
 _SHARED_OPTIONS = {
@@ -158,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = command("solve", _cmd_solve, "solve the decay problem")
     shared(ps, "--kappa", "--format", "--output")
-    ps.add_argument("--method", default="analytic", choices=("analytic", *SOLVERS))
+    ps.add_argument("--method", default="analytic", choices=_SOLVE_METHODS)
     shared(ps, "--beta")
     ps.add_argument("--f0", type=_finite_float, default=1.0)
     shared(ps, "--h", "--x-max")
@@ -191,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pl = command("logistic", _cmd_logistic, "logistic closed form vs a numerical method")
     shared(pl, "--kappa", "--format", "--output")
-    pl.add_argument("--method", default="rk4", choices=tuple(SOLVERS))
+    pl.add_argument("--method", default="rk4", choices=SOLVERS)
     shared(pl, "--h", "--x-max")
     pl.add_argument("--f0", type=_finite_float, default=0.5)
     return ap
@@ -211,22 +228,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_solve(args) -> int:
     p = DecayProblem(Kappa(args.kappa), beta=args.beta, f0=args.f0, x_max=args.x_max)
-    if args.method == "analytic":
-        trace = analytic_trace(p, args.h)
-    else:
-        trace = SOLVERS[args.method](p, args.h)
-    if args.format == "csv":
-        rows = [[x, f, trace.method, args.kappa, trace.h]
-                for x, f in zip(trace.xs, trace.fs)]
-        text = _csv(["x", "f", "method", "kappa", "h"], rows)
-    else:
-        text = _json_text({
-            "method": trace.method,
-            "kappa": args.kappa,
-            "h": trace.h,
-            "samples": [{"x": x, "f": f} for x, f in zip(trace.xs, trace.fs)],
-        })
-    _write_text(args.output, text)
+    trace = _SOLVE_METHODS[args.method](p, args.h)
+    _write_table(args, ["x", "f", "method", "kappa", "h"], zip(trace.xs, trace.fs),
+                 method=trace.method, kappa=args.kappa, h=trace.h)
     return 0
 
 
@@ -293,13 +297,7 @@ def _cmd_slope_field(args) -> int:
     nodes = slope_field(p,
                         _linspace(args.x_min, args.x_max, args.nx),
                         _linspace(args.f_min, args.f_max, args.nf))
-    if args.format == "json":
-        text = _json_text({"kappa": args.kappa,
-                           "nodes": [{"x": x, "f": f, "slope": s}
-                                     for x, f, s in nodes]})
-    else:
-        text = _csv(["x", "f", "slope"], [list(n) for n in nodes])
-    _write_text(args.output, text)
+    _write_table(args, ["x", "f", "slope"], nodes, key="nodes", kappa=args.kappa)
     return 0
 
 
@@ -310,15 +308,8 @@ def _cmd_logistic(args) -> int:
     for x, f in zip(trace.xs, trace.fs):
         exact = logistic_closed_form(lp, x)
         rows.append([x, exact, f, abs(f - exact)])
-    if args.format == "json":
-        text = _json_text({
-            "kappa": args.kappa, "method": args.method, "h": args.h,
-            "samples": [{"x": r[0], "f_analytic": r[1], "f_method": r[2],
-                         "abs_error": r[3]} for r in rows],
-        })
-    else:
-        text = _csv(["x", "f_analytic", "f_method", "abs_error"], rows)
-    _write_text(args.output, text)
+    _write_table(args, ["x", "f_analytic", "f_method", "abs_error"], rows,
+                 kappa=args.kappa, method=args.method, h=args.h)
     return 0
 
 

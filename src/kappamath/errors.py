@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "ConvergenceError", "FloorError"]
+
 
 class DomainError(ValueError):
     """An argument violates a documented precondition."""

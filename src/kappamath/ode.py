@@ -164,9 +164,12 @@ def substitution_decay(p: DecayProblem, x: float) -> float:
 def residual_decay(p: DecayProblem, f_val: float, dfdx: float, x: float) -> float:
     """Direct-substitution check: sqrt(1+k^2 b^2 x^2) * f' + beta * f.
 
-    Zero exactly when (f_val, dfdx) satisfies the equation at x.
+    Zero exactly when (f_val, dfdx) satisfies the equation at x.  Where the
+    root overflows (the weight is 0), f' times it is +-inf, or 0 for f' = 0.
     """
-    return dfdx / p.weight(x) + p.beta * f_val
+    w = p.weight(x)
+    scaled = dfdx / w if w else (dfdx * math.inf if dfdx else 0.0)
+    return scaled + p.beta * f_val
 
 
 def slope_field(p, x_grid, f_grid) -> list[tuple[float, float, float]]:
@@ -285,5 +288,6 @@ def logistic_residual(lp: LogisticProblem, x: float) -> float:
     e = (1.0 - lp.f0) * kappa_exp(lp.k, -x)
     w = lp.weight(x)
     f = lp.f0 / (lp.f0 + e)
-    dfdx = w * f * e / (lp.f0 + e)  # d/dx exp_k(-x) = -w * exp_k(-x)
+    # d/dx exp_k(-x) = -w * exp_k(-x); e / (f0 + e) tends to 1 as e -> inf
+    dfdx = w * f * e / (lp.f0 + e) if e != math.inf else w * f
     return dfdx / w - f * (1.0 - f)

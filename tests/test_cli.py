@@ -176,6 +176,39 @@ def test_solve_json_format(capsys):
     assert doc["samples"][0] == {"x": 0.0, "f": 1.0}
 
 
+# Each table command's CSV header, JSON top-level keys and JSON row keys:
+# solve's CSV repeats method, kappa and h on every row, its JSON does not.
+TABLE_SHAPES = {
+    "solve": (["--h", "0.5", "--x-max", "1"], "x,f,method,kappa,h",
+              ["method", "kappa", "h", "samples"], ["x", "f"]),
+    "logistic": (["--h", "0.5", "--x-max", "1"], "x,f_analytic,f_method,abs_error",
+                 ["kappa", "method", "h", "samples"],
+                 ["x", "f_analytic", "f_method", "abs_error"]),
+    "slope-field": (["--nx", "2", "--nf", "3"], "x,f,slope",
+                    ["kappa", "nodes"], ["x", "f", "slope"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_SHAPES))
+def test_table_shapes(capsys, command):
+    argv, header, top_keys, row_keys = TABLE_SHAPES[command]
+    rc, csv_out, _ = run(capsys, command, *argv)
+    assert rc == 0
+    lines = csv_out.splitlines()
+    assert lines[0] == header
+    assert all(len(ln.split(",")) == header.count(",") + 1 for ln in lines[1:])
+    rc, json_out, _ = run(capsys, command, *argv, "--format", "json")
+    assert rc == 0
+    doc = json.loads(json_out)
+    assert list(doc) == top_keys
+    rows = doc[top_keys[-1]]
+    assert len(rows) == len(lines) - 1
+    assert all(list(row) == row_keys for row in rows)
+    if command == "solve":
+        method, kappa, h = lines[1].split(",")[2:]
+        assert (doc["method"], doc["kappa"], doc["h"]) == (method, float(kappa), float(h))
+
+
 def test_series_decay_coefficients(capsys):
     rc, out, _ = run(capsys, "series", "--target", "decay", "--order", "4",
                      "--kappa", "0.5")

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import itertools
 import math
 import pickle
@@ -36,6 +37,7 @@ from kappamath import (
     series_error_curve,
     to_kappa_number,
 )
+import kappamath
 from kappamath import core
 
 # High-precision reference values, frozen from 40-digit mpmath evaluation of
@@ -423,3 +425,12 @@ def test_adaptive_simpson_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(core, "QUAD_MAX_EVALS", 200)
     with pytest.raises(ConvergenceError):
         adaptive_quadrature(lambda x: math.sin(1e4 * x), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("module", ["core", "errors", "harness", "ode", "series"])
+def test_every_public_name_imports_from_the_package(module):
+    # each module's __all__ is the one list of its public names
+    mod = importlib.import_module(f"kappamath.{module}")
+    assert mod.__all__
+    for name in mod.__all__:
+        assert getattr(kappamath, name) is getattr(mod, name), name

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -120,6 +121,33 @@ def test_residual_flags_non_solutions():
     p0 = decay(0.0)
     x = 1.3
     assert residual_decay(p0, math.exp(-x), -math.exp(-x), x) == 0.0
+
+
+SWEEP_KAPPAS = [0.0, 1e-300, 0.1, 0.5, 0.9, 0.99, -0.5, -0.99]
+SWEEP_MAGNITUDES = [0.0, 5e-324, 1e-300, 1e-10, 0.5, 1.0, 2.0, 10.0, 700.0, 710.0,
+                    1e10, 1e100, 1e200, 1e300, sys.float_info.max]
+
+
+@pytest.mark.parametrize("kv", SWEEP_KAPPAS)
+def test_residuals_are_numbers_at_the_ends_of_the_float_range(kv):
+    # sqrt(1 + k^2 b^2 x^2) overflows where k b x does: the decay residual
+    # is then +-inf for f' != 0 and beta f for f' = 0; where exp_k(-x) is
+    # inf the logistic closed form is 0 with slope 0, so its residual is 0
+    lp = LogisticProblem(Kappa(kv))
+    for x in SWEEP_MAGNITUDES + [-m for m in SWEEP_MAGNITUDES]:
+        r = logistic_residual(lp, x)
+        assert isinstance(r, float) and abs(r) < 1e-11, (x, r)
+    for beta in [0.5, 1.0, 1e10, 1e308]:
+        p = decay(kv, beta=beta, x_max=sys.float_info.max)
+        for x in SWEEP_MAGNITUDES:
+            f = closed_form_decay(p, x)
+            for dfdx in [-beta * f * p.weight(x), 0.0, 1.0, -1.0]:
+                r = residual_decay(p, f, dfdx, x)
+                assert isinstance(r, float) and not math.isnan(r), (beta, x, dfdx, r)
+    assert logistic_residual(LogisticProblem(Kappa(0.0)), -710.0) == 0.0
+    p = decay(0.9, beta=1e308, x_max=1e308)
+    assert residual_decay(p, 1.0, -1.0, 1e300) == -math.inf
+    assert residual_decay(p, 1.0, 0.0, 1e300) == 1e308
 
 
 def test_slope_field_nodes():
