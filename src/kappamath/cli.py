@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+from itertools import chain
 
 from .core import (
     Kappa,
@@ -48,8 +49,11 @@ __all__ = ["main", "entrypoint"]
 
 
 def _fmt(v: float) -> str:
-    # The one nan check of CSV and printed output; inf stays a documented
-    # result (e.g. an overflowing kappa_product).
+    # The nan and non-finite checks of the output, one each: _fmt for a
+    # printed value and a fixed CSV cell, _csv for the other CSV cells, both
+    # nan only (inf stays a documented result, e.g. an overflowing
+    # kappa_product); _json_text for a JSON document and _json_table for
+    # the rows of a table, both any non-finite value.
     v = float(v)
     if math.isnan(v):
         raise ConvergenceError("result is nan")
@@ -74,11 +78,26 @@ def _write_text(path: str | None, text: str) -> None:
         raise
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(columns, rows, **fixed) -> str:
+    """CSV text: the header `columns`, then one line per row.  A column named
+    in `fixed` holds that value on every line; each row is a tuple of the
+    values of the other columns, in order.  Every line is one `%` of a
+    template built once per table: the fixed cells rendered by _fmt (a str
+    as it is), and %.17g, the text of format(v, ".17g"), in each other
+    column."""
+    template = ",".join(
+        "%.17g" if c not in fixed
+        else fixed[c].replace("%", "%%") if isinstance(fixed[c], str)
+        else _fmt(fixed[c])
+        for c in columns)
+    rows = list(rows)
+    if any(map(math.isnan, chain.from_iterable(rows))):
+        raise ConvergenceError("result is nan")
+    return "\n".join([",".join(columns), *map(template.__mod__, rows)]) + "\n"
+
+
+def _non_finite(v) -> ConvergenceError:
+    return ConvergenceError(f"non-finite value {float(v)!r} in JSON output")
 
 
 def _json_text(obj) -> str:
@@ -87,9 +106,24 @@ def _json_text(obj) -> str:
     except ValueError:  # nan or inf, which JSON cannot represent
         # Without allow_nan=False the encoder spells them NaN, Infinity and
         # -Infinity; name the first one as Python prints it.
-        bad = re.search(r"NaN|-?Infinity", json.dumps(obj)).group()
-        raise ConvergenceError(
-            f"non-finite value {float(bad)!r} in JSON output") from None
+        raise _non_finite(re.search(r"NaN|-?Infinity", json.dumps(obj)).group()) from None
+
+
+def _json_table(names, rows, key, meta) -> str:
+    """The text of _json_text({**meta, key: [dict(zip(names, row)) for row in
+    rows]}), with each row one `%` of a template built once per table: json
+    writes a float as float.__repr__, which is %r."""
+    head = _json_text({**meta, key: []})
+    rows = list(rows)
+    if not rows:
+        return head
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise _non_finite(next(v for v in chain.from_iterable(rows)
+                               if not math.isfinite(v)))
+    cells = ",\n".join(f"      {json.dumps(n).replace('%', '%%')}: %r" for n in names)
+    template = "    {\n" + cells + "\n    }"
+    # head ends with the empty list, '[]\n}\n': open it and fill it
+    return head[:-4] + "\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]\n}\n"
 
 
 def _write_table(args, columns, rows, key="samples", **meta) -> None:
@@ -98,13 +132,14 @@ def _write_table(args, columns, rows, key="samples", **meta) -> None:
     columns that are meta fields come last.  CSV has the header `columns`,
     and a meta column repeats its value on every row.  JSON is one object:
     the meta fields in order, then the rows under `key`, each an object of
-    the columns that are not meta fields, so a meta field appears once."""
-    names = [c for c in columns if c not in meta]
+    the columns that are not meta fields, so a meta field appears once.
+    Either format renders every row from one template: the meta values are
+    rendered once, and each number of a row with %.17g in CSV and %r
+    (float.__repr__, as json writes it) in JSON."""
     if args.format == "json":
-        text = _json_text({**meta, key: [dict(zip(names, row)) for row in rows]})
+        text = _json_table([c for c in columns if c not in meta], rows, key, meta)
     else:
-        tail = [meta[c] for c in columns[len(names):]]
-        text = _csv(columns, [[*row, *tail] for row in rows])
+        text = _csv(columns, rows, **meta)
     _write_text(args.output, text)
 
 
@@ -123,12 +158,22 @@ class _Parser(argparse.ArgumentParser):
     """ArgumentParser that takes a token such as -3.2e-05 for a negative
     number, not an option.  Stock argparse recognises only -12 and -1.5, so
     `--kappa -3.2e-05` would fail with "expected one argument"; subparsers
-    inherit this class."""
+    inherit this class.  A subparser made with `options`, a function that
+    adds its arguments, calls it the first time it is parsed: argparse
+    parses only the chosen command's subparser, so a run builds the options
+    of that command alone, and the top-level help and choices need none."""
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args, options=None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._options = options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._options is not None:
+            add, self._options = self._options, None
+            add(self)
+        return super().parse_known_args(args, namespace)
 
 
 # Each name table is also its option's choices.
@@ -152,66 +197,60 @@ _SHARED_OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="kappamath",
-        description="Deformed exponential mathematics and decay-equation toolkit")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _shared(p, *names) -> None:
+    for name in names:
+        p.add_argument(name, **_SHARED_OPTIONS[name])
 
-    def command(name, handler, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
-        return p
 
-    def shared(p, *names):
-        for name in names:
-            p.add_argument(name, **_SHARED_OPTIONS[name])
+def _eval_options(p) -> None:
+    p.add_argument("--fn", required=True, choices=_EVAL_FNS)
+    p.add_argument("--kappa", **_SHARED_OPTIONS["--kappa"], required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--y", type=_finite_float, default=None)
 
-    pe = command("eval", _cmd_eval, "evaluate a deformed function")
-    pe.add_argument("--fn", required=True, choices=_EVAL_FNS)
-    pe.add_argument("--kappa", **_SHARED_OPTIONS["--kappa"], required=True)
-    pe.add_argument("--x", type=_finite_float, required=True)
-    pe.add_argument("--y", type=_finite_float, default=None)
 
-    ps = command("solve", _cmd_solve, "solve the decay problem")
-    shared(ps, "--kappa", "--format", "--output")
-    ps.add_argument("--method", default="analytic", choices=_SOLVE_METHODS)
-    shared(ps, "--beta")
-    ps.add_argument("--f0", type=_finite_float, default=1.0)
-    shared(ps, "--h", "--x-max")
+def _solve_options(p) -> None:
+    _shared(p, "--kappa", "--format", "--output")
+    p.add_argument("--method", default="analytic", choices=_SOLVE_METHODS)
+    _shared(p, "--beta")
+    p.add_argument("--f0", type=_finite_float, default=1.0)
+    _shared(p, "--h", "--x-max")
 
-    pr = command("series", _cmd_series, "emit series coefficients as JSON")
-    pr.add_argument("--target", required=True, choices=_SERIES_TARGETS)
-    pr.add_argument("--order", type=int, default=8)
-    shared(pr, "--kappa", "--output")
 
-    pc = command("compare", _cmd_compare, "numerical-vs-analytic error reports")
+def _series_options(p) -> None:
+    p.add_argument("--target", required=True, choices=_SERIES_TARGETS)
+    p.add_argument("--order", type=int, default=8)
+    _shared(p, "--kappa", "--output")
+
+
+def _compare_options(p) -> None:
     methods = ",".join(SOLVERS)
-    pc.add_argument("--methods", default=methods,
-                    help=f"comma-separated subset of {methods}")
-    shared(pc, "--kappa", "--beta", "--x-max")
-    pc.add_argument("--h", **_SHARED_OPTIONS["--h"],
-                    help="largest step size (ladder start when --levels > 1)")
-    pc.add_argument("--levels", type=int, default=1,
-                    help="halving ladder depth (1 = single step size)")
-    pc.add_argument("--out-dir", default=".",
-                    help="directory for the per-report CSVs and summary.json")
+    p.add_argument("--methods", default=methods,
+                   help=f"comma-separated subset of {methods}")
+    _shared(p, "--kappa", "--beta", "--x-max")
+    p.add_argument("--h", **_SHARED_OPTIONS["--h"],
+                   help="largest step size (ladder start when --levels > 1)")
+    p.add_argument("--levels", type=int, default=1,
+                   help="halving ladder depth (1 = single step size)")
+    p.add_argument("--out-dir", default=".",
+                   help="directory for the per-report CSVs and summary.json")
 
-    pf = command("slope-field", _cmd_slope_field, "tangent-slope grid for the decay field")
-    shared(pf, "--kappa", "--format", "--output", "--beta")
-    pf.add_argument("--x-min", type=_finite_float, default=0.0)
-    shared(pf, "--x-max")
-    pf.add_argument("--f-min", type=_finite_float, default=0.0)
-    pf.add_argument("--f-max", type=_finite_float, default=1.0)
-    pf.add_argument("--nx", type=int, default=21)
-    pf.add_argument("--nf", type=int, default=21)
 
-    pl = command("logistic", _cmd_logistic, "logistic closed form vs a numerical method")
-    shared(pl, "--kappa", "--format", "--output")
-    pl.add_argument("--method", default="rk4", choices=SOLVERS)
-    shared(pl, "--h", "--x-max")
-    pl.add_argument("--f0", type=_finite_float, default=0.5)
-    return ap
+def _slope_field_options(p) -> None:
+    _shared(p, "--kappa", "--format", "--output", "--beta")
+    p.add_argument("--x-min", type=_finite_float, default=0.0)
+    _shared(p, "--x-max")
+    p.add_argument("--f-min", type=_finite_float, default=0.0)
+    p.add_argument("--f-max", type=_finite_float, default=1.0)
+    p.add_argument("--nx", type=int, default=21)
+    p.add_argument("--nf", type=int, default=21)
+
+
+def _logistic_options(p) -> None:
+    _shared(p, "--kappa", "--format", "--output")
+    p.add_argument("--method", default="rk4", choices=SOLVERS)
+    _shared(p, "--h", "--x-max")
+    p.add_argument("--f0", type=_finite_float, default=0.5)
 
 
 def _cmd_eval(args) -> int:
@@ -267,9 +306,9 @@ def _cmd_compare(args) -> int:
     for method, reports in ladders.items():
         for i, r in enumerate(reports):
             name = f"errors_{method}_{i}.csv" if args.levels > 1 else f"errors_{method}.csv"
-            rows = [[method, r.h, x, e] for x, e in zip(r.xs, r.abs_errors)]
             _write_text(os.path.join(args.out_dir, name),
-                        _csv(["method", "h", "x", "abs_error"], rows))
+                        _csv(["method", "h", "x", "abs_error"], zip(r.xs, r.abs_errors),
+                             method=method, h=r.h))
     _write_text(os.path.join(args.out_dir, "summary.json"), summary_text)
     return 0
 
@@ -307,10 +346,34 @@ def _cmd_logistic(args) -> int:
     rows = []
     for x, f in zip(trace.xs, trace.fs):
         exact = logistic_closed_form(lp, x)
-        rows.append([x, exact, f, abs(f - exact)])
+        rows.append((x, exact, f, abs(f - exact)))
     _write_table(args, ["x", "f_analytic", "f_method", "abs_error"], rows,
                  kappa=args.kappa, method=args.method, h=args.h)
     return 0
+
+
+# Each command: its name, handler, help line and the function that adds
+# its options, in the order of the help.
+_COMMANDS = (
+    ("eval", _cmd_eval, "evaluate a deformed function", _eval_options),
+    ("solve", _cmd_solve, "solve the decay problem", _solve_options),
+    ("series", _cmd_series, "emit series coefficients as JSON", _series_options),
+    ("compare", _cmd_compare, "numerical-vs-analytic error reports", _compare_options),
+    ("slope-field", _cmd_slope_field, "tangent-slope grid for the decay field",
+     _slope_field_options),
+    ("logistic", _cmd_logistic, "logistic closed form vs a numerical method",
+     _logistic_options),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    ap = _Parser(
+        prog="kappamath",
+        description="Deformed exponential mathematics and decay-equation toolkit")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, handler, help, options in _COMMANDS:
+        sub.add_parser(name, help=help, options=options).set_defaults(handler=handler)
+    return ap
 
 
 def main(argv=None) -> int:

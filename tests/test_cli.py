@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,8 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kappamath import DomainError, Kappa, kappa_exp, to_kappa_number
-from kappamath.cli import _build_parser, _linspace, main
+from kappamath import (
+    ConvergenceError,
+    DecayProblem,
+    DomainError,
+    Kappa,
+    error_ladder,
+    kappa_exp,
+    to_kappa_number,
+)
+from kappamath.cli import _build_parser, _linspace, _write_table, main
 from kappamath.ode import MAX_POINTS, SOLVERS
 
 
@@ -95,8 +105,11 @@ def test_command_help_and_defaults(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith(f"usage: kappamath {command} ")
+    help_text = capsys.readouterr().out
+    assert help_text.startswith(f"usage: kappamath {command} ")
     required, want = CLI_DEFAULTS[command]
+    for dest in want:
+        assert f" --{dest.replace('_', '-')} " in help_text, dest
     args = vars(_build_parser().parse_args([command, *required]))
     assert args.pop("command") == command and callable(args.pop("handler"))
     assert args == want
@@ -104,6 +117,48 @@ def test_command_help_and_defaults(capsys, command):
         with pytest.raises(SystemExit) as exc:
             main([command, *required[:i], *required[i + 2:]])
         assert exc.value.code == 2
+
+
+# Each command's line in the top-level help, in the order listed there.
+COMMAND_HELP = {
+    "eval": "evaluate a deformed function",
+    "solve": "solve the decay problem",
+    "series": "emit series coefficients as JSON",
+    "compare": "numerical-vs-analytic error reports",
+    "slope-field": "tangent-slope grid for the decay field",
+    "logistic": "logistic closed form vs a numerical method",
+}
+
+
+def test_top_level_help_and_unknown_command_name_every_command(capsys):
+    # a command's options are built only when it is parsed; the top level
+    # still knows every command
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(COMMAND_HELP) + "}" in out
+    for name, help in COMMAND_HELP.items():
+        assert re.search(rf"^ +{name} +{help}$", out, re.M), name
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    choices = [ln for ln in err.splitlines() if "invalid choice: 'bogus'" in ln]
+    assert len(choices) == 1 and all(name in choices[0] for name in COMMAND_HELP)
+
+
+def test_one_parser_parses_different_commands_in_turn():
+    ap = _build_parser()
+    for command in ["solve", "slope-field", "solve", "eval", "logistic"]:
+        required, want = CLI_DEFAULTS[command]
+        args = vars(ap.parse_args([command, *required]))
+        assert args.pop("command") == command and callable(args.pop("handler"))
+        assert args == want
+    # an option of one command is still unknown to another
+    with pytest.raises(SystemExit) as exc:
+        ap.parse_args(["solve", "--nx", "3"])
+    assert exc.value.code == 2
 
 
 def test_eval_sum_of_inverses_near_the_float_maximum(capsys):
@@ -207,6 +262,85 @@ def test_table_shapes(capsys, command):
     if command == "solve":
         method, kappa, h = lines[1].split(",")[2:]
         assert (doc["method"], doc["kappa"], doc["h"]) == (method, float(kappa), float(h))
+
+
+def _reference_table(fmt, columns, rows, meta):
+    """(text, None) or (None, error message) for a table written cell by cell:
+    CSV as the format(v, ".17g") join of each cell, a str as it is; JSON as
+    json.dumps(indent=2) of the meta fields and the rows under "samples"."""
+    values = [*meta.values(), *(v for row in rows for v in row)]
+    floats = [v for v in values if not isinstance(v, str)]
+    if fmt == "csv":
+        if any(math.isnan(v) for v in floats):
+            return None, "result is nan"
+        tail = [meta[c] for c in columns[len(columns) - len(meta):]]
+        lines = [",".join(columns)] + [
+            ",".join(v if isinstance(v, str) else format(v, ".17g") for v in [*row, *tail])
+            for row in rows]
+        return "\n".join(lines) + "\n", None
+    bad = [v for v in floats if not math.isfinite(v)]
+    if bad:
+        return None, f"non-finite value {bad[0]!r} in JSON output"
+    names = columns[:len(columns) - len(meta)]
+    doc = {**meta, "samples": [dict(zip(names, row)) for row in rows]}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n", None
+
+
+TABLE_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf])
+# names that are not parameters of the writer, nor its rows' key
+TABLE_NAMES = st.text(min_size=1, max_size=3).filter(
+    lambda n: n not in ("args", "columns", "rows", "key", "samples"))
+
+
+@st.composite
+def _tables(draw):
+    """Columns, rows and meta fields: the rows hold the values of the leading
+    columns, and each trailing column is a meta field, a str or a float."""
+    columns = draw(st.lists(TABLE_NAMES, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(1, len(columns)))
+    meta = {c: draw(st.text(max_size=3) | TABLE_FLOATS) for c in columns[n:]}
+    rows = draw(st.lists(st.tuples(*[TABLE_FLOATS] * n), max_size=4))
+    return columns, rows, meta
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=_tables(), fmt=st.sampled_from(["csv", "json"]))
+@example(table=(["x%", "f", "method", "h"], [(-0.0, 5e-324), (1.7976931348623157e308, 0.1)],
+                {"method": "rk4%s", "h": 0.01}), fmt="csv")
+@example(table=(["x%", "f", "method", "h"], [(-0.0, 5e-324), (1.7976931348623157e308, 0.1)],
+                {"method": "rk4%s", "h": 0.01}), fmt="json")
+@example(table=(["x%", "f"], [(1.0, 2.0), (math.inf, math.nan)], {}), fmt="json")
+@example(table=(["x", "kappa"], [(1.0,), (math.nan,)], {"kappa": math.inf}), fmt="csv")
+def test_table_writer_matches_reference_rendering(table, fmt):
+    columns, rows, meta = table
+    want, error = _reference_table(fmt, columns, rows, meta)
+    with tempfile.TemporaryDirectory() as out_dir:
+        out = Path(out_dir) / "table"
+        args = argparse.Namespace(format=fmt, output=str(out))
+        if error is None:
+            _write_table(args, columns, iter(rows), **meta)
+            assert out.read_bytes().decode("utf-8") == want
+        else:
+            with pytest.raises(ConvergenceError) as exc:
+                _write_table(args, columns, iter(rows), **meta)
+            assert str(exc.value) == error
+            assert list(Path(out_dir).iterdir()) == []
+
+
+@settings(max_examples=10, deadline=None)
+@given(kappa=st.floats(-0.95, 0.95), levels=st.integers(1, 3))
+def test_compare_csvs_match_reference_rendering(kappa, levels):
+    with tempfile.TemporaryDirectory() as out_dir:
+        assert main(["compare", f"--kappa={kappa!r}", "--h=0.5", f"--levels={levels}",
+                     "--out-dir", out_dir]) == 0
+        p = DecayProblem(Kappa(kappa))
+        for method in SOLVERS:
+            for i, r in enumerate(error_ladder(p, method, 0.5, levels)):
+                name = f"errors_{method}_{i}.csv" if levels > 1 else f"errors_{method}.csv"
+                rows = [(method, r.h, x, e) for x, e in zip(r.xs, r.abs_errors)]
+                want, _ = _reference_table("csv", ["method", "h", "x", "abs_error"], rows, {})
+                assert (Path(out_dir) / name).read_text() == want, name
 
 
 def test_series_decay_coefficients(capsys):
