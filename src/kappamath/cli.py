@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 from itertools import chain
 
 from .core import (
@@ -27,7 +28,7 @@ from .core import (
     kappa_sum,
     to_kappa_number,
 )
-from .errors import ConvergenceError, DomainError, FloorError
+from .errors import ConvergenceError, DomainError
 from .harness import error_ladder, fit_ladder
 from .ode import (
     MAX_POINTS,
@@ -183,74 +184,46 @@ _SERIES_TARGETS = {"exp": exp_kappa_taylor, "ln1p": ln_kappa_shifted_taylor,
                    "decay": decay_series_solution, "picard": picard_iterate}
 _SOLVE_METHODS = {"analytic": analytic_trace, **SOLVERS}
 
-# Options that several commands share, each with its one type and default.
-_SHARED_OPTIONS = {
+_ALL_METHODS = ",".join(SOLVERS)
+
+# One spec per flag: each add_argument keyword of an option is written here
+# once, and a command states only what differs for it (see _COMMANDS).
+_OPTIONS = {
     "--kappa": {"type": _finite_float, "default": 0.9,
                 "help": "deformation parameter, |kappa| < 1"},
     "--beta": {"type": _finite_float, "default": 1.0},
+    "--f0": {"type": _finite_float, "default": 0.5},
     "--x-max": {"type": _finite_float, "default": 5.0},
     "--h": {"type": _finite_float, "default": 0.01},
+    "--method": {"default": "rk4", "choices": SOLVERS},
     "--format": {"choices": ("csv", "json"), "default": "csv"},
     "--output": {"default": None,
                  "help": "output file (default: stdout); relative paths "
                  "resolve against $KAPPA_OUT_DIR when set"},
+    "--fn": {"required": True, "choices": _EVAL_FNS},
+    "--x": {"type": _finite_float, "required": True},
+    "--y": {"type": _finite_float, "default": None},
+    "--target": {"required": True, "choices": _SERIES_TARGETS},
+    "--order": {"type": int, "default": 8},
+    "--methods": {"default": _ALL_METHODS,
+                  "help": f"comma-separated subset of {_ALL_METHODS}"},
+    "--levels": {"type": int, "default": 1,
+                 "help": "halving ladder depth (1 = single step size)"},
+    "--out-dir": {"default": ".",
+                  "help": "directory for the per-report CSVs and summary.json"},
+    "--x-min": {"type": _finite_float, "default": 0.0},
+    "--f-min": {"type": _finite_float, "default": 0.0},
+    "--f-max": {"type": _finite_float, "default": 1.0},
+    "--nx": {"type": int, "default": 21},
+    "--nf": {"type": int, "default": 21},
 }
 
 
-def _shared(p, *names) -> None:
-    for name in names:
-        p.add_argument(name, **_SHARED_OPTIONS[name])
-
-
-def _eval_options(p) -> None:
-    p.add_argument("--fn", required=True, choices=_EVAL_FNS)
-    p.add_argument("--kappa", **_SHARED_OPTIONS["--kappa"], required=True)
-    p.add_argument("--x", type=_finite_float, required=True)
-    p.add_argument("--y", type=_finite_float, default=None)
-
-
-def _solve_options(p) -> None:
-    _shared(p, "--kappa", "--format", "--output")
-    p.add_argument("--method", default="analytic", choices=_SOLVE_METHODS)
-    _shared(p, "--beta")
-    p.add_argument("--f0", type=_finite_float, default=1.0)
-    _shared(p, "--h", "--x-max")
-
-
-def _series_options(p) -> None:
-    p.add_argument("--target", required=True, choices=_SERIES_TARGETS)
-    p.add_argument("--order", type=int, default=8)
-    _shared(p, "--kappa", "--output")
-
-
-def _compare_options(p) -> None:
-    methods = ",".join(SOLVERS)
-    p.add_argument("--methods", default=methods,
-                   help=f"comma-separated subset of {methods}")
-    _shared(p, "--kappa", "--beta", "--x-max")
-    p.add_argument("--h", **_SHARED_OPTIONS["--h"],
-                   help="largest step size (ladder start when --levels > 1)")
-    p.add_argument("--levels", type=int, default=1,
-                   help="halving ladder depth (1 = single step size)")
-    p.add_argument("--out-dir", default=".",
-                   help="directory for the per-report CSVs and summary.json")
-
-
-def _slope_field_options(p) -> None:
-    _shared(p, "--kappa", "--format", "--output", "--beta")
-    p.add_argument("--x-min", type=_finite_float, default=0.0)
-    _shared(p, "--x-max")
-    p.add_argument("--f-min", type=_finite_float, default=0.0)
-    p.add_argument("--f-max", type=_finite_float, default=1.0)
-    p.add_argument("--nx", type=int, default=21)
-    p.add_argument("--nf", type=int, default=21)
-
-
-def _logistic_options(p) -> None:
-    _shared(p, "--kappa", "--format", "--output")
-    p.add_argument("--method", default="rk4", choices=SOLVERS)
-    _shared(p, "--h", "--x-max")
-    p.add_argument("--f0", type=_finite_float, default=0.5)
+def _add_options(flags: str, differs: dict, p) -> None:
+    """Add the options `flags`, in order, to p: each as its _OPTIONS spec
+    with the keywords in differs[flag] put over it."""
+    for flag in flags.split():
+        p.add_argument(flag, **{**_OPTIONS[flag], **differs.get(flag, {})})
 
 
 def _cmd_eval(args) -> int:
@@ -330,9 +303,6 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 def _cmd_slope_field(args) -> int:
     # the rhs does not read x_max, which only bounds solver traces
     p = DecayProblem(Kappa(args.kappa), beta=args.beta)
-    if args.nx * args.nf > MAX_POINTS:
-        raise DomainError(f"nx * nf must be at most {MAX_POINTS}, "
-                          f"got {args.nx} * {args.nf}")
     nodes = slope_field(p,
                         _linspace(args.x_min, args.x_max, args.nx),
                         _linspace(args.f_min, args.f_max, args.nf))
@@ -352,17 +322,24 @@ def _cmd_logistic(args) -> int:
     return 0
 
 
-# Each command: its name, handler, help line and the function that adds
-# its options, in the order of the help.
+# Each command: its name, handler, help line, its flags in the order of the
+# help, and what differs for it from the _OPTIONS spec of a flag.
 _COMMANDS = (
-    ("eval", _cmd_eval, "evaluate a deformed function", _eval_options),
-    ("solve", _cmd_solve, "solve the decay problem", _solve_options),
-    ("series", _cmd_series, "emit series coefficients as JSON", _series_options),
-    ("compare", _cmd_compare, "numerical-vs-analytic error reports", _compare_options),
+    ("eval", _cmd_eval, "evaluate a deformed function",
+     "--fn --kappa --x --y", {"--kappa": {"required": True}}),
+    ("solve", _cmd_solve, "solve the decay problem",
+     "--kappa --format --output --method --beta --f0 --h --x-max",
+     {"--method": {"default": "analytic", "choices": _SOLVE_METHODS},
+      "--f0": {"default": 1.0}}),
+    ("series", _cmd_series, "emit series coefficients as JSON",
+     "--target --order --kappa --output", {}),
+    ("compare", _cmd_compare, "numerical-vs-analytic error reports",
+     "--methods --kappa --beta --x-max --h --levels --out-dir",
+     {"--h": {"help": "largest step size (ladder start when --levels > 1)"}}),
     ("slope-field", _cmd_slope_field, "tangent-slope grid for the decay field",
-     _slope_field_options),
+     "--kappa --format --output --beta --x-min --x-max --f-min --f-max --nx --nf", {}),
     ("logistic", _cmd_logistic, "logistic closed form vs a numerical method",
-     _logistic_options),
+     "--kappa --format --output --method --h --x-max --f0", {}),
 )
 
 
@@ -371,7 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kappamath",
         description="Deformed exponential mathematics and decay-equation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, handler, help, options in _COMMANDS:
+    for name, handler, help, flags, differs in _COMMANDS:
+        options = partial(_add_options, flags, differs)
         sub.add_parser(name, help=help, options=options).set_defaults(handler=handler)
     return ap
 
@@ -383,7 +361,7 @@ def main(argv=None) -> int:
     except (DomainError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, FloorError) as exc:
+    except ConvergenceError as exc:  # FloorError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

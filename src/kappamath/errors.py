@@ -8,8 +8,10 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its budget before reaching tolerance."""
+    """A numerical failure with no trustworthy finite result: an iterative
+    routine that exhausted its budget before reaching tolerance, a nan
+    result, or a non-finite value that JSON output cannot carry."""
 
 
-class FloorError(RuntimeError):
+class FloorError(ConvergenceError):
     """A step-size ladder hit the round-off floor before a fit was possible."""

@@ -53,7 +53,7 @@ class ConvergenceReport(Record):
 
 
 class SeriesErrorCurve(Record):
-    # abs_errors: order -> errors on xs
+    # abs_errors: one tuple of errors on xs per entry of orders
     __slots__ = ("kappa", "orders", "xs", "abs_errors")
 
 
@@ -181,12 +181,12 @@ def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:
     if not orders:
         raise DomainError("need at least one order")
     xs = tuple(float(x) for x in x_grid)
-    curves: dict[int, tuple[float, ...]] = {}
+    curves = []
     for n in orders:
         s = decay_series_solution(k, n)
-        curves[n] = tuple(
-            abs(evaluate_series(s, k, x) - kappa_exp(k, -x)) for x in xs)
-    return SeriesErrorCurve(k.value, orders, xs, curves)
+        curves.append(tuple(
+            abs(evaluate_series(s, k, x) - kappa_exp(k, -x)) for x in xs))
+    return SeriesErrorCurve(k.value, orders, xs, tuple(curves))
 
 
 def asymptote_check(k: Kappa, x: float) -> float:

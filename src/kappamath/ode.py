@@ -3,7 +3,9 @@
 The decay equation sqrt(1 + k^2 b^2 x^2) f'(x) + b f(x) = 0 (rate b > 0,
 f(0) = f0) has the closed form f0 * exp_k(-b x).  Three analytic routes are
 implemented (closed form, quadrature of the weight, coordinate substitution)
-plus fixed-step Euler, two-step Adams-Bashforth, and classical RK4.
+plus fixed-step Euler, two-step Adams-Bashforth, and classical RK4.  The
+solvers and the harness take any problem that provides x_start, x_max,
+initial_value, rhs(x, f) and exact(x), and solve it over [x_start, x_max].
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ class DecayProblem(Record):
         return 0.0
 
     @property
-    def x_end(self) -> float:
-        return self.x_max
-
-    @property
     def initial_value(self) -> float:
         return self.f0
 
@@ -104,10 +102,6 @@ class LogisticProblem(Record):
     @property
     def x_start(self) -> float:
         return -self.x_max
-
-    @property
-    def x_end(self) -> float:
-        return self.x_max
 
     @property
     def initial_value(self) -> float:
@@ -174,17 +168,21 @@ def residual_decay(p: DecayProblem, f_val: float, dfdx: float, x: float) -> floa
 
 def slope_field(p, x_grid, f_grid) -> list[tuple[float, float, float]]:
     """Tangent slopes G(x, f) on the product grid, row-major: the outer loop
-    runs over x_grid, the inner over f_grid."""
+    runs over x_grid, the inner over f_grid.  The grid may have at most
+    MAX_POINTS nodes."""
     xs = list(x_grid)
     fs = list(f_grid)
     if not xs or not fs:
         raise DomainError("slope_field needs nonempty grids")
+    if len(xs) * len(fs) > MAX_POINTS:
+        raise DomainError(f"slope_field grid must have at most {MAX_POINTS} "
+                          f"nodes, got {len(xs)} * {len(fs)}")
     return [(x, f, p.rhs(x, f)) for x in xs for f in fs]
 
 
 def _grid(p, h: float, min_steps: int = 1) -> list[float]:
     x0 = p.x_start
-    x1 = p.x_end
+    x1 = p.x_max
     # x0 is 0 or -x1, so wherever x1 - x0 is finite this count is exactly
     # (x1 - x0) / h; it stays finite where x1 - x0 overflows
     steps = x1 / h - x0 / h if h > 0.0 else math.nan

@@ -119,6 +119,87 @@ def test_command_help_and_defaults(capsys, command):
         assert exc.value.code == 2
 
 
+KAPPA_HELP = "deformation parameter, |kappa| < 1"
+OUTPUT_HELP = ("output file (default: stdout); relative paths resolve against "
+               "$KAPPA_OUT_DIR when set")
+
+# Each command's options in the order of its help: flag, dest, default, type
+# name, choices, required and help.
+OPTION_SPECS = {
+    "eval": [
+        ("--fn", "fn", None, None, ["exp", "ln", "sum", "product", "weight", "knum"],
+         True, None),
+        ("--kappa", "kappa", 0.9, "_finite_float", None, True, KAPPA_HELP),
+        ("--x", "x", None, "_finite_float", None, True, None),
+        ("--y", "y", None, "_finite_float", None, False, None),
+    ],
+    "solve": [
+        ("--kappa", "kappa", 0.9, "_finite_float", None, False, KAPPA_HELP),
+        ("--format", "format", "csv", None, ["csv", "json"], False, None),
+        ("--output", "output", None, None, None, False, OUTPUT_HELP),
+        ("--method", "method", "analytic", None, ["analytic", "euler", "ab2", "rk4"],
+         False, None),
+        ("--beta", "beta", 1.0, "_finite_float", None, False, None),
+        ("--f0", "f0", 1.0, "_finite_float", None, False, None),
+        ("--h", "h", 0.01, "_finite_float", None, False, None),
+        ("--x-max", "x_max", 5.0, "_finite_float", None, False, None),
+    ],
+    "series": [
+        ("--target", "target", None, None, ["exp", "ln1p", "decay", "picard"], True, None),
+        ("--order", "order", 8, "int", None, False, None),
+        ("--kappa", "kappa", 0.9, "_finite_float", None, False, KAPPA_HELP),
+        ("--output", "output", None, None, None, False, OUTPUT_HELP),
+    ],
+    "compare": [
+        ("--methods", "methods", "euler,ab2,rk4", None, None, False,
+         "comma-separated subset of euler,ab2,rk4"),
+        ("--kappa", "kappa", 0.9, "_finite_float", None, False, KAPPA_HELP),
+        ("--beta", "beta", 1.0, "_finite_float", None, False, None),
+        ("--x-max", "x_max", 5.0, "_finite_float", None, False, None),
+        ("--h", "h", 0.01, "_finite_float", None, False,
+         "largest step size (ladder start when --levels > 1)"),
+        ("--levels", "levels", 1, "int", None, False,
+         "halving ladder depth (1 = single step size)"),
+        ("--out-dir", "out_dir", ".", None, None, False,
+         "directory for the per-report CSVs and summary.json"),
+    ],
+    "slope-field": [
+        ("--kappa", "kappa", 0.9, "_finite_float", None, False, KAPPA_HELP),
+        ("--format", "format", "csv", None, ["csv", "json"], False, None),
+        ("--output", "output", None, None, None, False, OUTPUT_HELP),
+        ("--beta", "beta", 1.0, "_finite_float", None, False, None),
+        ("--x-min", "x_min", 0.0, "_finite_float", None, False, None),
+        ("--x-max", "x_max", 5.0, "_finite_float", None, False, None),
+        ("--f-min", "f_min", 0.0, "_finite_float", None, False, None),
+        ("--f-max", "f_max", 1.0, "_finite_float", None, False, None),
+        ("--nx", "nx", 21, "int", None, False, None),
+        ("--nf", "nf", 21, "int", None, False, None),
+    ],
+    "logistic": [
+        ("--kappa", "kappa", 0.9, "_finite_float", None, False, KAPPA_HELP),
+        ("--format", "format", "csv", None, ["csv", "json"], False, None),
+        ("--output", "output", None, None, None, False, OUTPUT_HELP),
+        ("--method", "method", "rk4", None, ["euler", "ab2", "rk4"], False, None),
+        ("--h", "h", 0.01, "_finite_float", None, False, None),
+        ("--x-max", "x_max", 5.0, "_finite_float", None, False, None),
+        ("--f0", "f0", 0.5, "_finite_float", None, False, None),
+    ],
+}
+
+
+def test_option_specs_every_command():
+    ap = _build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(OPTION_SPECS)
+    for command, want in OPTION_SPECS.items():
+        ap.parse_args([command, *CLI_DEFAULTS[command][0]])  # builds its options
+        got = [(a.option_strings, a.dest, a.default, getattr(a.type, "__name__", None),
+                None if a.choices is None else list(a.choices), a.required, a.help)
+               for a in sub.choices[command]._actions
+               if not isinstance(a, argparse._HelpAction)]
+        assert got == [([flag], *rest) for flag, *rest in want], command
+
+
 # Each command's line in the top-level help, in the order listed there.
 COMMAND_HELP = {
     "eval": "evaluate a deformed function",

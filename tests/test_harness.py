@@ -308,11 +308,22 @@ def test_fit_ladder_orders_at_zero_ratios():
 def test_series_error_curve_behaviour():
     k = Kappa(0.9)
     curve = series_error_curve(k, [4, 8], [0.0, 0.1, 0.5])
-    assert curve.abs_errors[4][0] == 0.0 and curve.abs_errors[8][0] == 0.0
-    assert curve.abs_errors[8][2] < curve.abs_errors[4][2]
-    assert curve.abs_errors[4][1] < 1e-5
+    assert curve.abs_errors[0][0] == 0.0 and curve.abs_errors[1][0] == 0.0
+    assert curve.abs_errors[1][2] < curve.abs_errors[0][2]
+    assert curve.abs_errors[0][1] < 1e-5
     with pytest.raises(DomainError):
         series_error_curve(k, [], [0.1])
+
+
+def test_series_error_curve_aligned_with_repeated_orders():
+    k = Kappa(0.9)
+    xs = [0.1, 0.5, 1.0]
+    curve = series_error_curve(k, [4, 4, 2], xs)
+    assert curve.orders == (4, 4, 2) and len(curve.abs_errors) == 3
+    assert curve.abs_errors[0] == curve.abs_errors[1]
+    assert curve.abs_errors[2] == series_error_curve(k, [2], xs).abs_errors[0]
+    assert all(len(errors) == len(xs) for errors in curve.abs_errors)
+    assert hash(curve) == hash(series_error_curve(k, [4, 4, 2], xs))
 
 
 def test_asymptote_check_values():

@@ -164,6 +164,38 @@ def test_slope_field_ordering_and_validation():
         slope_field(decay(), [], [1.0])
 
 
+def test_slope_field_bounded_by_max_points(monkeypatch):
+    # the node count is checked before any node is built
+    with pytest.raises(DomainError):
+        slope_field(decay(), [0.0] * 101, [1.0] * 9901)
+    monkeypatch.setattr(ode, "MAX_POINTS", 12)
+    assert len(slope_field(decay(), [0.0, 1.0, 2.0], [0.0] * 4)) == 12
+    with pytest.raises(DomainError):
+        slope_field(decay(), [0.0] * 13, [1.0])
+
+
+class PlainDecay:
+    """A user-defined problem with only the members the solvers read: the
+    classical decay f' = -f on [0, 1]."""
+
+    x_start = 0.0
+    x_max = 1.0
+    initial_value = 1.0
+
+    def rhs(self, x, f):
+        return -f
+
+    def exact(self, x):
+        return math.exp(-x)
+
+
+def test_user_defined_problem_protocol():
+    p = PlainDecay()
+    for solver in (euler_solve, ab2_solve, rk4_solve):
+        assert solver(p, 0.1) == solver(decay(0.0, x_max=1.0), 0.1)
+    assert analytic_trace(p, 0.5).fs == (1.0, math.exp(-0.5), math.exp(-1.0))
+
+
 def test_trace_grid_lengths():
     assert len(euler_solve(decay(x_max=5.0), 0.01).xs) == 501
     assert len(rk4_solve(decay(x_max=1.0), 0.1).xs) == 11
