@@ -18,6 +18,7 @@ import re
 import sys
 from functools import partial
 from itertools import chain
+from operator import sub
 
 from .core import (
     Kappa,
@@ -36,7 +37,6 @@ from .ode import (
     DecayProblem,
     LogisticProblem,
     analytic_trace,
-    logistic_closed_form,
     slope_field,
 )
 from .series import (
@@ -106,8 +106,9 @@ def _json_text(obj) -> str:
         return json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError:  # nan or inf, which JSON cannot represent
         # Without allow_nan=False the encoder spells them NaN, Infinity and
-        # -Infinity; name the first one as Python prints it.
-        raise _non_finite(re.search(r"NaN|-?Infinity", json.dumps(obj)).group()) from None
+        # -Infinity; name the first one outside a string as Python prints it.
+        found = re.finditer(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)', json.dumps(obj))
+        raise _non_finite(next(m[1] for m in found if m[1])) from None
 
 
 def _json_table(names, rows, key, meta) -> str:
@@ -226,7 +227,7 @@ def _add_options(flags: str, differs: dict, p) -> None:
         p.add_argument(flag, **{**_OPTIONS[flag], **differs.get(flag, {})})
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     k = Kappa(args.kappa)
     fn = _EVAL_FNS[args.fn]
     two_arg = fn in (kappa_sum, kappa_product)
@@ -235,18 +236,16 @@ def _cmd_eval(args) -> int:
     if not two_arg and args.y is not None:
         raise DomainError(f"--fn {args.fn} takes only --x")
     print(_fmt(fn(k, args.x, args.y) if two_arg else fn(k, args.x)))
-    return 0
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     p = DecayProblem(Kappa(args.kappa), beta=args.beta, f0=args.f0, x_max=args.x_max)
     trace = _SOLVE_METHODS[args.method](p, args.h)
     _write_table(args, ["x", "f", "method", "kappa", "h"], zip(trace.xs, trace.fs),
                  method=trace.method, kappa=args.kappa, h=trace.h)
-    return 0
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> None:
     s = _SERIES_TARGETS[args.target](Kappa(args.kappa), args.order)
     text = _json_text({
         "variable": s.variable,
@@ -255,10 +254,9 @@ def _cmd_series(args) -> int:
         "coefficients": list(s.coefficients),
     })
     _write_text(args.output, text)
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     methods = sorted({m for m in args.methods.split(",") if m})
     if not methods:
         raise DomainError("empty method list")
@@ -283,7 +281,6 @@ def _cmd_compare(args) -> int:
                         _csv(["method", "h", "x", "abs_error"], zip(r.xs, r.abs_errors),
                              method=method, h=r.h))
     _write_text(os.path.join(args.out_dir, "summary.json"), summary_text)
-    return 0
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -300,26 +297,22 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo * ((n - 1 - i) / (n - 1)) + hi * (i / (n - 1)) for i in range(n)]
 
 
-def _cmd_slope_field(args) -> int:
+def _cmd_slope_field(args) -> None:
     # the rhs does not read x_max, which only bounds solver traces
     p = DecayProblem(Kappa(args.kappa), beta=args.beta)
     nodes = slope_field(p,
                         _linspace(args.x_min, args.x_max, args.nx),
                         _linspace(args.f_min, args.f_max, args.nf))
     _write_table(args, ["x", "f", "slope"], nodes, key="nodes", kappa=args.kappa)
-    return 0
 
 
-def _cmd_logistic(args) -> int:
+def _cmd_logistic(args) -> None:
     lp = LogisticProblem(Kappa(args.kappa), f0=args.f0, x_max=args.x_max)
     trace = SOLVERS[args.method](lp, args.h)
-    rows = []
-    for x, f in zip(trace.xs, trace.fs):
-        exact = logistic_closed_form(lp, x)
-        rows.append((x, exact, f, abs(f - exact)))
+    exact = tuple(map(lp.exact, trace.xs))
+    rows = zip(trace.xs, exact, trace.fs, map(abs, map(sub, trace.fs, exact)))
     _write_table(args, ["x", "f_analytic", "f_method", "abs_error"], rows,
                  kappa=args.kappa, method=args.method, h=args.h)
-    return 0
 
 
 # Each command: its name, handler, help line, its flags in the order of the
@@ -357,13 +350,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args.handler(args)
     except (DomainError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:  # FloorError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def entrypoint() -> None:

@@ -25,7 +25,6 @@ __all__ = [
     "from_kappa_number",
     "differential_weight",
     "kappa_integral",
-    "scaled_arcsinh",
     "adaptive_quadrature",
 ]
 
@@ -84,12 +83,17 @@ class Kappa(Record):
             raise DomainError(f"kappa out of range: need |kappa| < 1, got {value!r}")
         super().__init__(float(value))
 
-    @property
-    def is_classical(self) -> bool:
-        return self.value == 0.0
+
+def _ordered_sum(values) -> float:
+    """Float sum added left to right from 0.0, as builtin sum() adds on 3.10
+    and 3.11; from Python 3.12 sum() compensates, which moves last digits."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
-def scaled_arcsinh(c: float, x: float) -> float:
+def _scaled_arcsinh(c: float, x: float) -> float:
     """arcsinh(c*x)/c, continuously extended to x at c = 0.
 
     For |z| < 1e-4, z = c*x, the series x (1 - z^2/6 + 3 z^4/40) is used,
@@ -130,7 +134,7 @@ def kappa_exp(k: Kappa, x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"kappa_exp needs finite x, got {x!r}")
     try:
-        return math.exp(scaled_arcsinh(k.value, x))
+        return math.exp(_scaled_arcsinh(k.value, x))
     except OverflowError:
         return math.inf
 
@@ -176,7 +180,7 @@ def kappa_product(k: Kappa, x: float, y: float) -> float:
     overflows.
     """
     kv = k.value
-    return _scaled_sinh(kv, scaled_arcsinh(kv, x) * scaled_arcsinh(kv, y))
+    return _scaled_sinh(kv, _scaled_arcsinh(kv, x) * _scaled_arcsinh(kv, y))
 
 
 def kappa_product_identity(k: Kappa) -> float:
@@ -186,7 +190,7 @@ def kappa_product_identity(k: Kappa) -> float:
 
 def to_kappa_number(k: Kappa, x: float) -> float:
     """Coordinate map x -> arcsinh(k x)/k; identity at k = 0."""
-    return scaled_arcsinh(k.value, x)
+    return _scaled_arcsinh(k.value, x)
 
 
 def from_kappa_number(k: Kappa, u: float) -> float:

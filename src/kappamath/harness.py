@@ -7,10 +7,10 @@ quantify what the solver comparison plots only show qualitatively.
 from __future__ import annotations
 
 import math
-from operator import attrgetter, sub
+from operator import attrgetter, mul, sub
 
-from .core import Kappa, Record, kappa_exp, scaled_arcsinh
-from .errors import DomainError, FloorError
+from .core import Kappa, Record, _ordered_sum, _scaled_arcsinh, kappa_exp
+from .errors import ConvergenceError, DomainError, FloorError
 from .ode import SOLVERS
 from .series import (
     decay_series_solution,
@@ -133,13 +133,13 @@ def error_ladder(p, method: str, h0: float, levels: int):
         xs = trace.xs
         errors = tuple(map(abs, map(sub, trace.fs, _exact_values(p, xs))))
         del trace
-        rms = math.sqrt(sum(e * e for e in errors) / len(errors))
+        rms = math.sqrt(_ordered_sum(map(mul, errors, errors)) / len(errors))
         # max() skips a nan that follows a number; the rms is nan exactly
         # when some error is, so it carries the nan into max_error.
         err = rms if math.isnan(rms) else max(errors)
         if rms == math.inf and err < math.inf:
             # finite errors above about 1e154 overflow their squares
-            rms = err * math.sqrt(sum((e / err) ** 2 for e in errors) / len(errors))
+            rms = err * math.sqrt(_ordered_sum((e / err) ** 2 for e in errors) / len(errors))
         # A consumer that keeps only h and the max error lets each level be
         # freed before the next, twice as large, is built.
         yield ErrorReport(method, h, xs, errors, err, rms)
@@ -175,39 +175,53 @@ def convergence_order(p, method: str, h0: float, levels: int) -> ConvergenceRepo
     return fit_ladder(error_ladder(p, method, h0, levels))
 
 
+def _abs_diffs(values, others, xs) -> tuple:
+    """|a - b| for the values of two routes at the points xs.  Where both
+    overflow to the same infinity the difference is nan and has no
+    trustworthy finite value: ConvergenceError names the first such x."""
+    diffs = tuple(map(abs, map(sub, values, others)))
+    if any(map(math.isnan, diffs)):
+        x = next(x for x, d in zip(xs, diffs) if math.isnan(d))
+        raise ConvergenceError(f"both routes overflow to the same infinity at x = {x!r}")
+    return diffs
+
+
 def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:
-    """|truncated decay series - exp_k(-x)| per order on the grid."""
+    """|truncated decay series - exp_k(-x)| per order on the grid;
+    ConvergenceError where both overflow to the same infinity."""
     orders = tuple(orders)
     if not orders:
         raise DomainError("need at least one order")
     xs = tuple(float(x) for x in x_grid)
+    exact = [kappa_exp(k, -x) for x in xs]
     curves = []
     for n in orders:
         s = decay_series_solution(k, n)
-        curves.append(tuple(
-            abs(evaluate_series(s, k, x) - kappa_exp(k, -x)) for x in xs))
+        curves.append(_abs_diffs([evaluate_series(s, k, x) for x in xs], exact, xs))
     return SeriesErrorCurve(k.value, orders, xs, tuple(curves))
 
 
 def asymptote_check(k: Kappa, x: float) -> float:
     """Tail ratio exp_k(-x) * (2|k|x)^(1/|k|); tends to 1 as x -> inf.  Taken
     as the exp of its log: at large x one factor underflows, the other overflows."""
-    if k.is_classical:
+    if k.value == 0.0:
         raise DomainError("asymptote_check needs kappa != 0")
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive, got {x!r}")
     kk = abs(k.value)
-    return math.exp((math.log(2.0 * kk) + math.log(x)) / kk - scaled_arcsinh(kk, x))
+    return math.exp((math.log(2.0 * kk) + math.log(x)) / kk - _scaled_arcsinh(kk, x))
 
 
 def picard_vs_series(k: Kappa, n: int, x_grid) -> PicardSeriesReport:
     """Compare Picard iterate n against the series solution: coefficientwise
-    (both expanded in x through order n) and pointwise on the grid."""
+    (both expanded in x through order n) and pointwise on the grid, where
+    ConvergenceError marks a point at which both overflow to the same
+    infinity."""
     it = picard_iterate(k, n)
     s = decay_series_solution(k, n)
     px = picard_iterate_in_x(it, k, n).coefficients
     coeff_diff = max(abs(a - b) for a, b in zip(px, s.coefficients))
     xs = tuple(float(x) for x in x_grid)
-    diffs = tuple(
-        abs(evaluate_series(it, k, x) - evaluate_series(s, k, x)) for x in xs)
+    diffs = _abs_diffs([evaluate_series(it, k, x) for x in xs],
+                       [evaluate_series(s, k, x) for x in xs], xs)
     return PicardSeriesReport(n, coeff_diff, xs, diffs)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .core import Kappa, Record, adaptive_quadrature, kappa_exp, scaled_arcsinh
+from .core import (Kappa, Record, _scaled_arcsinh, adaptive_quadrature,
+                   differential_weight, kappa_exp)
 from .errors import DomainError
 
 __all__ = [
@@ -110,7 +111,7 @@ class LogisticProblem(Record):
         return logistic_closed_form(self, -self.x_max)
 
     def weight(self, x: float) -> float:
-        return 1.0 / math.hypot(1.0, self.k.value * x)
+        return differential_weight(self.k, x)
 
     def rhs(self, x: float, f: float) -> float:
         return f * (1.0 - f) * (1.0 / math.hypot(1.0, self.k.value * x))
@@ -151,19 +152,16 @@ def substitution_decay(p: DecayProblem, x: float) -> float:
     u = arcsinh(k b x)/(k b), then scale back."""
     if not (0.0 <= x <= p.x_max):
         raise DomainError(f"x must lie in [0, {p.x_max}], got {x!r}")
-    u = scaled_arcsinh(p.k.value * p.beta, x)
+    u = _scaled_arcsinh(p.k.value * p.beta, x)
     return p.f0 * math.exp(-p.beta * u)
 
 
 def residual_decay(p: DecayProblem, f_val: float, dfdx: float, x: float) -> float:
-    """Direct-substitution check: sqrt(1+k^2 b^2 x^2) * f' + beta * f.
-
-    Zero exactly when (f_val, dfdx) satisfies the equation at x.  Where the
-    root overflows (the weight is 0), f' times it is +-inf, or 0 for f' = 0.
-    """
-    w = p.weight(x)
-    scaled = dfdx / w if w else (dfdx * math.inf if dfdx else 0.0)
-    return scaled + p.beta * f_val
+    """Direct-substitution check sqrt(1+k^2 b^2 x^2) * f' + beta * f, zero
+    exactly when (f_val, dfdx) satisfies the equation at x.  Taken as
+    beta * (hypot(1/beta, k x) * f' + f), with the slope's hypot, which
+    DecayProblem keeps finite: finite arguments give a number or +-inf."""
+    return p.beta * (math.hypot(1.0 / p.beta, p.k.value * x) * dfdx + f_val)
 
 
 def slope_field(p, x_grid, f_grid) -> list[tuple[float, float, float]]:

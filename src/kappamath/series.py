@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import mul
 
-from .core import Kappa, Record, to_kappa_number
+from .core import Kappa, Record, _ordered_sum, to_kappa_number
 from .errors import DomainError
 
 __all__ = [
@@ -125,7 +126,7 @@ def exp_kappa_taylor(k: Kappa, order: int) -> PowerSeries:
     g = [0.0] * (order + 1)
     g[0] = 1.0
     for n in range(1, order + 1):
-        g[n] = sum(w * c for w, c in zip(du[1 : n + 1 : 2], g[n - 1 :: -2])) / n
+        g[n] = _ordered_sum(map(mul, du[1 : n + 1 : 2], g[n - 1 :: -2])) / n
     return PowerSeries("x", tuple(g))
 
 

@@ -1,0 +1,175 @@
+"""Regenerate the golden CLI corpus that tests/test_golden.py replays.
+
+    python tests/make_golden.py [OUT_DIR]      (default: tests/golden)
+
+Each case below runs as `kappamath ARGS` in a subprocess, from an empty
+working directory, with COLUMNS=80 (argparse wraps --help at the terminal
+width) and $KAPPA_OUT_DIR set to the directory's out/ subdirectory, or unset
+where a case says so.  OUT_DIR gets:
+
+    manifest.json          every case's name, args, env flag and exit code,
+                           one case per line
+    <name>/stdout          the bytes the command printed
+    <name>/stderr
+    <name>/files/<path>    each file it wrote, by its path in the working
+                           directory (out/... under $KAPPA_OUT_DIR)
+
+OUT_DIR is replaced as a whole, if it is empty or holds a corpus.  Only the standard library is used, so the
+script runs wherever the `kappamath` entry point is installed; a change that
+alters output bytes regenerates the corpus and names what changed.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+# (name, args), and a third item False where $KAPPA_OUT_DIR is unset.
+CASES = [
+    # eval: every function, the documented inf prints, domain and usage errors
+    ("eval-exp", "eval --fn exp --kappa 0.5 --x 1"),
+    ("eval-ln", "eval --fn ln --kappa 0.3 --x 2"),
+    ("eval-sum", "eval --fn sum --kappa 0.5 --x 1 --y 2"),
+    ("eval-product", "eval --fn product --kappa 0.5 --x 1.5 --y -2"),
+    ("eval-weight", "eval --fn weight --kappa -3.2e-05 --x 1e5"),
+    ("eval-knum", "eval --fn knum --kappa 0.9 --x 3"),
+    ("eval-product-inf", "eval --fn product --kappa 0.5 --x 1e10 --y 1e10"),
+    ("eval-exp-inf", "eval --fn exp --kappa 0.99 --x 1e308"),
+    ("eval-sum-inf", "eval --fn sum --kappa 0 --x 1e308 --y 1e308"),
+    ("eval-ln-minus-inf", "eval --fn ln --kappa 0.99 --x 5e-324"),
+    ("eval-sum-needs-y", "eval --fn sum --kappa 0.5 --x 1"),
+    ("eval-exp-takes-only-x", "eval --fn exp --kappa 0.5 --x 1 --y 2"),
+    ("eval-kappa-out-of-range", "eval --fn exp --kappa 1.5 --x 1"),
+    ("eval-ln-domain", "eval --fn ln --kappa 0.5 --x -1"),
+    ("eval-kappa-not-a-number", "eval --fn exp --kappa abc --x 1"),
+    ("eval-x-nan", "eval --fn exp --kappa 0.5 --x nan"),
+    ("eval-missing-fn", "eval --kappa 0.5 --x 1"),
+    ("eval-bad-fn", "eval --fn cos --kappa 0.5 --x 1"),
+    # solve: every method, both formats, the output options, grid edges
+    ("solve-csv", "solve --h 0.5"),
+    ("solve-json", "solve --h 0.5 --format json"),
+    ("solve-euler-csv", "solve --method euler --kappa 0.3 --beta 2 --f0 0.5 --h 0.25 --x-max 1"),
+    ("solve-ab2-json", "solve --method ab2 --h 0.5 --x-max 2 --format json"),
+    ("solve-rk4-output", "solve --method rk4 --h 0.5 --output trace.csv"),
+    ("solve-output-subdir", "solve --h 1 --format json --output a/b/trace.json"),
+    ("solve-output-cwd", "solve --h 1 --output trace.csv", False),
+    ("solve-two-points-at-float-max",
+     "solve --method euler --x-max 1.7976931348623157e308 --h 8.988465674401464e+307"),
+    ("solve-beta-x-overflows", "solve --method analytic --beta 1e308 --h 0.5 --x-max 2"),
+    ("solve-beta-too-small", "solve --beta 5e-309"),
+    ("solve-h-zero", "solve --h 0"),
+    ("solve-too-many-points", "solve --h 1e-6"),
+    ("solve-nan-csv", "solve --method rk4 --beta 1e300 --kappa 0 --h 1 --x-max 3"),
+    ("solve-inf-json",
+     "solve --method euler --beta 100 --kappa 0 --h 1 --x-max 200 --format json"),
+    ("solve-bad-method", "solve --method heun"),
+    # series: every target; exp is the recurrence with the float sums
+    ("series-exp", "series --target exp --order 16"),
+    ("series-exp-small-kappa", "series --target exp --order 24 --kappa 0.05"),
+    ("series-exp-negative-kappa", "series --target exp --order 12 --kappa -0.7"),
+    ("series-ln1p", "series --target ln1p --order 8 --kappa 0.5"),
+    ("series-decay", "series --target decay --order 8"),
+    ("series-picard-output", "series --target picard --order 6 --output picard.json"),
+    ("series-order-too-large", "series --target exp --order 65"),
+    ("series-picard-index-too-large", "series --target picard --order 21"),
+    ("series-order-not-int", "series --target exp --order 2.5"),
+    # compare: one level, ladders, the floor, rms_error in summary.json
+    ("compare-one-level", "compare --h 0.5 --x-max 2 --out-dir one"),
+    ("compare-ladder", "compare --levels 3 --h 0.5 --x-max 2 --kappa 0.5 --out-dir ladder"),
+    ("compare-floor-after-first-level",
+     "compare --methods rk4 --levels 6 --h 0.02 --x-max 0.1 --out-dir floor"),
+    ("compare-floor-at-first-level",
+     "compare --methods rk4 --levels 2 --h 0.001 --x-max 0.01 --out-dir floor"),
+    ("compare-cwd", "compare --methods euler,rk4 --h 0.25 --x-max 1 --out-dir reports", False),
+    ("compare-nan", "compare --methods euler --beta 100 --kappa 0 --h 1 --x-max 200"),
+    ("compare-empty-methods", "compare --methods ,"),
+    ("compare-unknown-method", "compare --methods euler,heun"),
+    ("compare-too-many-levels", "compare --levels 9"),
+    # slope-field: both formats, overflow grids, the node bound
+    ("slope-field-csv", "slope-field --nx 3 --nf 3"),
+    ("slope-field-json", "slope-field --nx 3 --nf 2 --format json --output field.json"),
+    ("slope-field-float-range", "slope-field --x-min=-1e308 --x-max=1e308 --nx 3 --nf 2"),
+    ("slope-field-beta-f-overflow",
+     "slope-field --beta 1e308 --x-max 1e308 --f-max 1e308 --nx 3 --nf 3"),
+    ("slope-field-too-many-nodes", "slope-field --nx 101 --nf 9901"),
+    ("slope-field-empty-grid", "slope-field --nx 0"),
+    # logistic: both formats, an overflowing range, a bad f0
+    ("logistic-csv", "logistic --h 0.5 --x-max 2"),
+    ("logistic-json", "logistic --method euler --h 1 --x-max 3 --f0 0.2 --format json"),
+    ("logistic-float-range", "logistic --x-max 1e308 --h 1e307"),
+    ("logistic-f0-out-of-range", "logistic --f0 1.5"),
+    # the parser: help of every command, no command, unknown input
+    ("help", "--help"),
+    ("help-eval", "eval --help"),
+    ("help-solve", "solve --help"),
+    ("help-series", "series -h"),
+    ("help-compare", "compare --help"),
+    ("help-slope-field", "slope-field --help"),
+    ("help-logistic", "logistic --help"),
+    ("no-command", ""),
+    ("unknown-command", "plot"),
+    ("unknown-option", "solve --h 0.5 --colour red"),
+]
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    """Every file under root, by its /-separated path relative to root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _run(args: list[str], out_dir_env: bool, work: Path):
+    env = dict(os.environ, COLUMNS="80")
+    env.pop("KAPPA_OUT_DIR", None)
+    if out_dir_env:
+        env["KAPPA_OUT_DIR"] = str(work / "out")
+    return subprocess.run(["kappamath", *args], cwd=work, env=env,
+                          capture_output=True, check=False)
+
+
+def main(argv: list[str]) -> int:
+    out = Path(argv[0]) if argv else HERE / "golden"
+    if shutil.which("kappamath") is None:
+        print("make_golden: no `kappamath` on PATH; install the package first",
+              file=sys.stderr)
+        return 1
+    if out.exists() and any(out.iterdir()) and not (out / "manifest.json").is_file():
+        print(f"make_golden: {out} holds no corpus; not replacing it", file=sys.stderr)
+        return 1
+    shutil.rmtree(out, ignore_errors=True)
+    manifest = []
+    for name, line, *flag in CASES:
+        args = line.split()
+        out_dir_env = flag[0] if flag else True
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            run = _run(args, out_dir_env, work)
+            written = files_under(work)
+        if run.returncode not in (0, 2, 3):  # not an exit code of kappamath
+            sys.stderr.buffer.write(run.stderr)
+            print(f"make_golden: case {name} exited {run.returncode}", file=sys.stderr)
+            return 1
+        case_dir = out / name
+        case_dir.mkdir(parents=True)
+        (case_dir / "stdout").write_bytes(run.stdout)
+        (case_dir / "stderr").write_bytes(run.stderr)
+        for path, data in written.items():
+            target = case_dir / "files" / path
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(data)
+        manifest.append({"name": name, "args": args, "kappa_out_dir": out_dir_env,
+                         "exit": run.returncode})
+    lines = ",\n".join(json.dumps(case) for case in manifest)
+    (out / "manifest.json").write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -51,6 +51,13 @@ def test_eval_kappa_out_of_range(capsys):
     assert "kappa out of range" in err
 
 
+def test_eval_kappa_not_a_number(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--fn", "exp", "--kappa", "abc", "--x", "1"])
+    assert exc.value.code == 2
+    assert "argument --kappa: need a finite number, got 'abc'" in capsys.readouterr().err
+
+
 def test_eval_arity_checks(capsys):
     rc, _, err = run(capsys, "eval", "--fn", "sum", "--kappa", "0.5", "--x", "1")
     assert rc == 2 and "--y" in err
@@ -393,6 +400,7 @@ def _tables(draw):
                 {"method": "rk4%s", "h": 0.01}), fmt="json")
 @example(table=(["x%", "f"], [(1.0, 2.0), (math.inf, math.nan)], {}), fmt="json")
 @example(table=(["x", "kappa"], [(1.0,), (math.nan,)], {"kappa": math.inf}), fmt="csv")
+@example(table=(["0", "NaN"], [], {"NaN": math.inf}), fmt="json")
 def test_table_writer_matches_reference_rendering(table, fmt):
     columns, rows, meta = table
     want, error = _reference_table(fmt, columns, rows, meta)

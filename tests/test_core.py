@@ -424,6 +424,13 @@ def test_quadrature_budget_exhaustion(monkeypatch):
         adaptive_quadrature(lambda x: math.sin(1e4 * x), 0.0, 1.0)
 
 
+def test_quadrature_cannot_split_a_panel():
+    # a singularity at 0.3 keeps the panels around it failing until one can
+    # no longer be halved in floating point
+    with pytest.raises(ConvergenceError, match="cannot split"):
+        adaptive_quadrature(lambda t: 1 / abs(t - 0.3) if t != 0.3 else 0.0, 0.0, 1.0)
+
+
 def test_floor_error_is_a_convergence_error():
     # the CLI's exit 3 catches the one type
     assert issubclass(FloorError, ConvergenceError)

@@ -1,0 +1,44 @@
+"""Replay the golden CLI corpus (tests/golden, made by tests/make_golden.py)
+in-process and compare every byte: stdout, stderr, exit code and each file
+written.  The corpus is the same on every supported Python."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from kappamath.cli import main
+from make_golden import files_under
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
+def test_cli_output_matches_golden_corpus(case, tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("COLUMNS", "80")
+    if case["kappa_out_dir"]:
+        monkeypatch.setenv("KAPPA_OUT_DIR", str(work / "out"))
+    else:
+        monkeypatch.delenv("KAPPA_OUT_DIR", raising=False)
+    try:
+        code = main(case["args"])
+    except SystemExit as exc:  # argparse: --help, usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    expected = GOLDEN / case["name"]
+    assert code == case["exit"]
+    assert out.encode() == (expected / "stdout").read_bytes()
+    assert err.encode() == (expected / "stderr").read_bytes()
+    files = expected / "files"
+    assert files_under(work) == (files_under(files) if files.is_dir() else {})
+
+
+def test_corpus_covers_every_command_and_exit_code():
+    commands = {case["args"][0] for case in CASES if case["args"]}
+    assert {"eval", "solve", "series", "compare", "slope-field", "logistic"} <= commands
+    assert {case["exit"] for case in CASES} == {0, 2, 3}
+    assert len({case["name"] for case in CASES}) == len(CASES)

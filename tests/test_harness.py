@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from kappamath import (
+    ConvergenceError,
     DecayProblem,
     DomainError,
     FloorError,
@@ -369,6 +370,15 @@ def test_picard_vs_series_agreement():
     # units of the order-6 remainder, measured at 2.2e-6
     rep5 = picard_vs_series(Kappa(0.9), 5, [0.2])
     assert rep5.pointwise_diffs[0] < 1e-5
+
+
+def test_series_comparisons_raise_where_both_values_overflow():
+    # at k = 0 both sides are inf at |x| = 1e100: their difference, nan, has
+    # no trustworthy finite value, so the point is named, not reported
+    with pytest.raises(ConvergenceError, match="x = 1e[+]100"):
+        picard_vs_series(Kappa(0.0), 8, [0.5, 1e100])
+    with pytest.raises(ConvergenceError, match="x = -1e[+]100"):
+        series_error_curve(Kappa(0.0), [8], [0.5, -1e100])
 
 
 @pytest.mark.parametrize("n", [21, -1])

@@ -115,6 +115,20 @@ def test_residual_of_closed_form_is_tiny():
         assert abs(residual_decay(p, f, dfdx, x)) < 1e-12
 
 
+def test_residual_is_inf_where_its_terms_overflow_with_opposite_signs():
+    # sqrt(1 + k^2 b^2 x^2) f' is 1e400 and beta f is -1e600: the residual,
+    # about -1e600, rounds to -inf, not to inf - inf
+    p = DecayProblem(Kappa(1e-300), beta=1e300, x_max=sys.float_info.max)
+    assert residual_decay(p, -1e300, 1e300, 1e100) == -math.inf
+
+
+def test_analytic_routes_refuse_points_outside_their_domain():
+    with pytest.raises(DomainError):
+        substitution_decay(decay(), -1.0)
+    with pytest.raises(DomainError):
+        logistic_closed_form(LogisticProblem(Kappa(0.5)), math.inf)
+
+
 def test_residual_flags_non_solutions():
     p = decay(beta=1.0)
     assert residual_decay(p, 1.0, 0.0, 0.0) == 1.0

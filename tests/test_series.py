@@ -213,6 +213,12 @@ def test_evaluate_series_examples():
     assert abs(val - math.e) < 1e-7
 
 
+def test_evaluate_series_needs_finite_x():
+    k = Kappa(0.5)
+    with pytest.raises(DomainError):
+        evaluate_series(decay_series_solution(k, 4), k, math.inf)
+
+
 COMPOSITION_KAPPAS = [i * 0.95 / 10 for i in range(-10, 11)] + [1e-300, -3e-5]
 
 
