@@ -10,15 +10,13 @@ Exit codes: 0 success, 2 usage, domain or output error, 3 numerical failure.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import re
 import sys
-from functools import partial
 from itertools import chain
 from operator import sub
+from types import SimpleNamespace
 
 from .core import (
     Kappa,
@@ -102,6 +100,8 @@ def _non_finite(v) -> ConvergenceError:
 
 
 def _json_text(obj) -> str:
+    import json
+
     try:
         return json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError:  # nan or inf, which JSON cannot represent
@@ -115,6 +115,8 @@ def _json_table(names, rows, key, meta) -> str:
     """The text of _json_text({**meta, key: [dict(zip(names, row)) for row in
     rows]}), with each row one `%` of a template built once per table: json
     writes a float as float.__repr__, which is %r."""
+    import json
+
     head = _json_text({**meta, key: []})
     rows = list(rows)
     if not rows:
@@ -152,30 +154,17 @@ def _finite_float(text: str) -> float:
     except ValueError:
         v = math.nan
     if not math.isfinite(v):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
     return v
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that takes a token such as -3.2e-05 for a negative
-    number, not an option.  Stock argparse recognises only -12 and -1.5, so
-    `--kappa -3.2e-05` would fail with "expected one argument"; subparsers
-    inherit this class.  A subparser made with `options`, a function that
-    adds its arguments, calls it the first time it is parsed: argparse
-    parses only the chosen command's subparser, so a run builds the options
-    of that command alone, and the top-level help and choices need none."""
-
-    def __init__(self, *args, options=None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-        self._options = options
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._options is not None:
-            add, self._options = self._options, None
-            add(self)
-        return super().parse_known_args(args, namespace)
+# A token such as -3.2e-05 is a negative number, not an option: stock
+# argparse recognises only -12 and -1.5, so `--kappa -3.2e-05` would fail
+# there with "expected one argument".  _build_parser and _parse_plain share
+# this pattern.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 # Each name table is also its option's choices.
@@ -220,11 +209,10 @@ _OPTIONS = {
 }
 
 
-def _add_options(flags: str, differs: dict, p) -> None:
-    """Add the options `flags`, in order, to p: each as its _OPTIONS spec
-    with the keywords in differs[flag] put over it."""
-    for flag in flags.split():
-        p.add_argument(flag, **{**_OPTIONS[flag], **differs.get(flag, {})})
+def _specs(flags: str, differs: dict) -> dict:
+    """Each of the options `flags`, in order, mapped to its _OPTIONS spec with
+    the keywords in differs[flag] put over it."""
+    return {flag: {**_OPTIONS[flag], **differs.get(flag, {})} for flag in flags.split()}
 
 
 def _cmd_eval(args) -> None:
@@ -336,19 +324,71 @@ _COMMANDS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that _build_parser().parse_args(argv) gives, for argv
+    in the plain grammar: a command name, then only that command's flags,
+    each as --flag=value or as --flag and a value that does not start with
+    '-' unless it is a negative number; each value converted by its
+    option's type and in its choices, a repeated flag's last value kept,
+    and every required flag given.  Anything else gives None: -h, --,
+    abbreviated or unknown flags, and every value argparse would refuse."""
+    for name, handler, _, flags, differs in _COMMANDS:
+        if argv[:1] == [name]:
+            break
+    else:
+        return None
+    specs = _specs(flags, differs)
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+                return None
+        spec = specs.get(flag)
+        # argparse drops a value "--" on some versions and keeps it on others
+        if spec is None or text == "--":
+            return None
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except Exception:  # argparse reports the failure as a usage error
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[flag] = value
+    if any(spec.get("required") and flag not in values for flag, spec in specs.items()):
+        return None
+    return SimpleNamespace(command=name, handler=handler, **{
+        flag[2:].replace("-", "_"): values.get(flag, spec.get("default"))
+        for flag, spec in specs.items()})
+
+
+def _build_parser():
+    """The argparse.ArgumentParser of the CLI.  main parses with it only
+    where _parse_plain gives None, so argparse is imported only to print
+    help or a usage error, or to parse a form outside the plain grammar,
+    such as an abbreviated flag.  Like _parse_plain, it takes a token such
+    as -3.2e-05 for a negative number."""
+    import argparse
+
+    ap = argparse.ArgumentParser(
         prog="kappamath",
         description="Deformed exponential mathematics and decay-equation toolkit")
+    ap._negative_number_matcher = _NEGATIVE_NUMBER
     sub = ap.add_subparsers(dest="command", required=True)
     for name, handler, help, flags, differs in _COMMANDS:
-        options = partial(_add_options, flags, differs)
-        sub.add_parser(name, help=help, options=options).set_defaults(handler=handler)
+        p = sub.add_parser(name, help=help)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        p.set_defaults(handler=handler)
+        for flag, spec in _specs(flags, differs).items():
+            p.add_argument(flag, **spec)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv) or _build_parser().parse_args(argv)
     try:
         args.handler(args)
     except (DomainError, OSError) as exc:  # OSError: an unwritable output

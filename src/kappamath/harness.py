@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from operator import attrgetter, mul, sub
 
-from .core import Kappa, Record, _ordered_sum, _scaled_arcsinh, kappa_exp
+from .core import Kappa, Record, _ordered_sum, kappa_exp
 from .errors import ConvergenceError, DomainError, FloorError
 from .ode import SOLVERS
 from .series import (
@@ -203,13 +203,18 @@ def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:
 
 def asymptote_check(k: Kappa, x: float) -> float:
     """Tail ratio exp_k(-x) * (2|k|x)^(1/|k|); tends to 1 as x -> inf.  Taken
-    as the exp of its log: at large x one factor underflows, the other overflows."""
+    as the exp of its log: at large x one factor underflows, the other
+    overflows.  With t = |k|x the log is (log 2t - arcsinh t)/|k|, which is
+    -log1p(1/(2t(t + hypot(1, t))))/|k|: no cancellation, which a tiny |k|
+    would magnify past the float range, and never positive."""
     if k.value == 0.0:
         raise DomainError("asymptote_check needs kappa != 0")
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive, got {x!r}")
     kk = abs(k.value)
-    return math.exp((math.log(2.0 * kk) + math.log(x)) / kk - _scaled_arcsinh(kk, x))
+    t = kk * x
+    d = 2.0 * t * (t + math.hypot(1.0, t))
+    return math.exp(-math.log1p(1.0 / d) / kk) if d else 0.0
 
 
 def picard_vs_series(k: Kappa, n: int, x_grid) -> PicardSeriesReport:

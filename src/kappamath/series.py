@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from operator import mul
 
 from .core import Kappa, Record, _ordered_sum, to_kappa_number
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "PowerSeries",
@@ -65,8 +65,7 @@ def series_truncate(c: Sequence[float], order: int) -> list[float]:
     return out
 
 
-def series_multiply(a: Sequence[float], b: Sequence[float], order: int) -> list[float]:
-    """Cauchy product truncated at the given order."""
+def _cauchy(a: Sequence[float], b: Sequence[float], order: int) -> list[float]:
     out = [0.0] * (order + 1)
     for i, ai in enumerate(a[: order + 1]):
         if ai == 0.0:
@@ -76,14 +75,31 @@ def series_multiply(a: Sequence[float], b: Sequence[float], order: int) -> list[
     return out
 
 
+def _trustworthy(coeffs: list[float]) -> list[float]:
+    """coeffs, or ConvergenceError naming the first that is nan: from finite
+    arguments, a coefficient whose terms overflow with both signs, or whose
+    overflowed term meets an exact zero."""
+    for i, c in enumerate(coeffs):
+        if math.isnan(c):
+            raise ConvergenceError(f"series coefficient {i} overflows with both signs")
+    return coeffs
+
+
+def series_multiply(a: Sequence[float], b: Sequence[float], order: int) -> list[float]:
+    """Cauchy product truncated at the given order; ConvergenceError where a
+    coefficient's terms overflow with both signs."""
+    return _trustworthy(_cauchy(a, b, order))
+
+
 def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -> list[float]:
     """Composition outer(inner(v)) truncated at the given order.
 
     The inner series must have zero constant term, otherwise truncation
     would not commute with composition.  It is the sum of outer[j] * inner^j
-    with the power kept running: inner^j starts at order j, so the zero skip
-    in series_multiply prunes its leading zeros and the cost is about
-    order^3/6 multiply-adds.
+    over the nonzero outer[j], with the power kept running: inner^j starts
+    at order j, so the zero skip in the Cauchy product prunes its leading
+    zeros and the cost is about order^3/6 multiply-adds.  ConvergenceError
+    where a coefficient's terms overflow with both signs.
     """
     inner = series_truncate(inner, order)
     if inner[0] != 0.0:
@@ -91,10 +107,12 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
     out = [0.0] * (order + 1)
     power = [1.0] + [0.0] * order
     for j, cj in enumerate(outer[: order + 1]):
-        for i in range(j, order + 1):
-            out[i] += cj * power[i]
-        power = series_multiply(power, inner, order)
-    return out
+        if j:
+            power = _cauchy(power, inner, order)
+        if cj != 0.0:
+            for i in range(j, order + 1):
+                out[i] += cj * power[i]
+    return _trustworthy(out)
 
 
 def _coordinate_series(k: Kappa, order: int) -> list[float]:

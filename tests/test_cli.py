@@ -23,7 +23,16 @@ from kappamath import (
     kappa_exp,
     to_kappa_number,
 )
-from kappamath.cli import _build_parser, _linspace, _write_table, main
+from kappamath.cli import (
+    _COMMANDS,
+    _OPTIONS,
+    _build_parser,
+    _linspace,
+    _parse_plain,
+    _specs,
+    _write_table,
+    main,
+)
 from kappamath.ode import MAX_POINTS, SOLVERS
 
 
@@ -117,9 +126,12 @@ def test_command_help_and_defaults(capsys, command):
     required, want = CLI_DEFAULTS[command]
     for dest in want:
         assert f" --{dest.replace('_', '-')} " in help_text, dest
-    args = vars(_build_parser().parse_args([command, *required]))
-    assert args.pop("command") == command and callable(args.pop("handler"))
-    assert args == want
+    # argparse and the plain-grammar parser give the same defaults
+    for args in (_build_parser().parse_args([command, *required]),
+                 _parse_plain([command, *required])):
+        args = vars(args)
+        assert args.pop("command") == command and callable(args.pop("handler"))
+        assert args == want
     for i in range(0, len(required), 2):  # each required option stays required
         with pytest.raises(SystemExit) as exc:
             main([command, *required[:i], *required[i + 2:]])
@@ -199,7 +211,6 @@ def test_option_specs_every_command():
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(OPTION_SPECS)
     for command, want in OPTION_SPECS.items():
-        ap.parse_args([command, *CLI_DEFAULTS[command][0]])  # builds its options
         got = [(a.option_strings, a.dest, a.default, getattr(a.type, "__name__", None),
                 None if a.choices is None else list(a.choices), a.required, a.help)
                for a in sub.choices[command]._actions
@@ -219,8 +230,6 @@ COMMAND_HELP = {
 
 
 def test_top_level_help_and_unknown_command_name_every_command(capsys):
-    # a command's options are built only when it is parsed; the top level
-    # still knows every command
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
@@ -249,6 +258,60 @@ def test_one_parser_parses_different_commands_in_turn():
     assert exc.value.code == 2
 
 
+_JUNK_TOKENS = ["", " ", "-", "--", "-h", "--help", "--kap", "--x", "--bogus", "-3.2e-05",
+                "-.5E+0", "-1e2", "-1", "1e400", "nan", "-inf", "abc", "a=b", "-x y"]
+
+
+@st.composite
+def _argv(draw):
+    """A command and its flags with values of their types and choices, each
+    as --flag=value or --flag value, and about one token in ten junk: argv
+    now in the plain grammar and now only in argparse's."""
+    name, _, _, flags, differs = draw(st.sampled_from(_COMMANDS))
+    specs = _specs(flags, differs)
+    junk = st.sampled_from(_JUNK_TOKENS) | st.text(max_size=3)
+
+    def pick(good, bad):
+        return draw(bad if draw(st.integers(0, 9)) == 0 else good)
+
+    argv = [pick(st.just(name), junk)]
+    required = [f for f, spec in specs.items() if spec.get("required")]
+    drawn = draw(st.lists(st.sampled_from(list(specs)), max_size=6))
+    for flag in draw(st.permutations(required + drawn)):
+        flag = pick(st.just(flag), st.sampled_from(sorted(_OPTIONS)) | junk)
+        spec = specs.get(flag, _OPTIONS.get(flag, {}))
+        if "choices" in spec:
+            value = st.sampled_from(sorted(spec["choices"]))
+        elif spec.get("type") is int:
+            value = st.integers(-5, 30).map(str)
+        elif "type" in spec:
+            value = st.floats(-2.0, 2.0).map(repr) | st.floats().map(repr)
+        else:
+            value = st.sampled_from(["out.csv", "csv", "euler,rk4", ".", "-out"])
+        tokens = [flag, pick(value, junk)]
+        argv += ["=".join(tokens)] if draw(st.booleans()) else tokens
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argv())
+@example(argv=["slope-field", "--output=--"])
+@example(argv=["solve", "--kappa", "-3.2e-05"])
+@example(argv=["solve", "--kap", "0.5"])
+@example(argv=["eval", "--fn", "exp", "--kappa=0.5", "--x", "1", "--x=-2"])
+@example(argv=["solve", "--output", "-"])
+def test_plain_grammar_parses_as_argparse(argv):
+    # wherever the plain-grammar parser accepts argv, argparse gives the
+    # same namespace; elsewhere argparse alone parses or reports it
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            want = vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            want = None
+    got = _parse_plain(argv)
+    assert got is None or vars(got) == want, argv
+
+
 def test_eval_sum_of_inverses_near_the_float_maximum(capsys):
     # x (+) -x = 0, though both terms of the direct form overflow
     rc, out, err = run(capsys, "eval", "--fn", "sum", "--kappa", "0.5",
@@ -268,6 +331,10 @@ def test_float_options_accept_negative_exponent_notation(capsys):
                      "--method", "analytic", "--h", "0.5", "--x-max", "1")
     assert rc == 0
     assert out.split("\n")[1].split(",")[:2] == ["0", "-0.25"]
+    # argparse, which parses the abbreviation, takes the same negative number
+    rc, abbreviated, _ = run(capsys, "solve", "--kap", "-1e-3", "--beta", "2", "--f0=-2.5e-1",
+                             "--method", "analytic", "--h", "0.5", "--x-max", "1")
+    assert rc == 0 and abbreviated == out
     # still a usage error: not a number, or a float given to an int option
     with pytest.raises(SystemExit) as exc:
         run(capsys, "eval", "--fn", "exp", "--kappa", "-3.2e-05x", "--x", "1")
@@ -773,9 +840,11 @@ def test_cli_exit_codes_and_no_nan(command):
 def test_runtime_imports_without_numpy(tmp_path):
     # the package uses none of these modules, numpy included: the package
     # and the CLI, file output included, run with them blocked (an import of
-    # a module set to None in sys.modules raises)
+    # a module set to None in sys.modules raises); a CSV or eval command in
+    # the plain grammar needs neither argparse, with its gettext and locale,
+    # nor json
     blocked = ["numpy", "dataclasses", "inspect", "typing", "tempfile", "pathlib",
-               "fractions", "decimal", "numbers"]
+               "fractions", "decimal", "numbers", "argparse", "gettext", "locale", "json"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = tmp_path / "sub" / "trace.csv"
     code = ("import sys\n"

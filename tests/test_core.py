@@ -8,9 +8,10 @@ import sys
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kappamath
 from kappamath import (
     ConvergenceError,
     DecayProblem,
@@ -277,6 +278,178 @@ def test_kernels_return_a_number_or_raise_domain_error(name):
             if type(v) is not float or math.isnan(v):
                 bad.append((kv, args, v))
     assert not bad, f"{len(bad)} failures, first {bad[:5]}"
+
+
+# Every public name that takes a float, called on arbitrary finite floats,
+# subnormals and the float maximum included: each entry draws the arguments
+# and makes the call of them (kappa first, a problem from its fields, a
+# series from its coefficients).  A name that takes no float, or takes only
+# what the library built, is listed apart, so a new public name must go in
+# one table or the other.
+PUBLIC_NAMES = {n for m in ("core", "errors", "harness", "ode", "series")
+                for n in importlib.import_module(f"kappamath.{m}").__all__}
+NO_FLOAT_ARGUMENT = {"DomainError", "ConvergenceError", "FloorError", "ErrorReport",
+                     "ConvergenceReport", "SeriesErrorCurve", "PicardSeriesReport",
+                     "SolutionTrace", "SOLVERS", "MAX_LEVELS", "MAX_ORDER", "MAX_POINTS",
+                     "ROUNDOFF_FLOOR", "fit_ladder"}
+ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max])
+KAPPA_FLOAT = ANY_FLOAT | st.floats(-1.0, 1.0)
+FLOAT_LISTS = st.lists(ANY_FLOAT, min_size=1, max_size=4)
+ORDERS = st.integers(0, 12)
+# (constructor, its float arguments); the problem is built inside the call
+_DECAY = st.tuples(st.just(DecayProblem), st.tuples(KAPPA_FLOAT, *[ANY_FLOAT] * 3))
+_LOGISTIC = st.tuples(st.just(LogisticProblem), st.tuples(KAPPA_FLOAT, *[ANY_FLOAT] * 2))
+PROBLEMS = _DECAY | _LOGISTIC
+
+
+def _problem(made):
+    make, (kv, *fields) = made
+    return make(Kappa(kv), *fields)
+
+
+def _few_steps(made, h, levels=1):
+    """False for a valid grid of more than 256 steps at its finest level
+    (the span is at most 2 x_max): a larger grid takes the same code path,
+    only for longer."""
+    steps = abs(2.0 * made[1][-1] / h) if h else math.inf
+    return not (256 < steps * 2 ** (levels - 1) and steps < kappamath.MAX_POINTS)
+
+
+def _integrand(t):
+    return 1.0 / math.hypot(1.0, t)
+
+
+def _on_kappa(fn):
+    return lambda kv, *args: fn(Kappa(kv), *args)
+
+
+def _on_problem(fn):
+    return lambda made, *args: fn(_problem(made), *args)
+
+
+_METHODS = st.sampled_from(["euler", "ab2", "rk4"])
+
+# name: (strategy of the argument tuple, the call, examples that must hold)
+FLOAT_CALLS = {
+    "Kappa": (st.tuples(KAPPA_FLOAT), Kappa, []),
+    **{name: (st.tuples(KAPPA_FLOAT, ANY_FLOAT), _on_kappa(getattr(kappamath, name)), [])
+       for name in ("kappa_exp", "kappa_ln", "to_kappa_number", "from_kappa_number",
+                    "differential_weight")},
+    # at a tiny kappa the log of the ratio once cancelled past the float range
+    "asymptote_check": (st.tuples(KAPPA_FLOAT, ANY_FLOAT), _on_kappa(asymptote_check),
+                        [(5.04318622038353e-270, sys.float_info.max)]),
+    **{name: (st.tuples(KAPPA_FLOAT, ANY_FLOAT, ANY_FLOAT),
+              _on_kappa(getattr(kappamath, name)), [])
+       for name in ("kappa_sum", "kappa_product")},
+    "kappa_product_identity": (st.tuples(KAPPA_FLOAT), _on_kappa(kappa_product_identity), []),
+    "adaptive_quadrature": (st.tuples(ANY_FLOAT, ANY_FLOAT),
+                            lambda a, b: adaptive_quadrature(_integrand, a, b), []),
+    "kappa_integral": (st.tuples(KAPPA_FLOAT, ANY_FLOAT, ANY_FLOAT),
+                       lambda kv, a, b: kappa_integral(Kappa(kv), _integrand, a, b), []),
+    "DecayProblem": (st.tuples(KAPPA_FLOAT, *[ANY_FLOAT] * 3), _on_kappa(DecayProblem), []),
+    "LogisticProblem": (st.tuples(KAPPA_FLOAT, *[ANY_FLOAT] * 2),
+                        _on_kappa(LogisticProblem), []),
+    **{name: (st.tuples(_DECAY, ANY_FLOAT), _on_problem(getattr(kappamath, name)), [])
+       for name in ("closed_form_decay", "quadrature_decay", "substitution_decay")},
+    "residual_decay": (
+        st.tuples(_DECAY, *[ANY_FLOAT] * 3), _on_problem(kappamath.residual_decay),
+        # beta*f and hypot(1/beta, kappa x)*f' overflow with opposite signs
+        [((DecayProblem, (1e-300, 1e300, 1.0, sys.float_info.max)), -1e300, 1e300, 1e100)]),
+    **{name: (st.tuples(_LOGISTIC, ANY_FLOAT), _on_problem(getattr(kappamath, name)), [])
+       for name in ("logistic_closed_form", "logistic_residual")},
+    "slope_field": (st.tuples(PROBLEMS, FLOAT_LISTS, FLOAT_LISTS),
+                    _on_problem(kappamath.slope_field), []),
+    **{name: (st.tuples(PROBLEMS, ANY_FLOAT).filter(lambda a: _few_steps(*a)),
+              _on_problem(getattr(kappamath, name)), [])
+       for name in ("euler_solve", "ab2_solve", "rk4_solve", "analytic_trace")},
+    "error_table": (st.tuples(PROBLEMS, ANY_FLOAT).filter(lambda a: _few_steps(*a)),
+                    lambda made, h: error_table(_problem(made), ["euler", "ab2", "rk4"], h),
+                    []),
+    "error_ladder": (
+        st.tuples(PROBLEMS, ANY_FLOAT, st.integers(1, 3), _METHODS)
+        .filter(lambda a: _few_steps(*a[:3])),
+        lambda made, h, levels, m: list(kappamath.error_ladder(_problem(made), m, h, levels)),
+        []),
+    "convergence_order": (
+        st.tuples(PROBLEMS, ANY_FLOAT, st.integers(1, 3), _METHODS)
+        .filter(lambda a: _few_steps(*a[:3])),
+        lambda made, h, levels, m: convergence_order(_problem(made), m, h, levels), []),
+    "series_error_curve": (
+        st.tuples(KAPPA_FLOAT, st.lists(ORDERS, min_size=1, max_size=3), FLOAT_LISTS),
+        _on_kappa(series_error_curve),
+        # the series and exp_0(1e100) are both inf
+        [(0.0, [8], [-1e100])]),
+    "picard_vs_series": (
+        st.tuples(KAPPA_FLOAT, ORDERS, FLOAT_LISTS), _on_kappa(picard_vs_series),
+        # both routes are inf
+        [(0.0, 8, [1e100])]),
+    "PowerSeries": (st.tuples(st.sampled_from("xu"), FLOAT_LISTS), PowerSeries, []),
+    "series_truncate": (st.tuples(FLOAT_LISTS, ORDERS), kappamath.series_truncate, []),
+    # terms that overflow with both signs, and a zero times an overflowed power
+    "series_multiply": (st.tuples(FLOAT_LISTS, FLOAT_LISTS, ORDERS),
+                        kappamath.series_multiply, [([1e300, 1e300], [1e300, -1e300], 1)]),
+    "series_compose": (st.tuples(FLOAT_LISTS, FLOAT_LISTS.map(lambda c: [0.0, *c]), ORDERS),
+                       kappamath.series_compose,
+                       [([1e300, 1e300, 1e300], [0.0, 1e300, -1e300], 2),
+                        ([1.0, 0.0, 0.0, 1.0], [0.0, 1e200], 3)]),
+    **{name: (st.tuples(KAPPA_FLOAT, ORDERS), _on_kappa(getattr(kappamath, name)), [])
+       for name in ("exp_kappa_taylor", "ln_kappa_shifted_taylor", "sqrt_weight_series",
+                    "decay_series_solution", "picard_iterate")},
+    "picard_iterate_in_x": (
+        st.tuples(KAPPA_FLOAT, ORDERS, ORDERS),
+        lambda kv, n, order: kappamath.picard_iterate_in_x(
+            kappamath.picard_iterate(Kappa(kv), n), Kappa(kv), order), []),
+    "evaluate_series": (
+        st.tuples(st.sampled_from("xu"), FLOAT_LISTS, KAPPA_FLOAT, ANY_FLOAT),
+        lambda var, c, kv, x: kappamath.evaluate_series(PowerSeries(var, c), Kappa(kv), x),
+        []),
+}
+
+
+def _floats_in(v):
+    """Every float in a result: itself, or the floats in its items or fields."""
+    if isinstance(v, float):
+        yield v
+    elif isinstance(v, (tuple, list)):
+        for item in v:
+            yield from _floats_in(item)
+    elif hasattr(v, "__slots__"):
+        for name in type(v).__slots__:
+            yield from _floats_in(getattr(v, name))
+
+
+# A step whose terms overflow with both signs gives nan: the explicit
+# steppers return it in the trace and the ladders carry it into max_error,
+# as README documents, and the CLI exits 3 on either.  These names are held
+# to the rest of the contract.
+NAN_AFTER_OVERFLOW = {"euler_solve", "ab2_solve", "rk4_solve", "error_table", "error_ladder",
+                      "convergence_order"}
+
+
+def test_every_public_name_is_in_one_table():
+    assert not set(FLOAT_CALLS) & NO_FLOAT_ARGUMENT
+    assert set(FLOAT_CALLS) | NO_FLOAT_ARGUMENT == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CALLS))
+def test_public_names_give_a_number_or_raise_on_any_float(name):
+    # for finite arguments: a number, a signed inf (the correctly rounded
+    # value of an overflow), DomainError or ConvergenceError; never nan,
+    # never another exception
+    args_strategy, call, examples = FLOAT_CALLS[name]
+
+    def check(args):
+        try:
+            result = call(*args)
+        except (DomainError, ConvergenceError):
+            return
+        if name not in NAN_AFTER_OVERFLOW:
+            assert not any(map(math.isnan, _floats_in(result))), (args, result)
+
+    for args in examples:
+        check = example(args)(check)
+    settings(max_examples=60, deadline=None)(given(args_strategy)(check))()
 
 
 # 50-digit references of the defining closed forms; k = 0 is the classical limit.
