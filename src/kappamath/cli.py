@@ -47,18 +47,6 @@ from .series import (
 __all__ = ["main", "entrypoint"]
 
 
-def _fmt(v: float) -> str:
-    # The nan and non-finite checks of the output, one each: _fmt for a
-    # printed value and a fixed CSV cell, _csv for the other CSV cells, both
-    # nan only (inf stays a documented result, e.g. an overflowing
-    # kappa_product); _json_text for a JSON document and _json_table for
-    # the rows of a table, both any non-finite value.
-    v = float(v)
-    if math.isnan(v):
-        raise ConvergenceError("result is nan")
-    return format(v, ".17g")
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -81,17 +69,14 @@ def _csv(columns, rows, **fixed) -> str:
     """CSV text: the header `columns`, then one line per row.  A column named
     in `fixed` holds that value on every line; each row is a tuple of the
     values of the other columns, in order.  Every line is one `%` of a
-    template built once per table: the fixed cells rendered by _fmt (a str
-    as it is), and %.17g, the text of format(v, ".17g"), in each other
-    column."""
+    template built once per table, each number as %.17g, the text of
+    format(v, ".17g"): a fixed cell rendered once (a str as it is), and the
+    other columns by the template."""
     template = ",".join(
         "%.17g" if c not in fixed
         else fixed[c].replace("%", "%%") if isinstance(fixed[c], str)
-        else _fmt(fixed[c])
+        else "%.17g" % fixed[c]
         for c in columns)
-    rows = list(rows)
-    if any(map(math.isnan, chain.from_iterable(rows))):
-        raise ConvergenceError("result is nan")
     return "\n".join([",".join(columns), *map(template.__mod__, rows)]) + "\n"
 
 
@@ -223,7 +208,7 @@ def _cmd_eval(args) -> None:
         raise DomainError(f"--fn {args.fn} needs --y")
     if not two_arg and args.y is not None:
         raise DomainError(f"--fn {args.fn} takes only --x")
-    print(_fmt(fn(k, args.x, args.y) if two_arg else fn(k, args.x)))
+    print("%.17g" % (fn(k, args.x, args.y) if two_arg else fn(k, args.x)))
 
 
 def _cmd_solve(args) -> None:
@@ -259,8 +244,7 @@ def _cmd_compare(args) -> None:
                                 "rms_error": r.rms_error} for r in reports]
         summary["fitted_orders"][method] = list(fit.fitted_orders)
         summary["hit_floor"][method] = fit.hit_floor
-    # Rendered before any file is written: every abs_error enters an
-    # rms_error, so a nan in a CSV makes the summary fail here first.
+    # Rendered first: a non-finite error fails it before any file is written.
     summary_text = _json_text(summary)
     for method, reports in ladders.items():
         for i, r in enumerate(reports):
@@ -369,10 +353,20 @@ def _build_parser():
     where _parse_plain gives None, so argparse is imported only to print
     help or a usage error, or to parse a form outside the plain grammar,
     such as an abbreviated flag.  Like _parse_plain, it takes a token such
-    as -3.2e-05 for a negative number."""
+    as -3.2e-05 for a negative number, and it refuses a value "--"."""
     import argparse
 
-    ap = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # the class of every subparser too
+        def parse_known_args(self, args=None, namespace=None):
+            # a value "--" ends the options: Python 3.10 to 3.12 store [] for
+            # it and 3.13 keeps "--"; either is one usage error on every version
+            args, extras = super().parse_known_args(args, namespace)
+            for dest, value in vars(args).items():
+                if value in ([], "--"):
+                    self.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+            return args, extras
+
+    ap = Parser(
         prog="kappamath",
         description="Deformed exponential mathematics and decay-equation toolkit")
     ap._negative_number_matcher = _NEGATIVE_NUMBER

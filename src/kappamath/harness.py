@@ -134,9 +134,7 @@ def error_ladder(p, method: str, h0: float, levels: int):
         errors = tuple(map(abs, map(sub, trace.fs, _exact_values(p, xs))))
         del trace
         rms = math.sqrt(_ordered_sum(map(mul, errors, errors)) / len(errors))
-        # max() skips a nan that follows a number; the rms is nan exactly
-        # when some error is, so it carries the nan into max_error.
-        err = rms if math.isnan(rms) else max(errors)
+        err = max(errors)
         if rms == math.inf and err < math.inf:
             # finite errors above about 1e154 overflow their squares
             rms = err * math.sqrt(_ordered_sum((e / err) ** 2 for e in errors) / len(errors))

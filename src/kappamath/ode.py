@@ -15,7 +15,7 @@ import sys
 
 from .core import (Kappa, Record, _scaled_arcsinh, adaptive_quadrature,
                    differential_weight, kappa_exp)
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "MAX_POINTS",
@@ -126,10 +126,6 @@ class SolutionTrace(Record):
 
     __slots__ = ("method", "h", "xs", "fs")
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.xs, self.fs))
-
 
 def closed_form_decay(p: DecayProblem, x: float) -> float:
     """f0 * exp_k(-beta x), and its limit 0 where beta x overflows to inf."""
@@ -222,6 +218,16 @@ def _rk4_values(rhs, xs, f: float, h: float) -> list[float]:
     return fs
 
 
+def _stepped(method: str, h: float, xs, fs) -> SolutionTrace:
+    """The trace of a stepper, or ConvergenceError naming the first x whose
+    value is nan, where a step's terms overflow with both signs.  Each update
+    is f + h * (...), so a nan stays to the end: the last value decides."""
+    if math.isnan(fs[-1]):
+        x = next(x for x, f in zip(xs, fs) if math.isnan(f))
+        raise ConvergenceError(f"{method}: the step to x = {x!r} overflows with both signs")
+    return SolutionTrace(method, h, tuple(xs), tuple(fs))
+
+
 def euler_solve(p, h: float) -> SolutionTrace:
     """Forward Euler: f_{n+1} = f_n + h G(x_n, f_n)."""
     xs = _grid(p, h)
@@ -232,7 +238,7 @@ def euler_solve(p, h: float) -> SolutionTrace:
     for x in xs[:-1]:
         f = f + h * rhs(x, f)
         append(f)
-    return SolutionTrace("euler", h, tuple(xs), tuple(fs))
+    return _stepped("euler", h, xs, fs)
 
 
 def ab2_solve(p, h: float) -> SolutionTrace:
@@ -250,14 +256,13 @@ def ab2_solve(p, h: float) -> SolutionTrace:
         f = f + h * (3.0 * g - g_prev) / 2.0
         append(f)
         g_prev = g
-    return SolutionTrace("ab2", h, tuple(xs), tuple(fs))
+    return _stepped("ab2", h, xs, fs)
 
 
 def rk4_solve(p, h: float) -> SolutionTrace:
     """Classical four-stage fourth-order Runge-Kutta."""
     xs = _grid(p, h)
-    fs = _rk4_values(p.rhs, xs, p.initial_value, h)
-    return SolutionTrace("rk4", h, tuple(xs), tuple(fs))
+    return _stepped("rk4", h, xs, _rk4_values(p.rhs, xs, p.initial_value, h))
 
 
 SOLVERS = {"euler": euler_solve, "ab2": ab2_solve, "rk4": rk4_solve}

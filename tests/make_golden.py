@@ -69,6 +69,8 @@ CASES = [
     ("solve-nan-csv", "solve --method rk4 --beta 1e300 --kappa 0 --h 1 --x-max 3"),
     ("solve-inf-json",
      "solve --method euler --beta 100 --kappa 0 --h 1 --x-max 200 --format json"),
+    ("solve-minus-inf-json",
+     "solve --method euler --beta 100 --kappa 0 --h 1 --x-max 155 --format json"),
     ("solve-bad-method", "solve --method heun"),
     # series: every target; exp is the recurrence with the float sums
     ("series-exp", "series --target exp --order 16"),
@@ -116,6 +118,11 @@ CASES = [
     ("no-command", ""),
     ("unknown-command", "plot"),
     ("unknown-option", "solve --h 0.5 --colour red"),
+    # a value "--", which argparse reads as the end of options
+    ("output-dashes", "slope-field --nx 2 --nf 2 --output=--"),
+    ("output-abbreviated-dashes", "slope-field --nx 2 --nf 2 --out=--"),
+    ("out-dir-dashes", "compare --out-dir=--"),
+    ("methods-dashes", "compare --methods=--"),
 ]
 
 

@@ -153,7 +153,7 @@ def test_criterion_08_logistic():
         ok &= all(abs(logistic_residual(lp, x)) < 1e-10
                   for x in linspace(-5.0, 5.0, 201))
         tr = rk4_solve(lp, 0.01)
-        err = max(abs(f - logistic_closed_form(lp, x)) for x, f in tr.samples)
+        err = max(abs(f - logistic_closed_form(lp, x)) for x, f in zip(tr.xs, tr.fs))
         ok &= err < 1e-8
     check(8, "logistic closed form solves its equation and rk4 tracks it", ok)
 

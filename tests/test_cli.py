@@ -310,6 +310,8 @@ def test_plain_grammar_parses_as_argparse(argv):
             want = None
     got = _parse_plain(argv)
     assert got is None or vars(got) == want, argv
+    # a value "--" is a usage error for both, on every Python version
+    assert want is None or not any(v in ([], "--") for v in want.values()), argv
 
 
 def test_eval_sum_of_inverses_near_the_float_maximum(capsys):
@@ -426,8 +428,6 @@ def _reference_table(fmt, columns, rows, meta):
     values = [*meta.values(), *(v for row in rows for v in row)]
     floats = [v for v in values if not isinstance(v, str)]
     if fmt == "csv":
-        if any(math.isnan(v) for v in floats):
-            return None, "result is nan"
         tail = [meta[c] for c in columns[len(columns) - len(meta):]]
         lines = [",".join(columns)] + [
             ",".join(v if isinstance(v, str) else format(v, ".17g") for v in [*row, *tail])
@@ -466,7 +466,6 @@ def _tables(draw):
 @example(table=(["x%", "f", "method", "h"], [(-0.0, 5e-324), (1.7976931348623157e308, 0.1)],
                 {"method": "rk4%s", "h": 0.01}), fmt="json")
 @example(table=(["x%", "f"], [(1.0, 2.0), (math.inf, math.nan)], {}), fmt="json")
-@example(table=(["x", "kappa"], [(1.0,), (math.nan,)], {"kappa": math.inf}), fmt="csv")
 @example(table=(["0", "NaN"], [], {"NaN": math.inf}), fmt="json")
 def test_table_writer_matches_reference_rendering(table, fmt):
     columns, rows, meta = table
@@ -710,12 +709,12 @@ def test_nan_output_is_numerical_failure(capsys, tmp_path, fmt):
 
 
 def test_compare_names_non_finite_error(capsys, tmp_path):
-    # rk4 blows up to nan after its first step: a numerical failure that says
-    # so, not a FloorError from the 0.0 error at x = 0
+    # rk4's first step overflows with both signs: a numerical failure that
+    # says so, not a FloorError from the 0.0 error at x = 0
     rc, _, err = run(capsys, "compare", "--beta", "1e308", "--methods", "rk4", "--h", "0.5",
                      "--x-max", "2", "--levels", "2", "--out-dir", str(tmp_path))
     assert rc == 3
-    assert "non-finite value nan" in err and "floor" not in err
+    assert "rk4: the step to x = 0.5 overflows with both signs" in err and "floor" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -66,11 +66,11 @@ def test_convergence_orders(method, expected, tol):
     assert all(abs(o - expected) <= tol for o in rep.fitted_orders)
 
 
-def test_error_table_max_error_keeps_nan():
-    # rk4 blows up after the first step; max() alone would report the 0.0 of x = 0
-    report, = error_table(decay(0.5, beta=1e308, x_max=2.0), ["rk4"], 0.5)
-    assert report.abs_errors[0] == 0.0 and math.isnan(report.abs_errors[1])
-    assert math.isnan(report.max_error) and math.isnan(report.rms_error)
+def test_error_table_raises_where_a_step_overflows():
+    # rk4's first step overflows with both signs: a numerical failure that
+    # names x, not a report whose max error is the 0.0 of x = 0
+    with pytest.raises(ConvergenceError, match="rk4: the step to x = 0.5 "):
+        error_table(decay(0.5, beta=1e308, x_max=2.0), ["rk4"], 0.5)
 
 
 def test_error_table_rms_of_huge_finite_errors():

@@ -1,10 +1,12 @@
 import math
+import re
 import sys
 
 import pytest
 
 from kappamath import ode
 from kappamath import (
+    ConvergenceError,
     DecayProblem,
     DomainError,
     Kappa,
@@ -244,10 +246,14 @@ def test_grid_drops_a_last_point_that_overflows():
     p = decay(0.5, x_max=1.7976931348623157e308)
     for solver in (euler_solve, rk4_solve, analytic_trace):
         assert solver(p, h).xs == (0.0, h)
-    # 3 h as well, and then two steps remain for ab2; on the logistic grid
-    # it is the sixth point, 6 h - x_max
+    # 3 h as well, and then two steps remain for ab2, whose second step, as
+    # rk4's, overflows with both signs; on the logistic grid it is the sixth
+    # point, 6 h - x_max
     h = 5.992310450140284e307
-    assert rk4_solve(p, h).xs == ab2_solve(p, h).xs == (0.0, h, 2.0 * h)
+    assert analytic_trace(p, h).xs == (0.0, h, 2.0 * h)
+    for solver in (rk4_solve, ab2_solve):
+        with pytest.raises(ConvergenceError, match=re.escape(f"x = {2.0 * h!r} ")):
+            solver(p, h)
     lp = LogisticProblem(Kappa(0.5), x_max=1.7976931348623157e308)
     xs = rk4_solve(lp, h).xs
     assert len(xs) == 6 and all(math.isfinite(x) for x in xs)
@@ -278,7 +284,7 @@ def test_euler_accuracy_and_first_order_scaling():
     p = decay(0.9, x_max=5.0)
     def max_err(h):
         tr = euler_solve(p, h)
-        return max(abs(f - closed_form_decay(p, x)) for x, f in tr.samples)
+        return max(abs(f - closed_form_decay(p, x)) for x, f in zip(tr.xs, tr.fs))
     e1 = max_err(0.01)
     assert abs(euler_solve(p, 0.01).fs[-1] - closed_form_decay(p, 5.0)) < 0.02 * closed_form_decay(p, 5.0) + 1e-3
     ratio = max_err(0.02) / e1
@@ -301,7 +307,7 @@ def test_ab2_second_order_scaling():
     p = decay(0.9, x_max=5.0)
     def max_err(h):
         tr = ab2_solve(p, h)
-        return max(abs(f - closed_form_decay(p, x)) for x, f in tr.samples)
+        return max(abs(f - closed_form_decay(p, x)) for x, f in zip(tr.xs, tr.fs))
     ratio = max_err(0.02) / max_err(0.01)
     assert 3.2 < ratio < 4.8  # order 2 within +-20%
 
@@ -317,7 +323,7 @@ def test_rk4_fourth_order_scaling():
     p = decay(0.9, x_max=5.0)
     def max_err(h):
         tr = rk4_solve(p, h)
-        return max(abs(f - closed_form_decay(p, x)) for x, f in tr.samples)
+        return max(abs(f - closed_form_decay(p, x)) for x, f in zip(tr.xs, tr.fs))
     ratio = max_err(0.02) / max_err(0.01)
     assert 12.0 < ratio < 20.0  # order 4 within +-25%
 
@@ -392,15 +398,21 @@ ORACLE_PROBLEMS = (
 @pytest.mark.parametrize("cls,k,arg", ORACLE_PROBLEMS)
 def test_solvers_match_textbook_oracles(solver, oracle, calls_per_step,
                                         extra_calls, h, cls, k, arg):
-    # repr compares bit for bit and lets the nan of an overflowing trace
-    # (beta = 1e300 at kappa = 0) equal itself
     p, calls = counting(cls, k, arg, x_max=2.0)
-    tr = solver(p, h)
-    n = len(tr.xs) - 1
-    assert tr.xs == tuple(p.x_start + i * h for i in range(n + 1))
-    assert len(calls) == calls_per_step * n + extra_calls
+    xs = analytic_trace(p, h).xs  # the steppers' grid
+    n = len(xs) - 1
+    assert xs == tuple(p.x_start + i * h for i in range(n + 1))
     q, oracle_calls = counting(cls, k, arg, x_max=2.0)
-    assert repr(tr.fs) == repr(tuple(oracle(q, tr.xs, h)))
+    want = tuple(oracle(q, xs, h))
+    nan_at = [x for x, f in zip(xs, want) if math.isnan(f)]
+    if nan_at:  # a step overflows with both signs: beta = 1e300 at kappa = 0
+        with pytest.raises(ConvergenceError, match=re.escape(f"x = {nan_at[0]!r} ")):
+            solver(p, h)
+    else:  # repr compares bit for bit
+        tr = solver(p, h)
+        assert tr.xs == xs
+        assert repr(tr.fs) == repr(want)
+    assert len(calls) == calls_per_step * n + extra_calls
     assert repr(calls) == repr(oracle_calls)
 
 
@@ -446,7 +458,7 @@ def test_logistic_trace_increasing_and_accurate():
     tr = rk4_solve(lp, 0.01)
     assert tr.xs[0] == -5.0 and tr.xs[-1] == pytest.approx(5.0)
     assert all(b > a for a, b in zip(tr.fs, tr.fs[1:]))
-    err = max(abs(f - logistic_closed_form(lp, x)) for x, f in tr.samples)
+    err = max(abs(f - logistic_closed_form(lp, x)) for x, f in zip(tr.xs, tr.fs))
     assert err < 1e-8
 
 
