@@ -8,11 +8,8 @@ significant digits so doubles round-trip, and files are written atomically
 Exit codes: 0 success, 2 usage, domain or output error, 3 numerical failure.
 """
 
-from __future__ import annotations
-
 import math
 import os
-import re
 import sys
 from itertools import chain
 from operator import sub
@@ -28,7 +25,6 @@ from .core import (
     to_kappa_number,
 )
 from .errors import ConvergenceError, DomainError
-from .harness import error_ladder, fit_ladder
 from .ode import (
     MAX_POINTS,
     SOLVERS,
@@ -36,12 +32,6 @@ from .ode import (
     LogisticProblem,
     analytic_trace,
     slope_field,
-)
-from .series import (
-    decay_series_solution,
-    exp_kappa_taylor,
-    ln_kappa_shifted_taylor,
-    picard_iterate,
 )
 
 __all__ = ["main", "entrypoint"]
@@ -86,6 +76,7 @@ def _non_finite(v) -> ConvergenceError:
 
 def _json_text(obj) -> str:
     import json
+    import re
 
     try:
         return json.dumps(obj, indent=2, allow_nan=False) + "\n"
@@ -148,15 +139,16 @@ def _finite_float(text: str) -> float:
 # A token such as -3.2e-05 is a negative number, not an option: stock
 # argparse recognises only -12 and -1.5, so `--kappa -3.2e-05` would fail
 # there with "expected one argument".  _build_parser and _parse_plain share
-# this pattern.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# this pattern, which only they compile.
+_NEGATIVE_NUMBER = r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
 
 
 # Each name table is also its option's choices.
 _EVAL_FNS = {"exp": kappa_exp, "ln": kappa_ln, "sum": kappa_sum, "product": kappa_product,
              "weight": differential_weight, "knum": to_kappa_number}
-_SERIES_TARGETS = {"exp": exp_kappa_taylor, "ln1p": ln_kappa_shifted_taylor,
-                   "decay": decay_series_solution, "picard": picard_iterate}
+# the name of each target's function in series, which only its command imports
+_SERIES_TARGETS = {"exp": "exp_kappa_taylor", "ln1p": "ln_kappa_shifted_taylor",
+                   "decay": "decay_series_solution", "picard": "picard_iterate"}
 _SOLVE_METHODS = {"analytic": analytic_trace, **SOLVERS}
 
 _ALL_METHODS = ",".join(SOLVERS)
@@ -219,7 +211,9 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_series(args) -> None:
-    s = _SERIES_TARGETS[args.target](Kappa(args.kappa), args.order)
+    from . import series
+
+    s = getattr(series, _SERIES_TARGETS[args.target])(Kappa(args.kappa), args.order)
     text = _json_text({
         "variable": s.variable,
         "kappa": args.kappa,
@@ -230,6 +224,8 @@ def _cmd_series(args) -> None:
 
 
 def _cmd_compare(args) -> None:
+    from .harness import error_ladder, fit_ladder
+
     methods = sorted({m for m in args.methods.split(",") if m})
     if not methods:
         raise DomainError("empty method list")
@@ -328,8 +324,13 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
         flag, eq, text = token.partition("=")
         if not eq:
             text = next(tokens, None)
-            if text is None or text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+            if text is None:
                 return None
+            if text.startswith("-"):
+                import re
+
+                if not re.match(_NEGATIVE_NUMBER, text):
+                    return None
         spec = specs.get(flag)
         # argparse drops a value "--" on some versions and keeps it on others
         if spec is None or text == "--":
@@ -355,25 +356,27 @@ def _build_parser():
     such as an abbreviated flag.  Like _parse_plain, it takes a token such
     as -3.2e-05 for a negative number, and it refuses a value "--"."""
     import argparse
+    import re
 
     class Parser(argparse.ArgumentParser):  # the class of every subparser too
-        def parse_known_args(self, args=None, namespace=None):
-            # a value "--" ends the options: Python 3.10 to 3.12 store [] for
-            # it and 3.13 keeps "--"; either is one usage error on every version
-            args, extras = super().parse_known_args(args, namespace)
-            for dest, value in vars(args).items():
-                if value in ([], "--"):
-                    self.error(f"argument --{dest.replace('_', '-')}: expected one argument")
-            return args, extras
+        def _get_values(self, action, arg_strings):
+            # a value "--" (--kappa=--) ends the options: Python 3.10 to 3.12
+            # drop it and 3.13 converts it by the option's type and choices;
+            # it is this one usage error on every version
+            if action.option_strings and arg_strings == ["--"]:
+                self.error(f"argument {'/'.join(action.option_strings)}: "
+                           "expected one argument")
+            return super()._get_values(action, arg_strings)
 
+    negative_number = re.compile(_NEGATIVE_NUMBER)
     ap = Parser(
         prog="kappamath",
         description="Deformed exponential mathematics and decay-equation toolkit")
-    ap._negative_number_matcher = _NEGATIVE_NUMBER
+    ap._negative_number_matcher = negative_number
     sub = ap.add_subparsers(dest="command", required=True)
     for name, handler, help, flags, differs in _COMMANDS:
         p = sub.add_parser(name, help=help)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
+        p._negative_number_matcher = negative_number
         p.set_defaults(handler=handler)
         for flag, spec in _specs(flags, differs).items():
             p.add_argument(flag, **spec)

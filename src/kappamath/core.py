@@ -7,8 +7,6 @@ is a pure function of its arguments; k = 0 is handled as an exact special
 case rather than by small-k division.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Callable
 

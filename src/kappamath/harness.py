@@ -4,8 +4,6 @@ Everything is measured against the closed-form solutions, so the reports
 quantify what the solver comparison plots only show qualitatively.
 """
 
-from __future__ import annotations
-
 import math
 from operator import attrgetter, mul, sub
 

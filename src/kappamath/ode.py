@@ -8,8 +8,6 @@ solvers and the harness take any problem that provides x_start, x_max,
 initial_value, rhs(x, f) and exact(x), and solve it over [x_start, x_max].
 """
 
-from __future__ import annotations
-
 import math
 import sys
 

@@ -8,8 +8,6 @@ Composition sums the powers of the inner series, each pruned of the leading
 zeros that its zero constant term implies.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 from operator import mul

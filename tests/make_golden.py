@@ -123,6 +123,9 @@ CASES = [
     ("output-abbreviated-dashes", "slope-field --nx 2 --nf 2 --out=--"),
     ("out-dir-dashes", "compare --out-dir=--"),
     ("methods-dashes", "compare --methods=--"),
+    ("kappa-dashes", "solve --kappa=--"),
+    ("fn-dashes", "eval --fn=-- --kappa 0.5 --x 1"),
+    ("order-dashes", "series --target decay --order=--"),
 ]
 
 

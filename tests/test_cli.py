@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kappamath
 from kappamath import (
     ConvergenceError,
     DecayProblem,
@@ -836,25 +838,80 @@ def test_cli_exit_codes_and_no_nan(command):
     settings(max_examples=150, deadline=None)(given(_command_argv(command))(check))()
 
 
+def _run_python(code, *args, cwd=None):
+    """Run `python -c code args` in a fresh interpreter that imports
+    kappamath from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_runtime_imports_without_numpy(tmp_path):
     # the package uses none of these modules, numpy included: the package
     # and the CLI, file output included, run with them blocked (an import of
     # a module set to None in sys.modules raises); a CSV or eval command in
     # the plain grammar needs neither argparse, with its gettext and locale,
-    # nor json
+    # nor json, nor re, and loads no kappamath module that it does not run
     blocked = ["numpy", "dataclasses", "inspect", "typing", "tempfile", "pathlib",
-               "fractions", "decimal", "numbers", "argparse", "gettext", "locale", "json"]
-    src = str(Path(__file__).resolve().parents[1] / "src")
+               "fractions", "decimal", "numbers", "argparse", "gettext", "locale", "json",
+               "re", "__future__"]
     out = tmp_path / "sub" / "trace.csv"
     code = ("import sys\n"
             f"for name in {blocked!r}: sys.modules[name] = None\n"
             "import kappamath, kappamath.cli\n"
             "rc = kappamath.cli.main(['eval', '--fn', 'exp', '--kappa', '0.5', '--x', '1'])\n"
-            "sys.exit(rc or kappamath.cli.main(['solve', '--h', '0.5', '--output', sys.argv[1]]))")
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
-                          capture_output=True, text=True, timeout=60)
+            "rc = rc or kappamath.cli.main(['solve', '--h', '0.5', '--output', sys.argv[1]])\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('kappamath')))\n"
+            "sys.exit(rc)")
+    proc = _run_python(code, str(out))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "2.6180339887498949"
+    assert proc.stdout.splitlines() == [
+        "2.6180339887498949",
+        "kappamath kappamath.cli kappamath.core kappamath.errors kappamath.ode"]
     assert out.read_text().startswith("x,f,method,kappa,h\n0,1,analytic,")
     assert [p.name for p in out.parent.iterdir()] == ["trace.csv"]
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ("solve --h 0.5 --format json", []),
+    ("logistic --h 0.5", []),
+    ("slope-field --nx 2 --nf 2", []),
+    ("series --target exp --order 4", ["kappamath.series"]),
+    ("compare --h 0.5 --x-max 1 --out-dir reports", ["kappamath.harness", "kappamath.series"]),
+])
+def test_each_command_imports_only_the_modules_it_runs(argv, loads, tmp_path):
+    # importing the CLI loads the package, core, errors and ode; a command
+    # adds only the kappamath modules it runs, when it runs
+    code = ("import sys\n"
+            "import kappamath.cli\n"
+            "before = set(sys.modules)\n"
+            "rc = kappamath.cli.main(sys.argv[1:])\n"
+            "print(*sorted(m for m in set(sys.modules) - before if m.startswith('kappamath')),"
+            " file=sys.stderr)\n"
+            "sys.exit(rc)")
+    proc = _run_python(code, *argv.split(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == loads
+
+
+def test_package_namespace_is_the_modules_and_their_public_names():
+    # the package binds its names on first use; star import and dir() give
+    # the five modules and the 55 names of their __all__
+    modules = ["core", "errors", "harness", "ode", "series"]
+    public = {*modules, *(n for m in modules
+                          for n in importlib.import_module(f"kappamath.{m}").__all__)}
+    assert len(public) == 60
+    star = {}
+    exec("from kappamath import *", star)
+    assert star.keys() - {"__builtins__"} == public
+    assert dir(kappamath) == sorted(public)
+    with pytest.raises(AttributeError, match="^module 'kappamath' has no attribute 'nope'$"):
+        kappamath.nope
+    # in a fresh interpreter a module's name imports that module and what it
+    # imports, nothing else
+    proc = _run_python("import sys\n"
+                       "from kappamath import ode\n"
+                       "print(*sorted(m for m in sys.modules if m.startswith('kappamath')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["kappamath", "kappamath.core", "kappamath.errors",
+                                   "kappamath.ode"]
