@@ -202,22 +202,30 @@ def differential_weight(k: Kappa, x: float) -> float:
     return 1.0 / math.hypot(1.0, k.value * x)
 
 
-# Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15): the 15 Kronrod nodes
-# are the 7 Gauss-Legendre nodes (odd positions) plus 8 interleaved ones, so
-# one panel of 15 evaluations yields both estimates.
-_GK15_NODES = (
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0)
-_GK15_WEIGHTS = (
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_G7_WEIGHTS = (
-    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# Gauss-Kronrod 10/21 rule on [-1, 1] (QUADPACK qk21): the 21 Kronrod nodes
+# are the 10 Gauss-Legendre nodes plus the centre and 10 interleaved ones, so
+# one panel of 21 evaluations yields both estimates.  The rule is symmetric:
+# (node, Kronrod weight, Gauss weight) at the positive Gauss nodes, (node,
+# Kronrod weight) at the positive Kronrod-only nodes, and the centre's
+# Kronrod weight; the centre is no Gauss node.
+_GK21_GAUSS = (
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390,
+     0.066671344308688137593568809893332),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190,
+     0.149451349150580593145776339657409),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
+     0.219086362515982043995534934228163),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
+     0.269266719309996355091226921569469),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
+     0.295524224714752870173892994651748))
+_GK21_KRONROD = (
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366),
+    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717))
+_GK21_CENTRE = 0.149445554002916905664936468389821
 
 
 # Absolute error target and integrand-evaluation budget of every quadrature.
@@ -226,14 +234,15 @@ QUAD_MAX_EVALS = 1_000_000
 
 
 def adaptive_quadrature(f: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive Gauss-Kronrod 7/15 quadrature of f over [a, b] to absolute
+    """Adaptive Gauss-Kronrod 10/21 quadrature of f over [a, b] to absolute
     error QUAD_TOL.
 
-    A panel is accepted when |K15 - G7| is within its share of QUAD_TOL;
+    A panel is accepted when |K21 - G10| is within its share of QUAD_TOL;
     otherwise it is halved and each half gets half the tolerance.  Raises
     ConvergenceError if the next panel would take the integrand evaluations
-    past QUAD_MAX_EVALS, or if a panel can no longer be halved in floating
-    point.
+    past QUAD_MAX_EVALS, if a rejected panel's Kronrod sum is not finite
+    (a nan or infinite integrand, or a sum that overflows), or if a panel
+    can no longer be halved in floating point.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"bad interval [{a!r}, {b!r}]")
@@ -248,25 +257,32 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float) -> floa
     pending = [(a, b, QUAD_TOL)]
     while pending:
         lo, hi, eps = pending.pop()
-        evals += 15
+        evals += 21
         if evals > QUAD_MAX_EVALS:
             raise ConvergenceError(
                 f"quadrature budget of {QUAD_MAX_EVALS} evaluations exhausted")
         centre = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        fc = f(centre)
-        kronrod = _GK15_WEIGHTS[7] * fc
-        gauss = _G7_WEIGHTS[3] * fc
-        for j in range(7):
-            dx = half * _GK15_NODES[j]
+        kronrod = _GK21_CENTRE * f(centre)
+        gauss = 0.0
+        for node, wk, wg in _GK21_GAUSS:
+            dx = half * node
             pair = f(centre - dx) + f(centre + dx)
-            kronrod += _GK15_WEIGHTS[j] * pair
-            if j % 2:
-                gauss += _G7_WEIGHTS[j // 2] * pair
+            kronrod += wk * pair
+            gauss += wg * pair
+        for node, wk in _GK21_KRONROD:
+            dx = half * node
+            kronrod += wk * (f(centre - dx) + f(centre + dx))
         kronrod *= half
         gauss *= half
         if abs(kronrod - gauss) <= eps:
             total += kronrod
+        # a nan or infinite sum would fail the test on every half as well:
+        # decided here, not by halving down to the smallest panel
+        elif not math.isfinite(kronrod):
+            raise ConvergenceError(
+                f"quadrature panel [{lo!r}, {hi!r}] has the non-finite "
+                f"Kronrod sum {kronrod!r}")
         elif lo < centre < hi:
             pending.append((centre, hi, 0.5 * eps))
             pending.append((lo, centre, 0.5 * eps))

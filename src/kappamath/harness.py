@@ -10,12 +10,9 @@ from operator import attrgetter, mul, sub
 from .core import Kappa, Record, _ordered_sum, kappa_exp
 from .errors import ConvergenceError, DomainError, FloorError
 from .ode import SOLVERS
-from .series import (
-    decay_series_solution,
-    evaluate_series,
-    picard_iterate,
-    picard_iterate_in_x,
-)
+
+# series is imported inside series_error_curve and picard_vs_series, its
+# only users, so the ladders and the CLI's compare never load it.
 
 __all__ = [
     "ErrorReport",
@@ -185,6 +182,8 @@ def _abs_diffs(values, others, xs) -> tuple:
 def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:
     """|truncated decay series - exp_k(-x)| per order on the grid;
     ConvergenceError where both overflow to the same infinity."""
+    from .series import decay_series_solution, evaluate_series
+
     orders = tuple(orders)
     if not orders:
         raise DomainError("need at least one order")
@@ -218,6 +217,9 @@ def picard_vs_series(k: Kappa, n: int, x_grid) -> PicardSeriesReport:
     (both expanded in x through order n) and pointwise on the grid, where
     ConvergenceError marks a point at which both overflow to the same
     infinity."""
+    from .series import (decay_series_solution, evaluate_series, picard_iterate,
+                         picard_iterate_in_x)
+
     it = picard_iterate(k, n)
     s = decay_series_solution(k, n)
     px = picard_iterate_in_x(it, k, n).coefficients

@@ -200,6 +200,11 @@ def decay_series_solution(k: Kappa, order: int) -> PowerSeries:
     return PowerSeries("x", tuple(a))
 
 
+# n -> picard_iterate's series: it does not depend on kappa, and a
+# PowerSeries is immutable, so each of the 21 iterates is built once.
+_PICARD = {}
+
+
 def picard_iterate(k: Kappa, n: int) -> PowerSeries:
     """Iterate n of Picard's scheme for the decay equation, as a series in
     u = arcsinh(k x)/k whose coefficient of u^j is (-1)^j/j! for j <= n.
@@ -208,15 +213,20 @@ def picard_iterate(k: Kappa, n: int) -> PowerSeries:
     iterate is the polynomial 1 - integral of the previous one,
     f_{m+1}(u) = 1 - int_0^u f_m(t) dt, computed exactly in integers scaled
     by N = n!.  Every division by j + 1 is exact because (j + 1)! divides n!,
-    and c / N rounds each coefficient once at the end.
+    and c / N rounds each coefficient once at the end.  The iterate is the
+    same for every k, so it is built once per n and then returned from a
+    memo; n is checked before the memo is looked at.
     """
     if not (isinstance(n, int) and 0 <= n <= 20):
         raise DomainError(f"picard index must be in [0, 20], got {n!r}")
-    scale = math.factorial(n)
-    coeffs = [scale]
-    for _ in range(n):
-        coeffs = [scale] + [-c // (j + 1) for j, c in enumerate(coeffs)]
-    return PowerSeries("u", [c / scale for c in coeffs])
+    it = _PICARD.get(n)
+    if it is None:
+        scale = math.factorial(n)
+        coeffs = [scale]
+        for _ in range(n):
+            coeffs = [scale] + [-c // (j + 1) for j, c in enumerate(coeffs)]
+        it = _PICARD[n] = PowerSeries("u", [c / scale for c in coeffs])
+    return it
 
 
 def picard_iterate_in_x(it: PowerSeries, k: Kappa, order: int) -> PowerSeries:

@@ -600,6 +600,73 @@ def test_quadrature_cannot_split_a_panel():
         adaptive_quadrature(lambda t: 1 / abs(t - 0.3) if t != 0.3 else 0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
+def test_quadrature_refuses_a_non_finite_panel_at_once(value):
+    # a nan or infinite integrand, or a constant whose panel sum overflows,
+    # fails on the first panel instead of halving down to [0.0, 5e-324]
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return value
+
+    with pytest.raises(ConvergenceError,
+                       match=r"^quadrature panel \[0\.0, 1\.0\] has the non-finite Kronrod sum"):
+        adaptive_quadrature(f, 0.0, 1.0)
+    assert len(calls) == 21
+
+
+# the Gauss-Kronrod 10/21 rule on [-1, 1] as (node, weight) pairs
+_KRONROD_RULE = [(0.0, core._GK21_CENTRE)] + [
+    (sign * node, wk) for node, wk, *_ in core._GK21_GAUSS + core._GK21_KRONROD
+    for sign in (-1.0, 1.0)]
+_GAUSS_RULE = [(sign * node, wg) for node, _, wg in core._GK21_GAUSS for sign in (-1.0, 1.0)]
+
+
+def _rule_error(rule, d):
+    """Rule's value for x^d on [-1, 1] minus the exact 2/(d+1) or 0."""
+    return math.fsum(w * x**d for x, w in rule) - (2.0 / (d + 1) if d % 2 == 0 else 0.0)
+
+
+def test_gauss_kronrod_rule_weights_sum_to_two():
+    assert len(_KRONROD_RULE) == 21 and len(_GAUSS_RULE) == 10
+    assert abs(_rule_error(_KRONROD_RULE, 0)) <= 2 * math.ulp(2.0)
+    assert abs(_rule_error(_GAUSS_RULE, 0)) <= 2 * math.ulp(2.0)
+
+
+def test_gauss_kronrod_rule_degrees_of_exactness():
+    # Kronrod is exact through degree 3n + 1 = 31, Gauss through 2n - 1 = 19,
+    # and neither one degree further
+    for d in range(32):
+        assert abs(_rule_error(_KRONROD_RULE, d)) <= 4 * math.ulp(2.0), d
+    for d in range(20):
+        assert abs(_rule_error(_GAUSS_RULE, d)) <= 4 * math.ulp(2.0), d
+    assert abs(_rule_error(_KRONROD_RULE, 32)) > 1e-13
+    assert abs(_rule_error(_GAUSS_RULE, 20)) > 1e-7
+
+
+# (kappa, beta, x) in the benchmark's oracle ranges
+_ORACLE_TABLE = [(0.95, 2.0, 5.0), (-0.95, 0.5, 4.9), (0.9, 1.0, 1.0), (0.0, 1.0, 3.0),
+                 (-0.3, 1.7, 2.5), (0.75, 1.25, 0.1), (-0.6, 0.8, 3.7), (0.5, 2.0, 5.0)]
+
+
+def test_quadrature_evaluations_on_oracle_inputs():
+    # quadrature_decay's integrand
+    counts = []
+    for kv, beta, x in _ORACLE_TABLE:
+        calls = []
+        c = kv * beta
+
+        def f(t):
+            calls.append(t)
+            return beta * (1.0 / math.hypot(1.0, c * t))
+
+        adaptive_quadrature(f, 0.0, x)
+        counts.append(len(calls))
+    assert all(n % 21 == 0 for n in counts), counts
+    assert sum(counts) == 588, counts
+
+
 def test_floor_error_is_a_convergence_error():
     # the CLI's exit 3 catches the one type
     assert issubclass(FloorError, ConvergenceError)

@@ -17,6 +17,7 @@ from kappamath import (
     picard_iterate,
     sqrt_weight_series,
 )
+from kappamath import series
 from kappamath.series import (
     _coordinate_series,
     picard_iterate_in_x,
@@ -177,11 +178,24 @@ def test_picard_iterate_is_a_series_in_u():
         picard_iterate_in_x(decay_series_solution(k, 5), k, 5)
 
 
-def test_picard_index_validation():
-    with pytest.raises(DomainError):
-        picard_iterate(Kappa(0.9), 21)
-    with pytest.raises(DomainError):
-        picard_iterate(Kappa(0.9), -1)
+def test_picard_index_validation(monkeypatch):
+    # the index is checked before the memo, where 2.0 == 2 would find the
+    # iterate for 2
+    it = picard_iterate(Kappa(0.5), 2)
+    monkeypatch.setattr(series, "_PICARD", {-1: it, 2: it, 21: it})
+    for n in (21, -1, 2.0):
+        with pytest.raises(DomainError):
+            picard_iterate(Kappa(0.9), n)
+
+
+def test_picard_iterate_is_the_same_for_every_kappa(monkeypatch):
+    # the iterate is built once per n: a fresh build equals the memo's, for
+    # any kappa
+    kappas = [Kappa(-0.95), Kappa(0.0), Kappa(0.9)]
+    memo = [[picard_iterate(k, n) for n in range(21)] for k in kappas]
+    monkeypatch.setattr(series, "_PICARD", {})
+    fresh = [picard_iterate(Kappa(0.3), n) for n in range(21)]
+    assert memo == [fresh] * len(kappas)
 
 
 def test_picard_second_iterate_matches_expanded_form():
