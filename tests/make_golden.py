@@ -72,6 +72,10 @@ CASES = [
     ("solve-minus-inf-json",
      "solve --method euler --beta 100 --kappa 0 --h 1 --x-max 155 --format json"),
     ("solve-bad-method", "solve --method heun"),
+    # the plain-grammar parser and argparse, which alone takes the
+    # abbreviation --kap, print the same bytes
+    ("solve-kappa-negative", "solve --h 0.5 --kappa -3.2e-05"),
+    ("solve-kappa-abbreviated", "solve --h 0.5 --kap=-3.2e-05"),
     # series: every target; exp is the recurrence with the float sums
     ("series-exp", "series --target exp --order 16"),
     ("series-exp-small-kappa", "series --target exp --order 24 --kappa 0.05"),
@@ -91,6 +95,7 @@ CASES = [
      "compare --methods rk4 --levels 2 --h 0.001 --x-max 0.01 --out-dir floor"),
     ("compare-cwd", "compare --methods euler,rk4 --h 0.25 --x-max 1 --out-dir reports", False),
     ("compare-nan", "compare --methods euler --beta 100 --kappa 0 --h 1 --x-max 200"),
+    ("compare-inf", "compare --methods euler --beta 100 --kappa 0 --h 1 --x-max 155"),
     ("compare-empty-methods", "compare --methods ,"),
     ("compare-unknown-method", "compare --methods euler,heun"),
     ("compare-too-many-levels", "compare --levels 9"),

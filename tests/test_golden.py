@@ -42,3 +42,10 @@ def test_corpus_covers_every_command_and_exit_code():
     assert {"eval", "solve", "series", "compare", "slope-field", "logistic"} <= commands
     assert {case["exit"] for case in CASES} == {0, 2, 3}
     assert len({case["name"] for case in CASES}) == len(CASES)
+
+
+def test_plain_parser_and_argparse_print_the_same_bytes():
+    # --kappa is read by the plain-grammar parser, the abbreviation --kap
+    # only by argparse
+    plain = (GOLDEN / "solve-kappa-negative" / "stdout").read_bytes()
+    assert plain and plain == (GOLDEN / "solve-kappa-abbreviated" / "stdout").read_bytes()
