@@ -82,6 +82,13 @@ class Kappa(Record):
         super().__init__(float(value))
 
 
+def _finite(name: str, *values: float) -> None:
+    """DomainError naming the first nan or +-inf among a call's arguments."""
+    for v in values:
+        if not math.isfinite(v):
+            raise DomainError(f"{name} needs finite arguments, got {v!r}")
+
+
 def _ordered_sum(values) -> float:
     """Float sum added left to right from 0.0, as builtin sum() adds on 3.10
     and 3.11; from Python 3.12 sum() compensates, which moves last digits."""
@@ -157,6 +164,7 @@ def kappa_sum(k: Kappa, x: float, y: float) -> float:
     scaled by 0.5/max(|x|, |y|), so nothing overflows, and k = 0 gives
     x + y exactly.
     """
+    _finite("kappa_sum", x, y)
     kv = k.value
     a = math.hypot(1.0, kv * y)
     b = math.hypot(1.0, kv * x)
@@ -177,6 +185,7 @@ def kappa_product(k: Kappa, x: float, y: float) -> float:
     inner 1/k makes the identity element sinh(k)/k; +-inf where the sinh
     overflows.
     """
+    _finite("kappa_product", x, y)
     kv = k.value
     return _scaled_sinh(kv, _scaled_arcsinh(kv, x) * _scaled_arcsinh(kv, y))
 
@@ -188,17 +197,20 @@ def kappa_product_identity(k: Kappa) -> float:
 
 def to_kappa_number(k: Kappa, x: float) -> float:
     """Coordinate map x -> arcsinh(k x)/k; identity at k = 0."""
+    _finite("to_kappa_number", x)
     return _scaled_arcsinh(k.value, x)
 
 
 def from_kappa_number(k: Kappa, u: float) -> float:
     """Inverse coordinate map u -> sinh(k u)/k, +-inf where it overflows;
     identity at k = 0."""
+    _finite("from_kappa_number", u)
     return _scaled_sinh(k.value, u)
 
 
 def differential_weight(k: Kappa, x: float) -> float:
     """Jacobian of the coordinate map: 1/sqrt(1 + k^2 x^2), in (0, 1]."""
+    _finite("differential_weight", x)
     return 1.0 / math.hypot(1.0, k.value * x)
 
 
@@ -295,4 +307,6 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float) -> floa
 def kappa_integral(k: Kappa, f: Callable[[float], float], a: float, b: float) -> float:
     """Deformed integral of f over [a, b]: the integrand is weighted by
     1/sqrt(1 + k^2 x^2) and integrated by adaptive_quadrature."""
-    return adaptive_quadrature(lambda x: f(x) * differential_weight(k, x), a, b)
+    # differential_weight without its argument check: every node is finite
+    kv = k.value
+    return adaptive_quadrature(lambda x: f(x) * (1.0 / math.hypot(1.0, kv * x)), a, b)

@@ -11,7 +11,7 @@ initial_value, rhs(x, f) and exact(x), and solve it over [x_start, x_max].
 import math
 import sys
 
-from .core import (Kappa, Record, _scaled_arcsinh, adaptive_quadrature,
+from .core import (Kappa, Record, _finite, _scaled_arcsinh, adaptive_quadrature,
                    differential_weight, kappa_exp)
 from .errors import ConvergenceError, DomainError
 
@@ -126,9 +126,13 @@ class SolutionTrace(Record):
 
 
 def closed_form_decay(p: DecayProblem, x: float) -> float:
-    """f0 * exp_k(-beta x), and its limit 0 where beta x overflows to inf."""
+    """f0 * exp_k(-beta x), and its limit 0 where beta x overflows to inf
+    from a finite x."""
     bx = p.beta * x
-    return p.f0 * (0.0 if bx == math.inf else kappa_exp(p.k, -bx))
+    if bx == math.inf:
+        _finite("closed_form_decay", x)
+        return p.f0 * 0.0
+    return p.f0 * kappa_exp(p.k, -bx)
 
 
 def quadrature_decay(p: DecayProblem, x: float) -> float:
@@ -158,6 +162,7 @@ def residual_decay(p: DecayProblem, f_val: float, dfdx: float, x: float) -> floa
     exactly when (f_val, dfdx) satisfies the equation at x.  Taken as
     beta * (hypot(1/beta, k x) * f' + f), with the slope's hypot, which
     DecayProblem keeps finite: finite arguments give a number or +-inf."""
+    _finite("residual_decay", f_val, dfdx, x)
     return p.beta * (math.hypot(1.0 / p.beta, p.k.value * x) * dfdx + f_val)
 
 
@@ -172,6 +177,7 @@ def slope_field(p, x_grid, f_grid) -> list[tuple[float, float, float]]:
     if len(xs) * len(fs) > MAX_POINTS:
         raise DomainError(f"slope_field grid must have at most {MAX_POINTS} "
                           f"nodes, got {len(xs)} * {len(fs)}")
+    _finite("slope_field", *xs, *fs)
     return [(x, f, p.rhs(x, f)) for x in xs for f in fs]
 
 

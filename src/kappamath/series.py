@@ -12,7 +12,7 @@ import math
 from collections.abc import Sequence
 from operator import mul
 
-from .core import Kappa, Record, _ordered_sum, to_kappa_number
+from .core import Kappa, Record, _finite, _ordered_sum, _scaled_arcsinh
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -58,6 +58,7 @@ def _check_order(order: int) -> None:
 
 def series_truncate(c: Sequence[float], order: int) -> list[float]:
     """Pad or cut a coefficient list to exactly order+1 entries."""
+    _finite("series_truncate", *c)
     out = list(c[: order + 1])
     out += [0.0] * (order + 1 - len(out))
     return out
@@ -86,6 +87,7 @@ def _trustworthy(coeffs: list[float]) -> list[float]:
 def series_multiply(a: Sequence[float], b: Sequence[float], order: int) -> list[float]:
     """Cauchy product truncated at the given order; ConvergenceError where a
     coefficient's terms overflow with both signs."""
+    _finite("series_multiply", *a, *b)
     return _trustworthy(_cauchy(a, b, order))
 
 
@@ -99,6 +101,7 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
     zeros and the cost is about order^3/6 multiply-adds.  ConvergenceError
     where a coefficient's terms overflow with both signs.
     """
+    _finite("series_compose", *outer, *inner)
     inner = series_truncate(inner, order)
     if inner[0] != 0.0:
         raise DomainError("series_compose needs inner constant term 0")
@@ -244,7 +247,7 @@ def evaluate_series(s: PowerSeries, k: Kappa, x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"evaluate_series needs finite x, got {x!r}")
     if s.variable == "u":
-        t = to_kappa_number(k, x)
+        t = _scaled_arcsinh(k.value, x)
     else:
         t = x
     acc = 0.0

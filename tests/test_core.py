@@ -280,9 +280,9 @@ def test_kernels_return_a_number_or_raise_domain_error(name):
     assert not bad, f"{len(bad)} failures, first {bad[:5]}"
 
 
-# Every public name that takes a float, called on arbitrary finite floats,
-# subnormals and the float maximum included: each entry draws the arguments
-# and makes the call of them (kappa first, a problem from its fields, a
+# Every public name that takes a float, called on arbitrary floats,
+# subnormals, the float maximum, nan and +-inf included: each entry draws the
+# arguments and makes the call of them (kappa first, a problem from its fields, a
 # series from its coefficients).  A name that takes no float, or takes only
 # what the library built, is listed apart, so a new public name must go in
 # one table or the other.
@@ -293,7 +293,8 @@ NO_FLOAT_ARGUMENT = {"DomainError", "ConvergenceError", "FloorError", "ErrorRepo
                      "SolutionTrace", "SOLVERS", "MAX_LEVELS", "MAX_ORDER", "MAX_POINTS",
                      "ROUNDOFF_FLOOR", "fit_ladder"}
 ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max])
+    [5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max,
+     math.nan, math.inf, -math.inf])
 KAPPA_FLOAT = ANY_FLOAT | st.floats(-1.0, 1.0)
 FLOAT_LISTS = st.lists(ANY_FLOAT, min_size=1, max_size=4)
 ORDERS = st.integers(0, 12)
@@ -334,14 +335,18 @@ _METHODS = st.sampled_from(["euler", "ab2", "rk4"])
 FLOAT_CALLS = {
     "Kappa": (st.tuples(KAPPA_FLOAT), Kappa, []),
     **{name: (st.tuples(KAPPA_FLOAT, ANY_FLOAT), _on_kappa(getattr(kappamath, name)), [])
-       for name in ("kappa_exp", "kappa_ln", "to_kappa_number", "from_kappa_number",
-                    "differential_weight")},
+       for name in ("kappa_exp", "kappa_ln", "to_kappa_number", "from_kappa_number")},
+    # 0 * inf inside the hypot gave nan, where the weight at kappa = 0 is 1
+    "differential_weight": (st.tuples(KAPPA_FLOAT, ANY_FLOAT),
+                            _on_kappa(differential_weight), [(0.0, math.inf)]),
     # at a tiny kappa the log of the ratio once cancelled past the float range
     "asymptote_check": (st.tuples(KAPPA_FLOAT, ANY_FLOAT), _on_kappa(asymptote_check),
                         [(5.04318622038353e-270, sys.float_info.max)]),
-    **{name: (st.tuples(KAPPA_FLOAT, ANY_FLOAT, ANY_FLOAT),
-              _on_kappa(getattr(kappamath, name)), [])
-       for name in ("kappa_sum", "kappa_product")},
+    # each gave nan: the sum's limit is +inf, the product took 0 * inf
+    "kappa_sum": (st.tuples(KAPPA_FLOAT, ANY_FLOAT, ANY_FLOAT), _on_kappa(kappa_sum),
+                  [(0.5, math.inf, -1.0)]),
+    "kappa_product": (st.tuples(KAPPA_FLOAT, ANY_FLOAT, ANY_FLOAT), _on_kappa(kappa_product),
+                      [(0.0, math.inf, 0.0)]),
     "kappa_product_identity": (st.tuples(KAPPA_FLOAT), _on_kappa(kappa_product_identity), []),
     "adaptive_quadrature": (st.tuples(ANY_FLOAT, ANY_FLOAT),
                             lambda a, b: adaptive_quadrature(_integrand, a, b), []),
@@ -350,8 +355,12 @@ FLOAT_CALLS = {
     "DecayProblem": (st.tuples(KAPPA_FLOAT, *[ANY_FLOAT] * 3), _on_kappa(DecayProblem), []),
     "LogisticProblem": (st.tuples(KAPPA_FLOAT, *[ANY_FLOAT] * 2),
                         _on_kappa(LogisticProblem), []),
+    # x = inf gave the limit 0.0, where x = -inf raised
+    "closed_form_decay": (st.tuples(_DECAY, ANY_FLOAT),
+                          _on_problem(kappamath.closed_form_decay),
+                          [((DecayProblem, (0.5, 1.0, 1.0, 5.0)), math.inf)]),
     **{name: (st.tuples(_DECAY, ANY_FLOAT), _on_problem(getattr(kappamath, name)), [])
-       for name in ("closed_form_decay", "quadrature_decay", "substitution_decay")},
+       for name in ("quadrature_decay", "substitution_decay")},
     "residual_decay": (
         st.tuples(_DECAY, *[ANY_FLOAT] * 3), _on_problem(kappamath.residual_decay),
         # beta*f and hypot(1/beta, kappa x)*f' overflow with opposite signs
@@ -419,7 +428,7 @@ def _floats_in(v):
     elif isinstance(v, (tuple, list)):
         for item in v:
             yield from _floats_in(item)
-    elif hasattr(v, "__slots__"):
+    elif isinstance(v, core.Record):
         for name in type(v).__slots__:
             yield from _floats_in(getattr(v, name))
 
@@ -431,21 +440,26 @@ def test_every_public_name_is_in_one_table():
 
 @pytest.mark.parametrize("name", sorted(FLOAT_CALLS))
 def test_public_names_give_a_number_or_raise_on_any_float(name):
-    # for finite arguments: a number, a signed inf (the correctly rounded
-    # value of an overflow), DomainError or ConvergenceError; never nan,
-    # never another exception
+    # a nan or +-inf argument: DomainError.  Finite arguments: a number, a
+    # signed inf (the correctly rounded value of an overflow), DomainError
+    # or ConvergenceError; never nan, never another exception
     args_strategy, call, examples = FLOAT_CALLS[name]
 
     def check(args):
+        finite = all(map(math.isfinite, _floats_in(args)))
         try:
             result = call(*args)
-        except (DomainError, ConvergenceError):
+        except DomainError:
             return
+        except ConvergenceError:
+            assert finite, args
+            return
+        assert finite, (args, result)
         assert not any(map(math.isnan, _floats_in(result))), (args, result)
 
     for args in examples:
         check = example(args)(check)
-    settings(max_examples=60, deadline=None)(given(args_strategy)(check))()
+    settings(max_examples=100, deadline=None)(given(args_strategy)(check))()
 
 
 # 50-digit references of the defining closed forms; k = 0 is the classical limit.
