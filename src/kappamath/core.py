@@ -77,16 +77,32 @@ class Kappa(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
-        if not math.isfinite(value) or abs(value) >= 1.0:
+        if not _isfinite(value) or abs(value) >= 1.0:
             raise DomainError(f"kappa out of range: need |kappa| < 1, got {value!r}")
         super().__init__(float(value))
 
 
+def _isfinite(v: float) -> bool:
+    """math.isfinite, and False for a number beyond the float range, such as
+    the int 10**400, for which math.isfinite raises OverflowError."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _finite(name: str, *values: float) -> None:
-    """DomainError naming the first nan or +-inf among a call's arguments."""
-    for v in values:
-        if not math.isfinite(v):
-            raise DomainError(f"{name} needs finite arguments, got {v!r}")
+    """DomainError naming the first nan, +-inf or number beyond the float
+    range among a call's arguments."""
+    try:
+        for v in values:
+            if not math.isfinite(v):
+                break
+        else:
+            return
+    except OverflowError:  # v is an int beyond the float range
+        pass
+    raise DomainError(f"{name} needs finite arguments, got {v!r}")
 
 
 def _ordered_sum(values) -> float:
@@ -136,12 +152,14 @@ def kappa_exp(k: Kappa, x: float) -> float:
     form suffers for large negative k*x.  Overflow for extreme positive x is
     reported as +inf rather than raised.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"kappa_exp needs finite x, got {x!r}")
     try:
-        return math.exp(_scaled_arcsinh(k.value, x))
+        if math.isfinite(x):
+            return math.exp(_scaled_arcsinh(k.value, x))
     except OverflowError:
-        return math.inf
+        # the exp overflowed, or x is an int beyond the float range
+        if _isfinite(x):
+            return math.inf
+    raise DomainError(f"kappa_exp needs finite x, got {x!r}")
 
 
 def kappa_ln(k: Kappa, x: float) -> float:
@@ -150,7 +168,7 @@ def kappa_ln(k: Kappa, x: float) -> float:
     Computed as sinh(k*ln x)/k, which equals (x^k - x^(-k))/(2k) but is
     stable near x = 1; -inf where the sinh overflows (x = 5e-324 at k = 0.99).
     """
-    if not (math.isfinite(x) and x > 0.0):
+    if not (_isfinite(x) and x > 0.0):
         raise DomainError(f"kappa_ln needs x > 0, got {x!r}")
     return _scaled_sinh(k.value, math.log(x))
 
@@ -256,7 +274,7 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float) -> floa
     (a nan or infinite integrand, or a sum that overflows), or if a panel
     can no longer be halved in floating point.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+    if not (_isfinite(a) and _isfinite(b) and a <= b):
         raise DomainError(f"bad interval [{a!r}, {b!r}]")
     if a == b:
         return 0.0

@@ -5,9 +5,9 @@ quantify what the solver comparison plots only show qualitatively.
 """
 
 import math
-from operator import attrgetter, mul, sub
+from operator import attrgetter, sub
 
-from .core import Kappa, Record, _ordered_sum, kappa_exp
+from .core import Kappa, Record, _finite, _isfinite, kappa_exp
 from .errors import ConvergenceError, DomainError, FloorError
 from .ode import SOLVERS
 
@@ -109,6 +109,20 @@ def _exact_values(p, xs):
     return ex
 
 
+def _rms(errors: tuple) -> float:
+    """Root mean square of the errors, as their hypot over sqrt(len): within
+    2.5 ulp of the exact value, where a left-to-right sum of squares strays
+    by 10 ulp and more.  Where the norm of finite errors passes the float
+    maximum it is taken of the errors scaled by the largest."""
+    root_n = math.sqrt(len(errors))
+    rms = math.hypot(*errors) / root_n
+    if rms == math.inf:
+        err = max(errors)
+        if err < math.inf:
+            rms = err * (math.hypot(*[e / err for e in errors]) / root_n)
+    return rms
+
+
 def error_ladder(p, method: str, h0: float, levels: int):
     """Yield the ErrorReport of each level of the halving ladder h0, h0/2, ...,
     stopping after the first level whose max error is below the floor; no
@@ -123,19 +137,18 @@ def error_ladder(p, method: str, h0: float, levels: int):
     if not (isinstance(levels, int) and 1 <= levels <= MAX_LEVELS):
         raise DomainError(f"levels must be in [1, {MAX_LEVELS}], got {levels!r}")
     for i in range(levels):
-        h = h0 / 2**i
+        try:
+            h = h0 / 2**i
+        except OverflowError:
+            h = h0  # an int beyond the float range: the solver refuses it
         trace = SOLVERS[method](p, h)
         xs = trace.xs
         errors = tuple(map(abs, map(sub, trace.fs, _exact_values(p, xs))))
         del trace
-        rms = math.sqrt(_ordered_sum(map(mul, errors, errors)) / len(errors))
         err = max(errors)
-        if rms == math.inf and err < math.inf:
-            # finite errors above about 1e154 overflow their squares
-            rms = err * math.sqrt(_ordered_sum((e / err) ** 2 for e in errors) / len(errors))
         # A consumer that keeps only h and the max error lets each level be
         # freed before the next, twice as large, is built.
-        yield ErrorReport(method, h, xs, errors, err, rms)
+        yield ErrorReport(method, h, xs, errors, err, _rms(errors))
         del errors
         if err < ROUNDOFF_FLOOR:
             if i == 0 and levels >= 2:
@@ -179,6 +192,14 @@ def _abs_diffs(values, others, xs) -> tuple:
     return diffs
 
 
+def _float_grid(name: str, x_grid) -> tuple:
+    """The points of x_grid as floats; DomainError names the first that is
+    nan, +-inf or beyond the float range."""
+    xs = tuple(x_grid)
+    _finite(name, *xs)
+    return tuple(map(float, xs))
+
+
 def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:
     """|truncated decay series - exp_k(-x)| per order on the grid;
     ConvergenceError where both overflow to the same infinity."""
@@ -187,7 +208,7 @@ def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:
     orders = tuple(orders)
     if not orders:
         raise DomainError("need at least one order")
-    xs = tuple(float(x) for x in x_grid)
+    xs = _float_grid("series_error_curve", x_grid)
     exact = [kappa_exp(k, -x) for x in xs]
     curves = []
     for n in orders:
@@ -204,7 +225,7 @@ def asymptote_check(k: Kappa, x: float) -> float:
     would magnify past the float range, and never positive."""
     if k.value == 0.0:
         raise DomainError("asymptote_check needs kappa != 0")
-    if not (math.isfinite(x) and x > 0.0):
+    if not (_isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive, got {x!r}")
     kk = abs(k.value)
     t = kk * x
@@ -224,7 +245,7 @@ def picard_vs_series(k: Kappa, n: int, x_grid) -> PicardSeriesReport:
     s = decay_series_solution(k, n)
     px = picard_iterate_in_x(it, k, n).coefficients
     coeff_diff = max(abs(a - b) for a, b in zip(px, s.coefficients))
-    xs = tuple(float(x) for x in x_grid)
+    xs = _float_grid("picard_vs_series", x_grid)
     diffs = _abs_diffs([evaluate_series(it, k, x) for x in xs],
                        [evaluate_series(s, k, x) for x in xs], xs)
     return PicardSeriesReport(n, coeff_diff, xs, diffs)

@@ -11,7 +11,7 @@ initial_value, rhs(x, f) and exact(x), and solve it over [x_start, x_max].
 import math
 import sys
 
-from .core import (Kappa, Record, _finite, _scaled_arcsinh, adaptive_quadrature,
+from .core import (Kappa, Record, _finite, _isfinite, _scaled_arcsinh, adaptive_quadrature,
                    differential_weight, kappa_exp)
 from .errors import ConvergenceError, DomainError
 
@@ -50,16 +50,16 @@ class DecayProblem(Record):
 
     def __init__(self, k: Kappa, beta: float = 1.0, f0: float = 1.0,
                  x_max: float = 5.0) -> None:
-        if not (math.isfinite(beta) and beta > 0.0):
+        if not (_isfinite(beta) and beta > 0.0):
             raise DomainError(f"beta must be positive, got {beta!r}")
         # rhs divides by hypot(1/beta, k x), which must stay finite for every
         # float k x: this holds for beta above about 5.3e-301
         if math.hypot(1.0 / beta, sys.float_info.max) == math.inf:
             raise DomainError(f"beta too small: hypot(1/beta, kappa x) "
                               f"overflows, got {beta!r}")
-        if not (math.isfinite(x_max) and x_max > 0.0):
+        if not (_isfinite(x_max) and x_max > 0.0):
             raise DomainError(f"x_max must be positive, got {x_max!r}")
-        if not math.isfinite(f0):
+        if not _isfinite(f0):
             raise DomainError(f"f0 must be finite, got {f0!r}")
         super().__init__(k, beta, f0, x_max)
 
@@ -92,9 +92,9 @@ class LogisticProblem(Record):
     __slots__ = ("k", "f0", "x_max")
 
     def __init__(self, k: Kappa, f0: float = 0.5, x_max: float = 5.0) -> None:
-        if not (math.isfinite(f0) and 0.0 < f0 < 1.0):
+        if not (_isfinite(f0) and 0.0 < f0 < 1.0):
             raise DomainError(f"f0 must lie in (0, 1), got {f0!r}")
-        if not (math.isfinite(x_max) and x_max > 0.0):
+        if not (_isfinite(x_max) and x_max > 0.0):
             raise DomainError(f"x_max must be positive, got {x_max!r}")
         super().__init__(k, f0, x_max)
 
@@ -127,12 +127,18 @@ class SolutionTrace(Record):
 
 def closed_form_decay(p: DecayProblem, x: float) -> float:
     """f0 * exp_k(-beta x), and its limit 0 where beta x overflows to inf
-    from a finite x."""
-    bx = p.beta * x
+    from a finite x.  f0 = 0 gives the zero solution, also at an x < 0
+    where exp_k(-beta x) overflows."""
+    try:
+        bx = p.beta * x
+    except OverflowError:  # an int x beyond the float range
+        bx = math.inf
+    f0 = p.f0
     if bx == math.inf:
         _finite("closed_form_decay", x)
-        return p.f0 * 0.0
-    return p.f0 * kappa_exp(p.k, -bx)
+        return f0 * 0.0
+    e = kappa_exp(p.k, -bx)  # DomainError for a nan or infinite x
+    return f0 * e if f0 else f0
 
 
 def quadrature_decay(p: DecayProblem, x: float) -> float:
@@ -181,18 +187,35 @@ def slope_field(p, x_grid, f_grid) -> list[tuple[float, float, float]]:
     return [(x, f, p.rhs(x, f)) for x in xs for f in fs]
 
 
-def _grid(p, h: float, min_steps: int = 1) -> list[float]:
+# The grids of one interval [x_start, x_max], keyed by (x_start, x_max, h)
+# and the types of x_start and h, which set the type of the points (an int
+# start and step give ints): at most MAX_POINTS points in all.  Replaced in one assignment and never mutated, so
+# threads that share it can at worst repeat work.  A start of -0.0 gives the
+# same points as 0.0, so either may stand for the other.
+_grids = {}
+
+
+def _grid(p, h: float, min_steps: int = 1) -> tuple:
+    """The samples x_start, x_start + h, ... up to x_max; a halving ladder
+    and the methods of a comparison build each grid once."""
+    global _grids
     x0 = p.x_start
     x1 = p.x_max
     # x0 is 0 or -x1, so wherever x1 - x0 is finite this count is exactly
-    # (x1 - x0) / h; it stays finite where x1 - x0 overflows
-    steps = x1 / h - x0 / h if h > 0.0 else math.nan
-    if not steps >= min_steps:  # also refuses a nan or infinite h
+    # (x1 - x0) / h; it stays finite where x1 - x0 overflows.  A nan or
+    # infinite h, or an int h beyond the float range, counts nan.
+    steps = x1 / h - x0 / h if h > 0.0 and _isfinite(h) else math.nan
+    if not steps >= min_steps:
         raise DomainError(f"step size {h!r} invalid for [{x0!r}, {x1!r}]")
     steps += 1e-9
     if steps >= MAX_POINTS:  # floor(steps) + 1 samples
         raise DomainError(f"step size {h!r} gives more than {MAX_POINTS} "
                           f"grid points over [{x0!r}, {x1!r}]")
+    key = (x0, x1, h, type(x0), type(h))
+    grids = _grids
+    xs = grids.get(key)
+    if xs is not None:
+        return xs
     n = int(math.floor(steps))
     if x1 - x0 < math.inf:
         xs = [x0 + i * h for i in range(n + 1)]
@@ -206,6 +229,11 @@ def _grid(p, h: float, min_steps: int = 1) -> list[float]:
     # end at or before x1, so they remain.
     if xs[-1] == math.inf:
         del xs[-1]
+    xs = tuple(xs)
+    if not (grids and next(iter(grids))[:2] == key[:2]
+            and sum(map(len, grids.values())) + len(xs) <= MAX_POINTS):
+        grids = {}
+    _grids = {**grids, key: xs}
     return xs
 
 
@@ -232,7 +260,7 @@ def _stepped(method: str, h: float, xs, fs) -> SolutionTrace:
     if math.isnan(fs[-1]):
         x = next(x for x, f in zip(xs, fs) if math.isnan(f))
         raise ConvergenceError(f"{method}: the step to x = {x!r} overflows with both signs")
-    return SolutionTrace(method, h, tuple(xs), tuple(fs))
+    return SolutionTrace(method, h, xs, tuple(fs))
 
 
 def euler_solve(p, h: float) -> SolutionTrace:
@@ -278,14 +306,14 @@ SOLVERS = {"euler": euler_solve, "ab2": ab2_solve, "rk4": rk4_solve}
 def analytic_trace(p, h: float) -> SolutionTrace:
     """Closed-form solution sampled on the same grid the steppers use."""
     xs = _grid(p, h)
-    return SolutionTrace("analytic", h, tuple(xs), tuple(p.exact(x) for x in xs))
+    return SolutionTrace("analytic", h, xs, tuple(map(p.exact, xs)))
 
 
 def logistic_closed_form(lp: LogisticProblem, x: float) -> float:
     """f0 / (f0 + (1 - f0) * exp_k(-x)); the default f0 = 1/2 gives the
     plain 1/(1 + exp_k(-x)).  Unlike 1/(1 + c exp_k(-x)) with
     c = (1 - f0)/f0, this stays finite for a subnormal f0."""
-    if not math.isfinite(x):
+    if not _isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     return lp.f0 / (lp.f0 + (1.0 - lp.f0) * kappa_exp(lp.k, -x))
 

@@ -12,7 +12,7 @@ import math
 from collections.abc import Sequence
 from operator import mul
 
-from .core import Kappa, Record, _finite, _ordered_sum, _scaled_arcsinh
+from .core import Kappa, Record, _finite, _isfinite, _ordered_sum, _scaled_arcsinh
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -41,7 +41,10 @@ class PowerSeries(Record):
     def __init__(self, variable: str, coefficients: Sequence[float]) -> None:
         if variable not in ("x", "u"):
             raise DomainError(f"unknown series variable {variable!r}")
-        coeffs = tuple(float(c) for c in coefficients)
+        try:
+            coeffs = tuple(float(c) for c in coefficients)
+        except OverflowError:  # an int beyond the float range
+            coeffs = (math.inf,)
         if not coeffs or not all(math.isfinite(c) for c in coeffs):
             raise DomainError("coefficients must be a nonempty finite list")
         super().__init__(variable, coeffs)
@@ -244,7 +247,7 @@ def picard_iterate_in_x(it: PowerSeries, k: Kappa, order: int) -> PowerSeries:
 
 def evaluate_series(s: PowerSeries, k: Kappa, x: float) -> float:
     """Horner evaluation; series in the u-coordinate map x -> u first."""
-    if not math.isfinite(x):
+    if not _isfinite(x):
         raise DomainError(f"evaluate_series needs finite x, got {x!r}")
     if s.variable == "u":
         t = _scaled_arcsinh(k.value, x)

@@ -281,7 +281,8 @@ def test_kernels_return_a_number_or_raise_domain_error(name):
 
 
 # Every public name that takes a float, called on arbitrary floats,
-# subnormals, the float maximum, nan and +-inf included: each entry draws the
+# subnormals, the float maximum, nan, +-inf and ints beyond the float range
+# included: each entry draws the
 # arguments and makes the call of them (kappa first, a problem from its fields, a
 # series from its coefficients).  A name that takes no float, or takes only
 # what the library built, is listed apart, so a new public name must go in
@@ -294,7 +295,7 @@ NO_FLOAT_ARGUMENT = {"DomainError", "ConvergenceError", "FloorError", "ErrorRepo
                      "ROUNDOFF_FLOOR", "fit_ladder"}
 ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max,
-     math.nan, math.inf, -math.inf])
+     math.nan, math.inf, -math.inf, 10**400, -10**400])
 KAPPA_FLOAT = ANY_FLOAT | st.floats(-1.0, 1.0)
 FLOAT_LISTS = st.lists(ANY_FLOAT, min_size=1, max_size=4)
 ORDERS = st.integers(0, 12)
@@ -313,7 +314,10 @@ def _few_steps(made, h, levels=1):
     """False for a valid grid of more than 256 steps at its finest level
     (the span is at most 2 x_max): a larger grid takes the same code path,
     only for longer."""
-    steps = abs(2.0 * made[1][-1] / h) if h else math.inf
+    try:
+        steps = abs(2.0 * made[1][-1] / h) if h else math.inf
+    except OverflowError:  # an int beyond the float range, refused at once
+        return True
     return not (256 < steps * 2 ** (levels - 1) and steps < kappamath.MAX_POINTS)
 
 
@@ -355,10 +359,14 @@ FLOAT_CALLS = {
     "DecayProblem": (st.tuples(KAPPA_FLOAT, *[ANY_FLOAT] * 3), _on_kappa(DecayProblem), []),
     "LogisticProblem": (st.tuples(KAPPA_FLOAT, *[ANY_FLOAT] * 2),
                         _on_kappa(LogisticProblem), []),
-    # x = inf gave the limit 0.0, where x = -inf raised
+    # x = inf gave the limit 0.0, where x = -inf raised; f0 = 0 times the
+    # overflowed exp_k(-beta x) of an x < 0 gave nan
     "closed_form_decay": (st.tuples(_DECAY, ANY_FLOAT),
                           _on_problem(kappamath.closed_form_decay),
-                          [((DecayProblem, (0.5, 1.0, 1.0, 5.0)), math.inf)]),
+                          [((DecayProblem, (0.5, 1.0, 1.0, 5.0)), math.inf),
+                           ((DecayProblem, (0.0, 1.0, 0.0, 5.0)), -1000.0),
+                           ((DecayProblem, (0.0, 1.0, 0.0, 5.0)), math.nan),
+                           ((DecayProblem, (0.0, 1.0, 0.0, 5.0)), -math.inf)]),
     **{name: (st.tuples(_DECAY, ANY_FLOAT), _on_problem(getattr(kappamath, name)), [])
        for name in ("quadrature_decay", "substitution_decay")},
     "residual_decay": (
@@ -421,16 +429,17 @@ FLOAT_CALLS = {
 }
 
 
-def _floats_in(v):
-    """Every float in a result: itself, or the floats in its items or fields."""
-    if isinstance(v, float):
+def _numbers_in(v):
+    """Every float or int in a result: itself, or the numbers in its items or
+    fields."""
+    if isinstance(v, (float, int)):
         yield v
     elif isinstance(v, (tuple, list)):
         for item in v:
-            yield from _floats_in(item)
+            yield from _numbers_in(item)
     elif isinstance(v, core.Record):
         for name in type(v).__slots__:
-            yield from _floats_in(getattr(v, name))
+            yield from _numbers_in(getattr(v, name))
 
 
 def test_every_public_name_is_in_one_table():
@@ -440,13 +449,14 @@ def test_every_public_name_is_in_one_table():
 
 @pytest.mark.parametrize("name", sorted(FLOAT_CALLS))
 def test_public_names_give_a_number_or_raise_on_any_float(name):
-    # a nan or +-inf argument: DomainError.  Finite arguments: a number, a
+    # a nan, +-inf or int beyond the float range: DomainError, never the
+    # OverflowError of a conversion to float.  Finite arguments: a number, a
     # signed inf (the correctly rounded value of an overflow), DomainError
     # or ConvergenceError; never nan, never another exception
     args_strategy, call, examples = FLOAT_CALLS[name]
 
     def check(args):
-        finite = all(map(math.isfinite, _floats_in(args)))
+        finite = all(abs(v) <= sys.float_info.max for v in _numbers_in(args))
         try:
             result = call(*args)
         except DomainError:
@@ -455,11 +465,60 @@ def test_public_names_give_a_number_or_raise_on_any_float(name):
             assert finite, args
             return
         assert finite, (args, result)
-        assert not any(map(math.isnan, _floats_in(result))), (args, result)
+        assert not any(map(math.isnan, _numbers_in(result))), (args, result)
 
     for args in examples:
         check = example(args)(check)
     settings(max_examples=100, deadline=None)(given(args_strategy)(check))()
+
+
+_K = Kappa(0.5)
+_D = DecayProblem(_K)
+
+
+# name: (a call of the int, the start of its message)
+BEYOND_FLOAT_RANGE = {
+    "Kappa": (lambda v: Kappa(v), "kappa out of range: need |kappa| < 1, got "),
+    "kappa_exp": (lambda v: kappa_exp(_K, v), "kappa_exp needs finite x, got "),
+    "kappa_ln": (lambda v: kappa_ln(_K, v), "kappa_ln needs x > 0, got "),
+    "kappa_sum": (lambda v: kappa_sum(_K, v, 1.0), "kappa_sum needs finite arguments, got "),
+    "kappa_product": (lambda v: kappa_product(_K, 1.0, v),
+                      "kappa_product needs finite arguments, got "),
+    "adaptive_quadrature": (lambda v: adaptive_quadrature(math.cos, 0.0, v),
+                            "bad interval [0.0, "),
+    "DecayProblem.beta": (lambda v: DecayProblem(_K, beta=v), "beta must be positive, got "),
+    "DecayProblem.f0": (lambda v: DecayProblem(_K, f0=v), "f0 must be finite, got "),
+    "LogisticProblem.x_max": (lambda v: LogisticProblem(_K, x_max=v),
+                              "x_max must be positive, got "),
+    "closed_form_decay": (lambda v: kappamath.closed_form_decay(_D, v),
+                          "closed_form_decay needs finite arguments, got "),
+    "residual_decay": (lambda v: kappamath.residual_decay(_D, 1.0, v, 1.0),
+                       "residual_decay needs finite arguments, got "),
+    "slope_field": (lambda v: kappamath.slope_field(_D, [v], [1.0]),
+                    "slope_field needs finite arguments, got "),
+    "rk4_solve.h": (lambda v: rk4_solve(_D, abs(v)), "step size 1000"),
+    "convergence_order.h0": (lambda v: convergence_order(_D, "euler", abs(v), 2),
+                             "step size 1000"),
+    "series_error_curve": (lambda v: series_error_curve(_K, [4], [v]),
+                           "series_error_curve needs finite arguments, got "),
+    "PowerSeries": (lambda v: PowerSeries("x", [1.0, v]),
+                    "coefficients must be a nonempty finite list"),
+    "series_multiply": (lambda v: kappamath.series_multiply([v], [1.0], 2),
+                        "series_multiply needs finite arguments, got "),
+    "evaluate_series": (lambda v: kappamath.evaluate_series(PowerSeries("x", [1.0]), _K, v),
+                        "evaluate_series needs finite x, got "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_FLOAT_RANGE))
+@pytest.mark.parametrize("big", [10**400, -10**400], ids=["10**400", "-10**400"])
+def test_ints_beyond_the_float_range_raise_domain_error(name, big):
+    # math.isfinite and float() raise OverflowError for such an int; the
+    # message is the one a nan or infinite argument gets
+    call, message = BEYOND_FLOAT_RANGE[name]
+    with pytest.raises(DomainError) as info:
+        call(big)
+    assert str(info.value).startswith(message)
 
 
 # 50-digit references of the defining closed forms; k = 0 is the classical limit.

@@ -1,8 +1,12 @@
 import math
+import os
 import re
 import sys
+import threading
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from kappamath import ode
 from kappamath import (
@@ -64,6 +68,18 @@ def test_closed_form_decay_past_overflow():
     assert math.copysign(1.0, closed_form_decay(p, 2.0)) == -1.0
     with pytest.raises(DomainError):
         closed_form_decay(p, math.nan)
+
+
+@pytest.mark.parametrize("f0", [0.0, -0.0])
+def test_closed_form_decay_of_the_zero_solution(f0):
+    # exp_k(-beta x) overflows to inf at x = -1000 (kappa = 0) and x = -1e300;
+    # f0 = 0 keeps the zero solution there, with the sign of f0
+    for kv, x in ((0.0, -1000.0), (0.5, -1e300), (0.5, 1.0)):
+        got = closed_form_decay(decay(kv, f0=f0), x)
+        assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, f0)
+    for x in (math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            closed_form_decay(decay(f0=f0), x)
 
 
 def test_quadrature_decay_values():
@@ -271,6 +287,117 @@ def test_finite_grids_unchanged(problem, x_max, h):
         assert xs == tuple(p.x_start + i * h for i in range(n + 1))
     else:
         assert xs == tuple(2.0 * (0.5 * p.x_start + i * 0.5 * h) for i in range(n + 1))
+
+
+class Interval:
+    """What a grid is built from: a problem's x_start and x_max."""
+
+    def __init__(self, x_start, x_max):
+        self.x_start = x_start
+        self.x_max = x_max
+
+
+def _uncached_grid(x0, x1, h):
+    n = math.floor(x1 / h - x0 / h + 1e-9)
+    if x1 - x0 < math.inf:
+        xs = [x0 + i * h for i in range(n + 1)]
+    else:
+        xs = [2.0 * (0.5 * x0 + i * (0.5 * h)) for i in range(n + 1)]
+    return tuple(x for x in xs if x < math.inf)
+
+
+@st.composite
+def _intervals(draw):
+    """(x_start, x_max, h) of at most about 200 steps; x_start is 0, -0 or
+    -x_max, and x_max reaches the float maximum, where the span overflows."""
+    x1 = draw(st.floats(5e-324, sys.float_info.max) | st.sampled_from(
+        [1.0, 5.0, sys.float_info.max, 0.75 * sys.float_info.max]))
+    x0 = draw(st.sampled_from([0.0, -0.0, -x1]))
+    h = (x1 / draw(st.floats(1.0, 200.0))) * (2.0 if x0 else 1.0)
+    return x0, x1, h
+
+
+@given(_intervals())
+@example((-0.0, 1.0, 0.1))
+@example((0.0, 1.0, 0.1))
+@example((-sys.float_info.max, sys.float_info.max, 5.992310450140284e307))
+@settings(max_examples=300, deadline=None)
+def test_memo_grid_is_the_uncached_grid(interval):
+    x0, x1, h = interval
+    assume(0.0 < h < math.inf)
+    p = Interval(x0, x1)
+    try:
+        xs = ode._grid(p, h)
+    except DomainError:
+        return
+    # bit for bit, the sign of a zero included; a hit returns the same tuple
+    assert list(map(float.hex, xs)) == list(map(float.hex, _uncached_grid(x0, x1, h)))
+    assert ode._grid(p, h) is xs
+    # the memo, keyed by value, serves the other sign of a zero start
+    if x0 == 0.0:
+        xs = ode._grid(Interval(-x0, x1), h)
+        assert list(map(float.hex, xs)) == list(map(float.hex, _uncached_grid(-x0, x1, h)))
+
+
+def test_memo_grid_keeps_the_types_of_start_and_step():
+    # an int start and step make a grid of ints, equal to the floats
+    p = Interval(0, 2)
+    assert ode._grid(p, 1.0) == (0.0, 1.0, 2.0)
+    ints = ode._grid(p, 1)
+    assert list(map(type, ints)) == [int] * 3
+    assert list(map(type, ode._grid(p, 1.0))) == [float] * 3
+
+
+def test_memo_holds_one_interval_and_at_most_max_points(monkeypatch):
+    monkeypatch.setattr(ode, "_grids", {})
+    monkeypatch.setattr(ode, "MAX_POINTS", 60)
+    p = decay(x_max=1.0)
+    for h in (0.1, 0.05):
+        rk4_solve(p, h)
+    assert sorted(map(len, ode._grids.values())) == [11, 21]
+    # 11 + 21 + 41 points pass the bound: the memo starts again
+    xs = rk4_solve(p, 0.025).xs
+    assert list(ode._grids.values()) == [xs]
+    euler_solve(p, 0.1)
+    assert sorted(map(len, ode._grids.values())) == [11, 41]
+    # another interval replaces the memo
+    lp = LogisticProblem(Kappa(0.5), x_max=1.0)
+    ab2_solve(lp, 0.1)
+    assert {key[:2] for key in ode._grids} == {(-1.0, 1.0)}
+    assert sum(map(len, ode._grids.values())) == 21
+
+
+def test_threads_building_grids_on_different_intervals():
+    # more threads than cores, switching often; the problems take turns, so
+    # the memo is replaced between intervals while other threads read it
+    problems = [decay(0.9, x_max=1.0), LogisticProblem(Kappa(0.4), x_max=1.0)]
+    solvers = (euler_solve, ab2_solve, rk4_solve, analytic_trace)
+    hs = (0.1, 0.05, 0.025)
+    want = [[s(p, h) for s in solvers for h in hs] for p in problems]
+    n_threads, rounds = (os.cpu_count() or 1) + 2, 10
+    got = [[] for _ in range(n_threads)]
+    start = threading.Barrier(n_threads)
+
+    def run(i):
+        start.wait(timeout=60)
+        p = problems[i % 2]
+        for _ in range(rounds):
+            got[i].append([s(p, h) for s in solvers for h in hs])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want[i % 2]] * rounds for i in range(n_threads)]
+    assert len({key[:2] for key in ode._grids}) == 1
+    assert sum(map(len, ode._grids.values())) <= ode.MAX_POINTS
 
 
 def test_euler_single_steps():
