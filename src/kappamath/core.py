@@ -50,6 +50,8 @@ class Record:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()

@@ -6,6 +6,7 @@ implemented (closed form, quadrature of the weight, coordinate substitution)
 plus fixed-step Euler, two-step Adams-Bashforth, and classical RK4.  The
 solvers and the harness take any problem that provides x_start, x_max,
 initial_value, rhs(x, f) and exact(x), and solve it over [x_start, x_max].
+rhs may be any callable attribute: a solve reads it once.
 """
 
 import math
@@ -74,12 +75,33 @@ class DecayProblem(Record):
     def weight(self, x: float) -> float:
         return 1.0 / math.hypot(1.0, self.k.value * self.beta * x)
 
-    def rhs(self, x: float, f: float) -> float:
-        # beta * weight(x) as one quotient: no beta * f to overflow
-        return -f / math.hypot(1.0 / self.beta, self.k.value * x)
+    def _slope(self):
+        b = 1.0 / self.beta
+        kv = self.k.value
+        hypot = math.hypot
+
+        def rhs(x: float, f: float) -> float:
+            # beta * weight(x) as one quotient: no beta * f to overflow
+            return -f / hypot(b, kv * x)
+        return rhs
+
+    # rhs(x, f), with 1/beta and kappa bound: read once per solve
+    rhs = property(_slope)
 
     def exact(self, x: float) -> float:
-        return closed_form_decay(self, x)
+        """f0 * exp_k(-beta x), and its limit 0 where beta x overflows to inf
+        from a finite x.  f0 = 0 gives the zero solution, also at an x < 0
+        where exp_k(-beta x) overflows."""
+        try:
+            bx = self.beta * x
+        except OverflowError:  # an int x beyond the float range
+            bx = math.inf
+        f0 = self.f0
+        if bx == math.inf:
+            _finite("closed_form_decay", x)
+            return f0 * 0.0
+        e = kappa_exp(self.k, -bx)  # DomainError for a nan or infinite x
+        return f0 * e if f0 else f0
 
 
 class LogisticProblem(Record):
@@ -111,11 +133,25 @@ class LogisticProblem(Record):
     def weight(self, x: float) -> float:
         return differential_weight(self.k, x)
 
-    def rhs(self, x: float, f: float) -> float:
-        return f * (1.0 - f) * (1.0 / math.hypot(1.0, self.k.value * x))
+    def _slope(self):
+        kv = self.k.value
+        hypot = math.hypot
+
+        def rhs(x: float, f: float) -> float:
+            return f * (1.0 - f) * (1.0 / hypot(1.0, kv * x))
+        return rhs
+
+    # rhs(x, f), with kappa bound: read once per solve
+    rhs = property(_slope)
 
     def exact(self, x: float) -> float:
-        return logistic_closed_form(self, x)
+        """f0 / (f0 + (1 - f0) * exp_k(-x)); the default f0 = 1/2 gives the
+        plain 1/(1 + exp_k(-x)).  Unlike 1/(1 + c exp_k(-x)) with
+        c = (1 - f0)/f0, this stays finite for a subnormal f0."""
+        if not _isfinite(x):
+            raise DomainError(f"x must be finite, got {x!r}")
+        f0 = self.f0
+        return f0 / (f0 + (1.0 - f0) * kappa_exp(self.k, -x))
 
 
 class SolutionTrace(Record):
@@ -126,19 +162,8 @@ class SolutionTrace(Record):
 
 
 def closed_form_decay(p: DecayProblem, x: float) -> float:
-    """f0 * exp_k(-beta x), and its limit 0 where beta x overflows to inf
-    from a finite x.  f0 = 0 gives the zero solution, also at an x < 0
-    where exp_k(-beta x) overflows."""
-    try:
-        bx = p.beta * x
-    except OverflowError:  # an int x beyond the float range
-        bx = math.inf
-    f0 = p.f0
-    if bx == math.inf:
-        _finite("closed_form_decay", x)
-        return f0 * 0.0
-    e = kappa_exp(p.k, -bx)  # DomainError for a nan or infinite x
-    return f0 * e if f0 else f0
+    """f0 * exp_k(-beta x): DecayProblem.exact."""
+    return DecayProblem.exact(p, x)
 
 
 def quadrature_decay(p: DecayProblem, x: float) -> float:
@@ -184,7 +209,8 @@ def slope_field(p, x_grid, f_grid) -> list[tuple[float, float, float]]:
         raise DomainError(f"slope_field grid must have at most {MAX_POINTS} "
                           f"nodes, got {len(xs)} * {len(fs)}")
     _finite("slope_field", *xs, *fs)
-    return [(x, f, p.rhs(x, f)) for x in xs for f in fs]
+    rhs = p.rhs
+    return [(x, f, rhs(x, f)) for x in xs for f in fs]
 
 
 # The grids of one interval [x_start, x_max], keyed by (x_start, x_max, h)
@@ -310,12 +336,8 @@ def analytic_trace(p, h: float) -> SolutionTrace:
 
 
 def logistic_closed_form(lp: LogisticProblem, x: float) -> float:
-    """f0 / (f0 + (1 - f0) * exp_k(-x)); the default f0 = 1/2 gives the
-    plain 1/(1 + exp_k(-x)).  Unlike 1/(1 + c exp_k(-x)) with
-    c = (1 - f0)/f0, this stays finite for a subnormal f0."""
-    if not _isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    return lp.f0 / (lp.f0 + (1.0 - lp.f0) * kappa_exp(lp.k, -x))
+    """f0 / (f0 + (1 - f0) * exp_k(-x)): LogisticProblem.exact."""
+    return LogisticProblem.exact(lp, x)
 
 
 def logistic_residual(lp: LogisticProblem, x: float) -> float:

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import sys
@@ -266,6 +267,18 @@ def test_coarser_ladder_after_finer_makes_no_evaluation():
     error_table(p, METHODS, 0.1 / 16)
     assert calls == []
     assert_fresh(p, coarse)
+
+
+def test_equal_copy_reuses_the_exact_values():
+    # the memo compares fields, not identity: an equal copy of the problem
+    # reads the values the original's ladder stored
+    p, calls = counting_decay(x_max=5.0)
+    fit = convergence_order(p, "rk4", 0.1, 5)
+    q = copy.copy(p)
+    assert q is not p and q == p
+    del calls[:]
+    assert convergence_order(q, "rk4", 0.1, 5) == fit
+    assert calls == []
 
 
 def test_interleaved_problems_get_their_own_values():

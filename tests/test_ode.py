@@ -228,6 +228,30 @@ def test_user_defined_problem_protocol():
     assert analytic_trace(p, 0.5).fs == (1.0, math.exp(-0.5), math.exp(-1.0))
 
 
+class ReadCountingDecay(PlainDecay):
+    """PlainDecay whose rhs is a property that counts its reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    @property
+    def rhs(self):
+        self.reads += 1
+        return super().rhs
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: euler_solve(p, 0.1),
+    lambda p: ab2_solve(p, 0.1),
+    lambda p: rk4_solve(p, 0.1),
+    lambda p: slope_field(p, [0.0, 0.5, 1.0], [1.0, 2.0])],
+    ids=["euler", "ab2", "rk4", "slope_field"])
+def test_a_solve_reads_rhs_once(run):
+    p = ReadCountingDecay()
+    assert run(p) == run(PlainDecay())
+    assert p.reads == 1
+
+
 def test_trace_grid_lengths():
     assert len(euler_solve(decay(x_max=5.0), 0.01).xs) == 501
     assert len(rk4_solve(decay(x_max=1.0), 0.1).xs) == 11
@@ -551,6 +575,48 @@ def test_decay_rhs_finite_where_beta_f_overflows():
     # beta * f overflows against a finite weight
     p = DecayProblem(Kappa(0.9), beta=1e300, x_max=2.0)
     assert p.rhs(1.0, 1e10) == pytest.approx(-1e10 / 0.9, rel=1e-15)
+
+
+# The slopes as the problems document them, written out in full.
+def decay_slope(p, x, f):
+    return -f / math.hypot(1.0 / p.beta, p.k.value * x)
+
+
+def logistic_slope(p, x, f):
+    return f * (1.0 - f) * (1.0 / math.hypot(1.0, p.k.value * x))
+
+
+def outcome(fn, *args):
+    """repr of fn's value, which compares bit for bit, the sign of a zero
+    included; or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except DomainError as e:
+        return type(e), str(e)
+
+
+_KV = st.floats(-0.999, 0.999)
+_X = st.floats(-1e308, 1e308)
+
+
+@given(kv=_KV, beta=st.floats(1e-300, 1e308), x=_X, f=_X)
+@example(kv=0.9, beta=1e308, x=5e306, f=1e308)  # the overflow edges above
+@example(kv=0.9, beta=1e300, x=1.0, f=1e10)
+@example(kv=0.9, beta=1e-300, x=1.7976931348623157e308, f=1e308)
+@example(kv=0.0, beta=1.0, x=0.0, f=-0.0)
+def test_decay_rhs_and_exact_are_the_documented_forms(kv, beta, x, f):
+    p = DecayProblem(Kappa(kv), beta=beta, f0=f)
+    assert outcome(p.rhs, x, f) == outcome(decay_slope, p, x, f)
+    assert outcome(p.exact, x) == outcome(closed_form_decay, p, x)
+
+
+@given(kv=_KV, f0=st.floats(5e-324, 1.0, exclude_max=True), x=_X, f=_X)
+@example(kv=0.9, f0=0.5, x=1e308, f=1e308)
+@example(kv=0.0, f0=5e-324, x=-1e308, f=-0.0)
+def test_logistic_rhs_and_exact_are_the_documented_forms(kv, f0, x, f):
+    p = LogisticProblem(Kappa(kv), f0=f0)
+    assert outcome(p.rhs, x, f) == outcome(logistic_slope, p, x, f)
+    assert outcome(p.exact, x) == outcome(logistic_closed_form, p, x)
 
 
 def test_decay_rejects_beta_whose_slope_denominator_overflows():
