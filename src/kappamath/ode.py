@@ -89,18 +89,19 @@ class DecayProblem(Record):
     rhs = property(_slope)
 
     def exact(self, x: float) -> float:
-        """f0 * exp_k(-beta x), and its limit 0 where beta x overflows to inf
-        from a finite x.  f0 = 0 gives the zero solution, also at an x < 0
-        where exp_k(-beta x) overflows."""
+        """f0 * exp_k(-beta x), and its limits where beta x overflows from a
+        finite x: 0 at x > 0 and +-inf at x < 0.  f0 = 0 gives the zero
+        solution, also at an x < 0 where exp_k(-beta x) overflows."""
         try:
             bx = self.beta * x
         except OverflowError:  # an int x beyond the float range
             bx = math.inf
         f0 = self.f0
-        if bx == math.inf:
+        if math.isfinite(bx):
+            e = kappa_exp(self.k, -bx)
+        else:
             _finite("closed_form_decay", x)
-            return f0 * 0.0
-        e = kappa_exp(self.k, -bx)  # DomainError for a nan or infinite x
+            e = 0.0 if bx > 0.0 else math.inf
         return f0 * e if f0 else f0
 
 

@@ -19,6 +19,7 @@ from kappamath import (
     analytic_trace,
     closed_form_decay,
     euler_solve,
+    kappa_exp,
     logistic_closed_form,
     logistic_residual,
     quadrature_decay,
@@ -61,11 +62,14 @@ def test_closed_form_decay_values():
 
 
 def test_closed_form_decay_past_overflow():
-    # beta x overflows to inf at x = 2, where exp_k(-beta x) has the limit 0
+    # beta x overflows to inf at x = 2, where exp_k(-beta x) has the limit 0,
+    # and to -inf at x = -2, where it has the limit inf
     p = decay(0.5, beta=1e308, f0=-3.0, x_max=2.0)
     assert closed_form_decay(p, 1.0) == 0.0
     assert closed_form_decay(p, 2.0) == 0.0
     assert math.copysign(1.0, closed_form_decay(p, 2.0)) == -1.0
+    assert closed_form_decay(p, -2.0) == -math.inf
+    assert closed_form_decay(decay(0.5, beta=1e308, f0=3.0), -2.0) == math.inf
     with pytest.raises(DomainError):
         closed_form_decay(p, math.nan)
 
@@ -77,6 +81,9 @@ def test_closed_form_decay_of_the_zero_solution(f0):
     for kv, x in ((0.0, -1000.0), (0.5, -1e300), (0.5, 1.0)):
         got = closed_form_decay(decay(kv, f0=f0), x)
         assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, f0)
+    # beta x overflows to -inf at a finite x < 0
+    got = closed_form_decay(decay(0.0, beta=2.247116418577895e307, f0=f0), -8.0)
+    assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, f0)
     for x in (math.nan, -math.inf):
         with pytest.raises(DomainError):
             closed_form_decay(decay(f0=f0), x)
@@ -586,6 +593,22 @@ def logistic_slope(p, x, f):
     return f * (1.0 - f) * (1.0 / math.hypot(1.0, p.k.value * x))
 
 
+# The closed forms as the problems document them, limits included.
+def decay_exact(p, x):
+    if p.f0 == 0.0:  # the zero solution, with the sign of f0
+        return p.f0
+    bx = p.beta * x
+    if bx == math.inf:
+        return p.f0 * 0.0
+    if bx == -math.inf:
+        return math.copysign(math.inf, p.f0)
+    return p.f0 * kappa_exp(p.k, -bx)
+
+
+def logistic_exact(p, x):
+    return p.f0 / (p.f0 + (1.0 - p.f0) * kappa_exp(p.k, -x))
+
+
 def outcome(fn, *args):
     """repr of fn's value, which compares bit for bit, the sign of a zero
     included; or the type and message of what it raises."""
@@ -604,10 +627,14 @@ _X = st.floats(-1e308, 1e308)
 @example(kv=0.9, beta=1e300, x=1.0, f=1e10)
 @example(kv=0.9, beta=1e-300, x=1.7976931348623157e308, f=1e308)
 @example(kv=0.0, beta=1.0, x=0.0, f=-0.0)
+# beta x overflows to -inf from a finite x, which once raised DomainError
+@example(kv=0.0, beta=2.247116418577895e307, x=-8.0, f=0.0)
+@example(kv=0.0, beta=2.247116418577895e307, x=-8.0, f=1.0)
+@example(kv=0.5, beta=1e308, x=-2.0, f=-3.0)
 def test_decay_rhs_and_exact_are_the_documented_forms(kv, beta, x, f):
     p = DecayProblem(Kappa(kv), beta=beta, f0=f)
     assert outcome(p.rhs, x, f) == outcome(decay_slope, p, x, f)
-    assert outcome(p.exact, x) == outcome(closed_form_decay, p, x)
+    assert outcome(p.exact, x) == outcome(decay_exact, p, x)
 
 
 @given(kv=_KV, f0=st.floats(5e-324, 1.0, exclude_max=True), x=_X, f=_X)
@@ -616,7 +643,7 @@ def test_decay_rhs_and_exact_are_the_documented_forms(kv, beta, x, f):
 def test_logistic_rhs_and_exact_are_the_documented_forms(kv, f0, x, f):
     p = LogisticProblem(Kappa(kv), f0=f0)
     assert outcome(p.rhs, x, f) == outcome(logistic_slope, p, x, f)
-    assert outcome(p.exact, x) == outcome(logistic_closed_form, p, x)
+    assert outcome(p.exact, x) == outcome(logistic_exact, p, x)
 
 
 def test_decay_rejects_beta_whose_slope_denominator_overflows():
