@@ -9,6 +9,7 @@ initial_value, rhs(x, f) and exact(x), and solve it over [x_start, x_max].
 rhs may be any callable attribute: a solve reads it once.
 """
 
+import functools
 import math
 import sys
 
@@ -150,7 +151,7 @@ class LogisticProblem(Record):
         plain 1/(1 + exp_k(-x)).  Unlike 1/(1 + c exp_k(-x)) with
         c = (1 - f0)/f0, this stays finite for a subnormal f0."""
         if not _isfinite(x):
-            raise DomainError(f"x must be finite, got {x!r}")
+            raise DomainError(f"logistic_closed_form needs finite arguments, got {x!r}")
         f0 = self.f0
         return f0 / (f0 + (1.0 - f0) * kappa_exp(self.k, -x))
 
@@ -214,18 +215,9 @@ def slope_field(p, x_grid, f_grid) -> list[tuple[float, float, float]]:
     return [(x, f, rhs(x, f)) for x in xs for f in fs]
 
 
-# The grids of one interval [x_start, x_max], keyed by (x_start, x_max, h)
-# and the types of x_start and h, which set the type of the points (an int
-# start and step give ints): at most MAX_POINTS points in all.  Replaced in one assignment and never mutated, so
-# threads that share it can at worst repeat work.  A start of -0.0 gives the
-# same points as 0.0, so either may stand for the other.
-_grids = {}
-
-
 def _grid(p, h: float, min_steps: int = 1) -> tuple:
     """The samples x_start, x_start + h, ... up to x_max; a halving ladder
     and the methods of a comparison build each grid once."""
-    global _grids
     x0 = p.x_start
     x1 = p.x_max
     # x0 is 0 or -x1, so wherever x1 - x0 is finite this count is exactly
@@ -238,12 +230,21 @@ def _grid(p, h: float, min_steps: int = 1) -> tuple:
     if steps >= MAX_POINTS:  # floor(steps) + 1 samples
         raise DomainError(f"step size {h!r} gives more than {MAX_POINTS} "
                           f"grid points over [{x0!r}, {x1!r}]")
-    key = (x0, x1, h, type(x0), type(h))
-    grids = _grids
-    xs = grids.get(key)
-    if xs is not None:
-        return xs
-    n = int(math.floor(steps))
+    n = int(steps)
+    # only grids of fewer than MAX_POINTS // 8 points are cached, so the 8
+    # held have fewer than MAX_POINTS points in all
+    build = _points if n + 1 < MAX_POINTS // 8 else _points.__wrapped__
+    return build(x0, x1, h, n)
+
+
+# maxsize is harness.MAX_LEVELS: a ladder's grids stay cached for the next
+# method's ladder.  A start of -0.0 gives the same points as 0.0, and an int
+# start or step the same points as the equal floats, so either may stand for
+# the other in the key.
+@functools.lru_cache(maxsize=8)
+def _points(x0, x1, h, n: int) -> tuple:
+    """The n + 1 floats x0, x0 + h, ..., x0 + n h, less a last inf."""
+    x0, h = float(x0), float(h)
     if x1 - x0 < math.inf:
         xs = [x0 + i * h for i in range(n + 1)]
     else:
@@ -252,16 +253,11 @@ def _grid(p, h: float, min_steps: int = 1) -> tuple:
         x0, h = 0.5 * x0, 0.5 * h
         xs = [2.0 * (x0 + i * h) for i in range(n + 1)]
     # the 1e-9 keeps a last point that rounds past x1; near the float maximum
-    # that point overflows to inf, and is dropped.  The first min_steps steps
-    # end at or before x1, so they remain.
+    # that point overflows to inf, and is dropped.  The min_steps steps that
+    # _grid requires end at or before x1, so they remain.
     if xs[-1] == math.inf:
         del xs[-1]
-    xs = tuple(xs)
-    if not (grids and next(iter(grids))[:2] == key[:2]
-            and sum(map(len, grids.values())) + len(xs) <= MAX_POINTS):
-        grids = {}
-    _grids = {**grids, key: xs}
-    return xs
+    return tuple(xs)
 
 
 def _rk4_values(rhs, xs, f: float, h: float) -> list[float]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kappamath import ode
+from kappamath import harness, ode
 from kappamath import (
     ConvergenceError,
     DecayProblem,
@@ -364,46 +364,68 @@ def test_memo_grid_is_the_uncached_grid(interval):
     # bit for bit, the sign of a zero included; a hit returns the same tuple
     assert list(map(float.hex, xs)) == list(map(float.hex, _uncached_grid(x0, x1, h)))
     assert ode._grid(p, h) is xs
-    # the memo, keyed by value, serves the other sign of a zero start
+    # the cache, keyed by value, serves the other sign of a zero start
     if x0 == 0.0:
         xs = ode._grid(Interval(-x0, x1), h)
         assert list(map(float.hex, xs)) == list(map(float.hex, _uncached_grid(-x0, x1, h)))
 
 
-def test_memo_grid_keeps_the_types_of_start_and_step():
-    # an int start and step make a grid of ints, equal to the floats
-    p = Interval(0, 2)
-    assert ode._grid(p, 1.0) == (0.0, 1.0, 2.0)
-    ints = ode._grid(p, 1)
-    assert list(map(type, ints)) == [int] * 3
-    assert list(map(type, ode._grid(p, 1.0))) == [float] * 3
-
-
-def test_memo_holds_one_interval_and_at_most_max_points(monkeypatch):
-    monkeypatch.setattr(ode, "_grids", {})
-    monkeypatch.setattr(ode, "MAX_POINTS", 60)
+def test_grid_cache_holds_at_most_eight_of_a_thousand_step_sizes():
+    # a sweep of step sizes on one interval keeps only the last 8 grids, so
+    # what each new step size costs does not grow with the sweep; every grid
+    # is bit for bit the uncached one
+    ode._points.cache_clear()
     p = decay(x_max=1.0)
-    for h in (0.1, 0.05):
-        rk4_solve(p, h)
-    assert sorted(map(len, ode._grids.values())) == [11, 21]
-    # 11 + 21 + 41 points pass the bound: the memo starts again
-    xs = rk4_solve(p, 0.025).xs
-    assert list(ode._grids.values()) == [xs]
-    euler_solve(p, 0.1)
-    assert sorted(map(len, ode._grids.values())) == [11, 41]
-    # another interval replaces the memo
-    lp = LogisticProblem(Kappa(0.5), x_max=1.0)
-    ab2_solve(lp, 0.1)
-    assert {key[:2] for key in ode._grids} == {(-1.0, 1.0)}
-    assert sum(map(len, ode._grids.values())) == 21
+    hs = [1.0 / (1.0 + i / 7.0) for i in range(1000)]
+    grids = [ode._grid(p, h) for h in hs]
+    for h, xs in zip(hs, grids):
+        assert list(map(float.hex, xs)) == list(map(float.hex, _uncached_grid(0.0, 1.0, h)))
+    assert ode._points.cache_info().currsize == 8
+    assert all(ode._grid(p, h) is xs for h, xs in zip(hs[-8:], grids[-8:]))
+    assert ode._grid(p, hs[0]) is not grids[0]
+
+
+def test_grid_cache_size_is_the_ladder_level_count():
+    # a smaller cache would evict a ladder's grids before the next method's
+    # ladder reads them; ode cannot import harness, so the two are kept equal here
+    assert ode._points.cache_info().maxsize == harness.MAX_LEVELS
+
+
+@pytest.mark.parametrize("first", ["int", "float"])
+def test_grid_of_an_int_start_and_step_is_the_float_grid(first):
+    # either call may fill the cache: both get the same tuple of floats
+    ode._points.cache_clear()
+    calls = {"int": lambda: ode._grid(Interval(0, 2), 1),
+             "float": lambda: ode._grid(Interval(0.0, 2.0), 1.0)}
+    xs = calls[first]()
+    assert list(map(type, xs)) == [float] * 3
+    assert xs == (0.0, 1.0, 2.0)
+    assert calls["float"]() is xs and calls["int"]() is xs
+
+
+def test_grid_of_max_points_over_8_points_is_never_cached(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_POINTS", 80)
+    ode._points.cache_clear()
+    p = decay(x_max=1.0)
+    # 9 points are cached
+    xs = rk4_solve(p, 0.125).xs
+    assert len(xs) == 9 and ode._points.cache_info().currsize == 1
+    assert euler_solve(p, 0.125).xs is xs
+    # 10 points, MAX_POINTS // 8, are built afresh on every call
+    xs = rk4_solve(p, 1.0 / 9.0).xs
+    assert len(xs) == 10 and ode._points.cache_info().currsize == 1
+    ys = euler_solve(p, 1.0 / 9.0).xs
+    assert ys == xs and ys is not xs
+    assert ode._points.cache_info().currsize == 1
 
 
 def test_threads_building_grids_on_different_intervals():
-    # more threads than cores, switching often; the problems take turns, so
-    # the memo is replaced between intervals while other threads read it
+    # more threads than cores, switching often; the problems take turns, and
+    # their 10 grids do not fit in the cache, so grids are evicted while
+    # other threads read them
     problems = [decay(0.9, x_max=1.0), LogisticProblem(Kappa(0.4), x_max=1.0)]
     solvers = (euler_solve, ab2_solve, rk4_solve, analytic_trace)
-    hs = (0.1, 0.05, 0.025)
+    hs = (0.1, 0.05, 0.04, 0.025, 0.02)
     want = [[s(p, h) for s in solvers for h in hs] for p in problems]
     n_threads, rounds = (os.cpu_count() or 1) + 2, 10
     got = [[] for _ in range(n_threads)]
@@ -427,8 +449,6 @@ def test_threads_building_grids_on_different_intervals():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[want[i % 2]] * rounds for i in range(n_threads)]
-    assert len({key[:2] for key in ode._grids}) == 1
-    assert sum(map(len, ode._grids.values())) <= ode.MAX_POINTS
 
 
 def test_euler_single_steps():
