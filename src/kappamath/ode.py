@@ -130,7 +130,7 @@ class LogisticProblem(Record):
     def initial_value(self) -> float:
         # Numerical traces start on the closed form at the left edge so the
         # comparison over the symmetric range is well-posed.
-        return logistic_closed_form(self, -self.x_max)
+        return self.exact(-self.x_max)
 
     def weight(self, x: float) -> float:
         return differential_weight(self.k, x)
@@ -163,9 +163,8 @@ class SolutionTrace(Record):
     __slots__ = ("method", "h", "xs", "fs")
 
 
-def closed_form_decay(p: DecayProblem, x: float) -> float:
-    """f0 * exp_k(-beta x): DecayProblem.exact."""
-    return DecayProblem.exact(p, x)
+# f0 * exp_k(-beta x) as a function of (p, x): the method itself
+closed_form_decay = DecayProblem.exact
 
 
 def quadrature_decay(p: DecayProblem, x: float) -> float:
@@ -332,9 +331,8 @@ def analytic_trace(p, h: float) -> SolutionTrace:
     return SolutionTrace("analytic", h, xs, tuple(map(p.exact, xs)))
 
 
-def logistic_closed_form(lp: LogisticProblem, x: float) -> float:
-    """f0 / (f0 + (1 - f0) * exp_k(-x)): LogisticProblem.exact."""
-    return LogisticProblem.exact(lp, x)
+# f0 / (f0 + (1 - f0) * exp_k(-x)) as a function of (lp, x): the method itself
+logistic_closed_form = LogisticProblem.exact
 
 
 def logistic_residual(lp: LogisticProblem, x: float) -> float:

@@ -8,6 +8,7 @@ Composition sums the powers of the inner series, each pruned of the leading
 zeros that its zero constant term implies.
 """
 
+import functools
 import math
 from collections.abc import Sequence
 from operator import mul
@@ -42,10 +43,10 @@ class PowerSeries(Record):
         if variable not in ("x", "u"):
             raise DomainError(f"unknown series variable {variable!r}")
         try:
-            coeffs = tuple(float(c) for c in coefficients)
+            coeffs = tuple(map(float, coefficients))
         except OverflowError:  # an int beyond the float range
             coeffs = (math.inf,)
-        if not coeffs or not all(math.isfinite(c) for c in coeffs):
+        if not coeffs or not all(map(math.isfinite, coeffs)):
             raise DomainError("coefficients must be a nonempty finite list")
         super().__init__(variable, coeffs)
 
@@ -61,10 +62,9 @@ def _check_order(order: int) -> None:
 
 def series_truncate(c: Sequence[float], order: int) -> list[float]:
     """Pad or cut a coefficient list to exactly order+1 entries."""
+    _check_order(order)
     _finite("series_truncate", *c)
-    out = list(c[: order + 1])
-    out += [0.0] * (order + 1 - len(out))
-    return out
+    return (list(c) + [0.0] * (order + 1))[: order + 1]
 
 
 def _cauchy(a: Sequence[float], b: Sequence[float], order: int) -> list[float]:
@@ -90,6 +90,7 @@ def _trustworthy(coeffs: list[float]) -> list[float]:
 def series_multiply(a: Sequence[float], b: Sequence[float], order: int) -> list[float]:
     """Cauchy product truncated at the given order; ConvergenceError where a
     coefficient's terms overflow with both signs."""
+    _check_order(order)
     _finite("series_multiply", *a, *b)
     return _trustworthy(_cauchy(a, b, order))
 
@@ -104,8 +105,9 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
     zeros and the cost is about order^3/6 multiply-adds.  ConvergenceError
     where a coefficient's terms overflow with both signs.
     """
+    _check_order(order)
     _finite("series_compose", *outer, *inner)
-    inner = series_truncate(inner, order)
+    inner = (list(inner) + [0.0] * (order + 1))[: order + 1]
     if inner[0] != 0.0:
         raise DomainError("series_compose needs inner constant term 0")
     out = [0.0] * (order + 1)
@@ -119,18 +121,23 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
     return _trustworthy(out)
 
 
-def _coordinate_series(k: Kappa, order: int) -> list[float]:
-    # Maclaurin coefficients of u(x) = arcsinh(k x)/k: only odd powers,
-    # c_{2n+1} = (-1)^n (2n)! k^(2n) / (4^n (n!)^2 (2n+1)).
+def _odd_series(order: int, ratio) -> list[float]:
+    # c_1 = 1 and c_{2n+1} = c_{2n-1} * ratio(n); the even coefficients are 0
     c = [0.0] * (order + 1)
     if order >= 1:
         c[1] = 1.0
     term = 1.0
-    k2 = k.value * k.value
     for n in range(1, (order - 1) // 2 + 1):
-        term *= -k2 * (2 * n - 1) ** 2 / (2 * n * (2 * n + 1))
+        term *= ratio(n)
         c[2 * n + 1] = term
     return c
+
+
+def _coordinate_series(k: Kappa, order: int) -> list[float]:
+    # Maclaurin coefficients of u(x) = arcsinh(k x)/k: only odd powers,
+    # c_{2n+1} = (-1)^n (2n)! k^(2n) / (4^n (n!)^2 (2n+1)).
+    k2 = k.value * k.value
+    return _odd_series(order, lambda n: -k2 * (2 * n - 1) ** 2 / (2 * n * (2 * n + 1)))
 
 
 def exp_kappa_taylor(k: Kappa, order: int) -> PowerSeries:
@@ -159,14 +166,8 @@ def ln_kappa_shifted_taylor(k: Kappa, order: int) -> PowerSeries:
     """
     _check_order(order)
     # sinh(k t)/k in t: odd coefficients k^(2n)/(2n+1)!
-    sinh_ratio = [0.0] * (order + 1)
-    if order >= 1:
-        sinh_ratio[1] = 1.0
-    term = 1.0
     k2 = k.value * k.value
-    for n in range(1, (order - 1) // 2 + 1):
-        term *= k2 / (2 * n * (2 * n + 1))
-        sinh_ratio[2 * n + 1] = term
+    sinh_ratio = _odd_series(order, lambda n: k2 / (2 * n * (2 * n + 1)))
     log1p = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, order + 1)]
     coeffs = series_compose(sinh_ratio, log1p, order)
     return PowerSeries("x", tuple(coeffs))
@@ -206,11 +207,6 @@ def decay_series_solution(k: Kappa, order: int) -> PowerSeries:
     return PowerSeries("x", tuple(a))
 
 
-# n -> picard_iterate's series: it does not depend on kappa, and a
-# PowerSeries is immutable, so each of the 21 iterates is built once.
-_PICARD = {}
-
-
 def picard_iterate(k: Kappa, n: int) -> PowerSeries:
     """Iterate n of Picard's scheme for the decay equation, as a series in
     u = arcsinh(k x)/k whose coefficient of u^j is (-1)^j/j! for j <= n.
@@ -220,19 +216,22 @@ def picard_iterate(k: Kappa, n: int) -> PowerSeries:
     f_{m+1}(u) = 1 - int_0^u f_m(t) dt, computed exactly in integers scaled
     by N = n!.  Every division by j + 1 is exact because (j + 1)! divides n!,
     and c / N rounds each coefficient once at the end.  The iterate is the
-    same for every k, so it is built once per n and then returned from a
-    memo; n is checked before the memo is looked at.
+    same for every k, and immutable, so it is built once per n and then
+    returned from a functools.cache of at most 21 entries; n is checked
+    first, since 2.0 == 2 would find the cached iterate for 2.
     """
     if not (isinstance(n, int) and 0 <= n <= 20):
         raise DomainError(f"picard index must be in [0, 20], got {n!r}")
-    it = _PICARD.get(n)
-    if it is None:
-        scale = math.factorial(n)
-        coeffs = [scale]
-        for _ in range(n):
-            coeffs = [scale] + [-c // (j + 1) for j, c in enumerate(coeffs)]
-        it = _PICARD[n] = PowerSeries("u", [c / scale for c in coeffs])
-    return it
+    return _picard(n)
+
+
+@functools.cache
+def _picard(n: int) -> PowerSeries:
+    scale = math.factorial(n)
+    coeffs = [scale]
+    for _ in range(n):
+        coeffs = [scale] + [-c // (j + 1) for j, c in enumerate(coeffs)]
+    return PowerSeries("u", [c / scale for c in coeffs])
 
 
 def picard_iterate_in_x(it: PowerSeries, k: Kappa, order: int) -> PowerSeries:

@@ -585,16 +585,21 @@ def _ulps(got, want):
     Below the smallest normal that unit is the smallest subnormal, so a
     subnormal or exactly 0 want is compared absolutely.  A want beyond the
     float range counts in units of the last place of the float maximum, and
-    an inf counts 0 where want rounds to that inf, else inf."""
+    an inf counts 0 where want rounds to that inf, else as +-2**1024, the
+    first value past the float range: an overflow passes only where want
+    lies within the bound of the float maximum (1 ulp for the maximum)."""
     w = float(want)
     if math.isinf(got):
-        return 0.0 if got == w else math.inf
+        if got == w:
+            return 0.0
+        got = mp.ldexp(math.copysign(1.0, got), 1024)
     return float(abs(got - want)) / math.ulp(min(abs(w), sys.float_info.max))
 
 
 # every binary exponent alike, and hypothesis's own choice of awkward floats
 _ANY_FLOAT = (st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023))
               | st.floats(allow_nan=False, allow_infinity=False))
+_POSITIVE_FLOAT = _ANY_FLOAT.map(abs).filter(lambda x: x > 0.0)
 _WHOLE_RANGE_KAPPAS = (st.just(0.0) | st.floats(-0.999, 0.999)
                        | st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, -14)))
 
@@ -607,36 +612,67 @@ def _sum_pairs(draw):
     return x, y if math.isfinite(y) else -x
 
 
-# name: (kernel, 60-digit reference, arguments, bound c in ulp, examples).
-# Over 200 000 draws of kappa and the arguments, 30 000 more with one
-# argument near the float maximum for kappa_sum (2-vCPU Linux, Python
-# 3.11.7), the worst errors were 2.65, 2.08 and 4.65 ulp; the examples are
-# the draws that gave them, and k x = 5e-4, just past the arcsinh series.  kappa_sum's worst are opposite signs of
-# magnitudes 1e308 apart, whose smaller one, scaled by 0.5/max(|x|, |y|),
-# is subnormal and keeps only a few bits.
+def _mp_u(k, x):
+    return x if k == 0 else mp.asinh(k * x) / k
+
+
+def _no_t(k, *args):
+    return 0
+
+
+# name: (kernel, 60-digit reference, t, arguments, c, examples): the error
+# bound is c * (|t| + 1) ulp, t the final exp or sinh argument, which turns
+# its own rounding into about |t| ulp; t is 0 for the constant bounds.
+# Constant bounds: over 200 000 draws of kappa and the arguments, 30 000
+# more with one argument near the float maximum for kappa_sum (2-vCPU
+# Linux, Python 3.11.7), the worst errors were 2.65, 2.08 and 4.65 ulp; the
+# examples are the draws that gave them, and k x = 5e-4, just past the
+# arcsinh series.  kappa_sum's worst are opposite signs of magnitudes 1e308
+# apart, whose smaller one, scaled by 0.5/max(|x|, |y|), is subnormal and
+# keeps only a few bits.
+# Growing bounds: over 1 000 000 draws per kernel (kappa as above, the
+# arguments as ldexp or random bit patterns; 2-vCPU Linux, Python 3.11.7)
+# the worst ulps / (|t| + 1) of kappa_exp, kappa_ln, from_kappa_number and
+# kappa_product were 2.50, 2.50, 2.21 and 4.40, so c is 3, 3, 3 and 6; the
+# examples are the draws that gave them.  The product's t carries the
+# roundings of two arcsinh, two quotients and two products.  Its other
+# example, 1 (x) -max at a tiny kappa, overflows to -inf from a value
+# within the bound of -max.
 WHOLE_RANGE_KERNELS = {
-    "to_kappa_number": (to_kappa_number, lambda k, x: x if k == 0 else mp.asinh(k * x) / k,
-                        st.tuples(_ANY_FLOAT), 4.0,
+    "to_kappa_number": (to_kappa_number, _mp_u, _no_t, st.tuples(_ANY_FLOAT), 4.0,
                         [(-3.0435161897356685e-113, (1.703612784943635e+109,)),
                          (0.5, (1e-3,))]),
     "differential_weight": (differential_weight, lambda k, x: 1 / mp.sqrt(1 + k**2 * x**2),
-                            st.tuples(_ANY_FLOAT), 3.0,
+                            _no_t, st.tuples(_ANY_FLOAT), 3.0,
                             [(0.28436178802244927, (-3786339.2204202954,))]),
-    "kappa_sum": (kappa_sum, _mp_sum, _sum_pairs(), 6.0,
+    "kappa_sum": (kappa_sum, _mp_sum, _no_t, _sum_pairs(), 6.0,
                   [(-0.999, (8.880779386324986e+307, -1.6100142611367237e-10)),
                    (0.7849145727490755, (-1.2954096363252756e-14, 1.7976931348623157e+308))]),
+    "kappa_exp": (kappa_exp, _mp_exp, _mp_u, st.tuples(_ANY_FLOAT), 3.0,
+                  [(0.008667606716798892, (14.578955372209585,))]),
+    "kappa_ln": (kappa_ln, _mp_ln, lambda k, x: k * mp.log(x), st.tuples(_POSITIVE_FLOAT),
+                 3.0, [(4.109622075452843e-05, (9.98403591742891e-87,))]),
+    "from_kappa_number": (from_kappa_number, lambda k, u: u if k == 0 else mp.sinh(k * u) / k,
+                          lambda k, u: k * u, st.tuples(_ANY_FLOAT), 3.0,
+                          [(0.5847565032038305, (-0.23723851157771492,))]),
+    "kappa_product": (kappa_product, _mp_product, lambda k, x, y: k * _mp_u(k, x) * _mp_u(k, y),
+                      st.tuples(_ANY_FLOAT, _ANY_FLOAT), 6.0,
+                      [(0.5724549873797328, (1.0, 1.0060854132602124e+238)),
+                       (7.829848892407372e-172, (1.0, -1.7976931348623157e+308))]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WHOLE_RANGE_KERNELS))
-def test_constant_bound_kernels_match_mpmath_over_the_float_range(name):
-    fn, ref, args_strategy, bound, examples = WHOLE_RANGE_KERNELS[name]
+def test_scalar_kernels_match_mpmath_over_the_float_range(name):
+    fn, ref, final, args_strategy, c, examples = WHOLE_RANGE_KERNELS[name]
 
     def check(kv, args):
         with mp.workdps(60):
-            want = ref(mp.mpf(kv), *map(mp.mpf, args))
+            mp_args = [mp.mpf(kv), *map(mp.mpf, args)]
+            want = ref(*mp_args)
+            bound = c * (float(abs(final(*mp_args))) + 1.0)
             got = fn(Kappa(kv), *args)
-            assert _ulps(got, want) <= bound, (kv, args, got, float(want))
+            assert _ulps(got, want) <= bound, (kv, args, got, float(want), bound)
 
     for kv, args in examples:
         check = example(kv, args)(check)

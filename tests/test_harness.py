@@ -22,7 +22,10 @@ from kappamath import (
     exp_kappa_taylor,
     picard_iterate,
     picard_vs_series,
+    series_compose,
     series_error_curve,
+    series_multiply,
+    series_truncate,
 )
 from kappamath.harness import ROUNDOFF_FLOOR, ErrorReport, _rms, error_ladder, fit_ladder
 from kappamath.ode import SOLVERS
@@ -365,9 +368,13 @@ def test_threads_laddering_different_problems():
     lambda: exp_kappa_taylor(Kappa(0.5), 3.0),
     lambda: decay_series_solution(Kappa(0.5), 4.0),
     lambda: list(error_ladder(decay(), "rk4", 0.1, 2.0)),
-    lambda: series_error_curve(Kappa(0.5), [2.7], [0.5])],
+    lambda: series_error_curve(Kappa(0.5), [2.7], [0.5]),
+    lambda: series_truncate([1.0], 2.0),
+    lambda: series_multiply([1.0], [1.0], 2.0),
+    lambda: series_compose([1.0], [0.0], 2.0)],
     ids=["picard_iterate", "exp_kappa_taylor", "decay_series_solution",
-         "error_ladder", "series_error_curve"])
+         "error_ladder", "series_error_curve", "series_truncate", "series_multiply",
+         "series_compose"])
 def test_integer_indexes_reject_floats(call):
     with pytest.raises(DomainError):
         call()

@@ -52,6 +52,12 @@ def test_problem_validation():
         LogisticProblem(Kappa(0.5), f0=1.0)
 
 
+def test_closed_form_names_are_the_problems_exact():
+    # one body per closed form, called with no wrapper frame
+    assert closed_form_decay is ode.closed_form_decay is DecayProblem.exact
+    assert logistic_closed_form is ode.logistic_closed_form is LogisticProblem.exact
+
+
 def test_closed_form_decay_values():
     p = decay()
     assert closed_form_decay(p, 0.0) == 1.0

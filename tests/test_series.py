@@ -157,6 +157,14 @@ def test_series_order_validation():
             ln_kappa_shifted_taylor(Kappa(0.5), bad)
         with pytest.raises(DomainError):
             sqrt_weight_series(Kappa(0.5), bad)
+        # the ring helpers take the builders' orders: no empty list, no
+        # IndexError, no list sized by an unchecked order
+        with pytest.raises(DomainError):
+            series_truncate([1.0], bad)
+        with pytest.raises(DomainError):
+            series_multiply([1.0], [1.0], bad)
+        with pytest.raises(DomainError):
+            series_compose([1.0], [0.0], bad)
 
 
 def test_picard_iterates_are_truncated_exponentials():
@@ -179,23 +187,27 @@ def test_picard_iterate_is_a_series_in_u():
 
 
 def test_picard_index_validation(monkeypatch):
-    # the index is checked before the memo, where 2.0 == 2 would find the
-    # iterate for 2
-    it = picard_iterate(Kappa(0.5), 2)
-    monkeypatch.setattr(series, "_PICARD", {-1: it, 2: it, 21: it})
+    # the index is checked before the cache, where 2.0 == 2 would find the
+    # iterate for 2: the builder behind the cache is never reached
+    def unreachable(n):
+        raise AssertionError(f"built iterate {n!r}")
+    monkeypatch.setattr(series, "_picard", unreachable)
     for n in (21, -1, 2.0):
         with pytest.raises(DomainError):
             picard_iterate(Kappa(0.9), n)
 
 
-def test_picard_iterate_is_the_same_for_every_kappa(monkeypatch):
-    # the iterate is built once per n: a fresh build equals the memo's, for
-    # any kappa
+def test_picard_iterate_is_the_same_for_every_kappa():
+    # the iterate is built once per n and shared by every kappa: a fresh
+    # build after the cache is cleared equals the cached one
     kappas = [Kappa(-0.95), Kappa(0.0), Kappa(0.9)]
-    memo = [[picard_iterate(k, n) for n in range(21)] for k in kappas]
-    monkeypatch.setattr(series, "_PICARD", {})
+    cached = [[picard_iterate(k, n) for n in range(21)] for k in kappas]
+    assert all(a is b for row in cached for a, b in zip(row, cached[0]))
+    series._picard.cache_clear()
     fresh = [picard_iterate(Kappa(0.3), n) for n in range(21)]
-    assert memo == [fresh] * len(kappas)
+    assert not any(a is b for a, b in zip(fresh, cached[0]))
+    assert cached == [fresh] * len(kappas)
+    assert series._picard.cache_info().currsize == 21
 
 
 def test_picard_second_iterate_matches_expanded_form():
