@@ -60,11 +60,15 @@ def _check_order(order: int) -> None:
         raise DomainError(f"series order must be in [0, {MAX_ORDER}], got {order!r}")
 
 
+def _pad(c: Sequence[float], order: int) -> list[float]:
+    return list(c[: order + 1]) + [0.0] * (order + 1 - len(c))
+
+
 def series_truncate(c: Sequence[float], order: int) -> list[float]:
     """Pad or cut a coefficient list to exactly order+1 entries."""
     _check_order(order)
     _finite("series_truncate", *c)
-    return (list(c) + [0.0] * (order + 1))[: order + 1]
+    return _pad(c, order)
 
 
 def _cauchy(a: Sequence[float], b: Sequence[float], order: int) -> list[float]:
@@ -107,7 +111,7 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
     """
     _check_order(order)
     _finite("series_compose", *outer, *inner)
-    inner = (list(inner) + [0.0] * (order + 1))[: order + 1]
+    inner = _pad(inner, order)
     if inner[0] != 0.0:
         raise DomainError("series_compose needs inner constant term 0")
     out = [0.0] * (order + 1)
@@ -248,10 +252,7 @@ def evaluate_series(s: PowerSeries, k: Kappa, x: float) -> float:
     """Horner evaluation; series in the u-coordinate map x -> u first."""
     if not _isfinite(x):
         raise DomainError(f"evaluate_series needs finite x, got {x!r}")
-    if s.variable == "u":
-        t = _scaled_arcsinh(k.value, x)
-    else:
-        t = x
+    t = _scaled_arcsinh(k.value, x) if s.variable == "u" else x
     acc = 0.0
     for c in reversed(s.coefficients):
         acc = acc * t + c

@@ -585,14 +585,10 @@ def _ulps(got, want):
     Below the smallest normal that unit is the smallest subnormal, so a
     subnormal or exactly 0 want is compared absolutely.  A want beyond the
     float range counts in units of the last place of the float maximum, and
-    an inf counts 0 where want rounds to that inf, else as +-2**1024, the
-    first value past the float range: an overflow passes only where want
-    lies within the bound of the float maximum (1 ulp for the maximum)."""
+    an inf counts 0 where want rounds to that inf, else inf."""
     w = float(want)
     if math.isinf(got):
-        if got == w:
-            return 0.0
-        got = mp.ldexp(math.copysign(1.0, got), 1024)
+        return 0.0 if got == w else math.inf
     return float(abs(got - want)) / math.ulp(min(abs(w), sys.float_info.max))
 
 
@@ -635,9 +631,9 @@ def _no_t(k, *args):
 # the worst ulps / (|t| + 1) of kappa_exp, kappa_ln, from_kappa_number and
 # kappa_product were 2.50, 2.50, 2.21 and 4.40, so c is 3, 3, 3 and 6; the
 # examples are the draws that gave them.  The product's t carries the
-# roundings of two arcsinh, two quotients and two products.  Its other
-# example, 1 (x) -max at a tiny kappa, overflows to -inf from a value
-# within the bound of -max.
+# roundings of two arcsinh, two quotients and two products.  |t| is capped
+# at 746 in the bound: past that, exp and sinh over- or underflow, and the
+# result must be the inf or the (subnormal) 0 of the reference.
 WHOLE_RANGE_KERNELS = {
     "to_kappa_number": (to_kappa_number, _mp_u, _no_t, st.tuples(_ANY_FLOAT), 4.0,
                         [(-3.0435161897356685e-113, (1.703612784943635e+109,)),
@@ -657,8 +653,7 @@ WHOLE_RANGE_KERNELS = {
                           [(0.5847565032038305, (-0.23723851157771492,))]),
     "kappa_product": (kappa_product, _mp_product, lambda k, x, y: k * _mp_u(k, x) * _mp_u(k, y),
                       st.tuples(_ANY_FLOAT, _ANY_FLOAT), 6.0,
-                      [(0.5724549873797328, (1.0, 1.0060854132602124e+238)),
-                       (7.829848892407372e-172, (1.0, -1.7976931348623157e+308))]),
+                      [(0.5724549873797328, (1.0, 1.0060854132602124e+238))]),
 }
 
 
@@ -670,13 +665,25 @@ def test_scalar_kernels_match_mpmath_over_the_float_range(name):
         with mp.workdps(60):
             mp_args = [mp.mpf(kv), *map(mp.mpf, args)]
             want = ref(*mp_args)
-            bound = c * (float(abs(final(*mp_args))) + 1.0)
+            bound = c * (min(float(abs(final(*mp_args))), 746.0) + 1.0)
             got = fn(Kappa(kv), *args)
             assert _ulps(got, want) <= bound, (kv, args, got, float(want), bound)
 
     for kv, args in examples:
         check = example(kv, args)(check)
     settings(max_examples=300, deadline=None)(given(_WHOLE_RANGE_KAPPAS, args_strategy)(check))()
+
+
+@pytest.mark.xfail(strict=True, reason="kappa_product overflows where sinh(z)/k rounds past "
+                   "the float maximum from an exact result at it (FOUND in CHANGES.md)")
+def test_kappa_product_of_one_and_the_float_maximum_is_finite():
+    # at this tiny kappa the identity element rounds to 1, so 1 (x) -max is
+    # -max to within a few ulp; the rounding of t = -316 carries the sinh
+    # quotient past the float range
+    kv, y = 7.829848892407372e-172, -sys.float_info.max
+    with mp.workdps(60):
+        want = _mp_product(mp.mpf(kv), mp.mpf(1.0), mp.mpf(y))
+    assert _ulps(kappa_product(Kappa(kv), 1.0, y), want) <= 6.0 * (316.0 + 1.0)
 
 
 def test_group_axioms_random_triples():
