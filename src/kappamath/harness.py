@@ -4,12 +4,13 @@ Everything is measured against the closed-form solutions, so the reports
 quantify what the solver comparison plots only show qualitatively.
 """
 
+import functools
 import math
 from operator import attrgetter, sub
 
 from .core import Kappa, Record, _finite, _isfinite, kappa_exp
 from .errors import ConvergenceError, DomainError, FloorError
-from .ode import SOLVERS
+from .ode import MAX_LEVELS, SOLVERS, _cached, _grid
 
 # series is imported inside series_error_curve and picard_vs_series, its
 # only users, so the ladders and the CLI's compare never load it.
@@ -33,10 +34,6 @@ __all__ = [
 # Below this max error a step-size ladder measures rounding noise, not
 # truncation, so fitted orders would be garbage.
 ROUNDOFF_FLOOR = 1e-13
-
-# Deepest halving ladder: h0 / 2**7 is already 128 times the work of h0.
-MAX_LEVELS = 8
-
 
 class ErrorReport(Record):
     __slots__ = ("method", "h", "xs", "abs_errors", "max_error", "rms_error")
@@ -68,45 +65,29 @@ def error_table(p, methods, h: float) -> list[ErrorReport]:
     return [next(error_ladder(p, m, h, 1)) for m in sorted(set(methods))]
 
 
-# (problem, grid, exact values): the finest grid evaluated so far for the
-# last Record problem.  Replaced in one assignment and never mutated, so
-# threads that share it can at worst repeat work.
-_memo = (None, (), ())
-
-
-def _exact_values(p, xs):
-    """p.exact on the grid xs, reusing the memo where p is a Record equal to
-    the memo's problem: a grid that is the memo's grid at an integer stride
-    costs no evaluation, and one whose even points are the memo's grid costs
-    evaluations only at its odd points.  Any other grid is evaluated in full
-    and becomes the memo.  A p that is not a Record is evaluated in full and
-    never stored: only Records are immutable with an == that compares type
-    and fields.  Equal fields give the same values up to the sign of a zero,
-    which no absolute error sees.
-
-    Each level of a halving ladder has the points of the level before, bit
-    for bit, as its even points, so a ladder evaluates the closed form once
-    per point of its finest grid, and the ladders of the other methods on an
-    equal problem make no evaluation.  The memo holds at most MAX_POINTS
-    values, of the last problem's finest grid."""
-    global _memo
+def _exact_values(p, h: float, xs) -> tuple:
+    """p.exact on the grid xs of step h; a Record p, immutable with an == over
+    type and fields, reads them from _exact_on.  Equal fields give the same
+    values up to the sign of a zero, which no absolute error sees."""
     if not isinstance(p, Record):
         return tuple(map(p.exact, xs))
-    memo_p, memo_xs, memo_ex = _memo
-    if p != memo_p:
-        memo_xs = ()
-    n, m = len(xs) - 1, len(memo_xs) - 1
-    if m > 0 and m % n == 0 and xs == memo_xs[::m // n]:
-        return memo_ex[::m // n]
-    if xs[::2] == memo_xs:
-        ex = [0.0] * len(xs)
-        ex[::2] = memo_ex
-        ex[1::2] = map(p.exact, xs[1::2])
-    else:
-        ex = map(p.exact, xs)
-    ex = tuple(ex)
-    _memo = (p, xs, ex)
-    return ex
+    return _cached(_exact_on, len(xs))(p, h)
+
+
+@functools.lru_cache(maxsize=MAX_LEVELS)
+def _exact_on(p, h: float) -> tuple:
+    """p.exact on the grid of step h.  The even points of a grid of 2n + 1 >= 5
+    points are the grid of 2h, bit for bit, and reuse its values (on fewer, 2h
+    may be an invalid step): a ladder evaluates each point of its finest grid
+    once, and the other methods' ladders on an equal problem none."""
+    xs = _grid(p, h)
+    n = len(xs)
+    if n < 5 or not n % 2:
+        return tuple(map(p.exact, xs))
+    ex = [0.0] * n
+    ex[::2] = _cached(_exact_on, n // 2 + 1)(p, 2 * h)
+    ex[1::2] = map(p.exact, xs[1::2])
+    return tuple(ex)
 
 
 def _rms(errors: tuple) -> float:
@@ -129,8 +110,9 @@ def error_ladder(p, method: str, h0: float, levels: int):
     report is held across levels.
 
     FloorError is raised when a fit was asked for (levels >= 2) but the floor
-    stops the ladder at its first level.  Arguments are checked when
-    iteration starts.
+    stops the ladder at its first level, and ConvergenceError names the first
+    x where the trace and the closed form overflow to the same infinity.
+    Arguments are checked when iteration starts.
     """
     if method not in SOLVERS:
         raise DomainError(f"unknown method {method!r}")
@@ -143,12 +125,16 @@ def error_ladder(p, method: str, h0: float, levels: int):
             h = h0  # an int beyond the float range: the solver refuses it
         trace = SOLVERS[method](p, h)
         xs = trace.xs
-        errors = tuple(map(abs, map(sub, trace.fs, _exact_values(p, xs))))
-        del trace
+        exact = _exact_values(p, h, xs)
+        errors = tuple(map(abs, map(sub, trace.fs, exact)))
+        rms = _rms(errors)
+        if not rms < math.inf:  # only then may an error be nan
+            _abs_diffs(trace.fs, exact, xs)
+        del trace, exact
         err = max(errors)
         # A consumer that keeps only h and the max error lets each level be
         # freed before the next, twice as large, is built.
-        yield ErrorReport(method, h, xs, errors, err, _rms(errors))
+        yield ErrorReport(method, h, xs, errors, err, rms)
         del errors
         if err < ROUNDOFF_FLOOR:
             if i == 0 and levels >= 2:
@@ -159,19 +145,26 @@ def error_ladder(p, method: str, h0: float, levels: int):
 
 def _log2_ratio(a: float, b: float) -> float:
     """log2(a / b), and its limits where the ratio is 0 or b is 0: an error
-    that grows from a number to inf has order -inf."""
-    if b == 0.0:
-        return math.inf if a > 0.0 else math.nan
-    r = a / b
+    that grows from a number to inf has order -inf, one that drops to 0 inf."""
+    r = a / b if b else a * math.inf  # nan where both are 0, as where both are inf
     return math.log2(r) if r else -math.inf
 
 
 def fit_ladder(reports) -> ConvergenceReport:
     """Fit empirical orders, the log2 ratio of the max errors of adjacent
     levels, to the reports of one error_ladder.  Only each level's h and max
-    error are kept, and no report is held while the next level is built."""
-    methods, hs, errs = zip(*map(attrgetter("method", "h", "max_error"), reports))
+    error are kept, and no report is held while the next level is built.
+    DomainError where there is no report; ConvergenceError names the step
+    sizes of two levels whose max errors give no order."""
+    levels = tuple(map(attrgetter("method", "h", "max_error"), reports))
+    if not levels:
+        raise DomainError("need at least one ladder level")
+    methods, hs, errs = zip(*levels)
     orders = tuple(map(_log2_ratio, errs[:-1], errs[1:]))
+    for i, order in enumerate(orders):
+        if math.isnan(order):
+            raise ConvergenceError(f"{methods[0]}: max errors {errs[i]!r} at h = {hs[i]!r} "
+                                   f"and {errs[i + 1]!r} at h = {hs[i + 1]!r} give no order")
     return ConvergenceReport(methods[0], hs, errs, orders, errs[-1] < ROUNDOFF_FLOOR)
 
 

@@ -40,6 +40,10 @@ __all__ = [
 # outside cannot ask for unbounded work; checked before any list is built.
 MAX_POINTS = 1_000_000
 
+# Deepest halving ladder (h0 / 2**7 is already 128 times the work of h0), and
+# so the size of the caches of grids and exact values that a ladder reads.
+MAX_LEVELS = 8
+
 
 class DecayProblem(Record):
     """Decay equation data: rhs G(x, f) = -beta * f / sqrt(1 + k^2 beta^2 x^2).
@@ -230,17 +234,19 @@ def _grid(p, h: float, min_steps: int = 1) -> tuple:
         raise DomainError(f"step size {h!r} gives more than {MAX_POINTS} "
                           f"grid points over [{x0!r}, {x1!r}]")
     n = int(steps)
-    # only grids of fewer than MAX_POINTS // 8 points are cached, so the 8
-    # held have fewer than MAX_POINTS points in all
-    build = _points if n + 1 < MAX_POINTS // 8 else _points.__wrapped__
-    return build(x0, x1, h, n)
+    return _cached(_points, n + 1)(x0, x1, h, n)
 
 
-# maxsize is harness.MAX_LEVELS: a ladder's grids stay cached for the next
-# method's ladder.  A start of -0.0 gives the same points as 0.0, and an int
-# start or step the same points as the equal floats, so either may stand for
-# the other in the key.
-@functools.lru_cache(maxsize=8)
+def _cached(cached, n: int):
+    """cached, a functools.lru_cache of MAX_LEVELS entries, for n points; for
+    n >= MAX_POINTS // MAX_LEVELS the function it wraps, so that the entries
+    held have fewer than MAX_POINTS points in all."""
+    return cached if n < MAX_POINTS // MAX_LEVELS else cached.__wrapped__
+
+
+# A start of -0.0 gives the same points as 0.0, and an int start or step the
+# same points as the equal floats, so either may stand for the other in the key.
+@functools.lru_cache(maxsize=MAX_LEVELS)
 def _points(x0, x1, h, n: int) -> tuple:
     """The n + 1 floats x0, x0 + h, ..., x0 + n h, less a last inf."""
     x0, h = float(x0), float(h)

@@ -27,6 +27,7 @@ from kappamath import (
     series_multiply,
     series_truncate,
 )
+from kappamath import harness, ode
 from kappamath.harness import ROUNDOFF_FLOOR, ErrorReport, _rms, error_ladder, fit_ladder
 from kappamath.ode import SOLVERS
 
@@ -109,6 +110,49 @@ def test_rms_where_the_norm_of_finite_errors_overflows():
     assert report.abs_errors == (1e308,) * 5
     assert math.hypot(*report.abs_errors) == math.inf
     assert report.max_error == report.rms_error == 1e308
+
+
+class Growing:
+    """f' = 2f from 1 on [0, x_max]; the closed form exp(2x) is inf from
+    x = 354.9 on.  Euler with h = 1 triples f per step, to inf at x = 647."""
+
+    x_start = 0
+    initial_value = 1
+
+    def __init__(self, x_max=800, exact=None):
+        self.x_max = x_max
+        if exact is not None:
+            self.exact = exact
+
+    def rhs(self, x, f):
+        return 2.0 * f
+
+    def exact(self, x):
+        try:
+            return math.exp(2.0 * x)
+        except OverflowError:
+            return math.inf
+
+
+def test_ladder_names_the_x_where_trace_and_closed_form_overflow():
+    # inf - inf from x = 647 on: 154 errors with no value, not nan reports
+    with pytest.raises(ConvergenceError, match=r"same infinity at x = 647\.0$"):
+        error_table(Growing(), ["euler"], 1)
+    # errors that are inf, with no nan among them, are a report
+    report, = error_table(Growing(x_max=646), ["euler"], 1)
+    assert report.max_error == report.rms_error == math.inf
+    assert report.abs_errors.count(math.inf) == 646 - 354
+
+
+def test_fit_ladder_refuses_levels_that_give_no_order():
+    with pytest.raises(DomainError):
+        fit_ladder([])
+    # against a closed form of 0 the errors are the trace, inf at both steps
+    with pytest.raises(ConvergenceError, match=r"errors inf at h = 1\.0 and inf at h = 0\.5 "):
+        convergence_order(Growing(exact=lambda x: 0.0), "euler", 1.0, 2)
+    reports = [ErrorReport("rk4", h, (0.0,), (0.0,), 0.0, 0.0) for h in (0.5, 0.25, 0.125)]
+    with pytest.raises(ConvergenceError, match=r"^rk4: .* at h = 0\.5 and .* at h = 0\.25 "):
+        fit_ladder(reports)
 
 
 # Bound on the error of the rms against 40-digit mpmath, in units in the last
@@ -259,6 +303,71 @@ def test_ladders_of_all_methods_share_the_exact_values():
     fits = [convergence_order(p, m, 0.1, 5) for m in METHODS]
     assert len(calls) == 801
     assert fits == [convergence_order(decay(x_max=5.0), m, 0.1, 5) for m in METHODS]
+
+
+def counting(problem, **kw):
+    """A problem of its own class that records the x of each exact and rhs
+    call, with the lists it records them in."""
+    exact_calls, rhs_calls = [], []
+
+    class Counting(problem):
+        def exact(self, x):
+            exact_calls.append(x)
+            return super().exact(x)
+
+        @property
+        def rhs(self):
+            slope = super().rhs
+
+            def rhs(x, f):
+                rhs_calls.append(x)
+                return slope(x, f)
+            return rhs
+
+    return Counting(Kappa(0.9), x_max=5.0, **kw), exact_calls, rhs_calls
+
+
+@pytest.mark.parametrize("problem,n_rhs,n_exact,n_initial", [
+    (DecayProblem, 9320, 801, 0), (LogisticProblem, 18620, 1601, 15)])
+def test_ladders_count_their_rhs_and_exact_evaluations(problem, n_rhs, n_exact, n_initial):
+    # the per-task counts of the decay_ladder and logistic_ladder benchmarks,
+    # counted in the library, so that they hold on every Python version;
+    # each logistic solve also reads its initial value from the closed form
+    p, exact_calls, rhs_calls = counting(problem)
+    fits = [convergence_order(p, m, 0.1, 5) for m in METHODS]
+    assert len(rhs_calls) == n_rhs
+    assert len(exact_calls) == n_exact + n_initial
+    assert fits == [convergence_order(problem(Kappa(0.9), x_max=5.0), m, 0.1, 5)
+                    for m in METHODS]
+
+
+def test_values_cache_never_holds_max_points_over_8_points(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_POINTS", 80)
+    harness._exact_on.cache_clear()
+    p, calls = counting_decay(x_max=1.0)
+    # 9 points are cached, with the 5 and 3 of twice and four times the step
+    reports = [next(error_ladder(p, "rk4", 0.125, 1))]
+    assert len(calls) == 9 and harness._exact_on.cache_info().currsize == 3
+    # 10 points, MAX_POINTS // 8, are evaluated afresh on every call
+    del calls[:]
+    reports += [next(error_ladder(p, m, 1.0 / 9.0, 1)) for m in METHODS]
+    assert len(calls) == 3 * 10 and harness._exact_on.cache_info().currsize == 3
+    # 17 points read their even points from the cached 9, but are not cached
+    del calls[:]
+    reports += [next(error_ladder(p, m, 0.0625, 1)) for m in METHODS]
+    assert len(calls) == 3 * 8 and harness._exact_on.cache_info().currsize == 3
+    assert_fresh(p, reports)
+
+
+def test_three_point_grid_is_evaluated_in_full():
+    # 2h is an invalid step here, so the 3 points are not filled from it
+    p = DecayProblem(Kappa(0.5), x_max=4.634091051476445)
+    h = 2.317045525969927
+    reports = error_table(p, ["euler", "rk4"], h)
+    assert [len(r.xs) for r in reports] == [3, 3]
+    with pytest.raises(DomainError):
+        ode._grid(p, 2 * h)
+    assert_fresh(p, reports)
 
 
 def test_coarser_ladder_after_finer_makes_no_evaluation():

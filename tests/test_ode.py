@@ -392,9 +392,44 @@ def test_grid_cache_holds_at_most_eight_of_a_thousand_step_sizes():
 
 
 def test_grid_cache_size_is_the_ladder_level_count():
-    # a smaller cache would evict a ladder's grids before the next method's
-    # ladder reads them; ode cannot import harness, so the two are kept equal here
+    # a smaller cache would evict a ladder's grids or exact values before the
+    # next method's ladder reads them
     assert ode._points.cache_info().maxsize == harness.MAX_LEVELS
+    assert harness._exact_on.cache_info().maxsize == harness.MAX_LEVELS
+
+
+@st.composite
+def _odd_grids(draw):
+    """(x_start, x_max, h) with about 2n + 1 points, n in [2, 200]; x_start is
+    0, -x_max or any float below x_max, and x_max reaches the float maximum,
+    where the span overflows, and the subnormals."""
+    x1 = draw(st.floats(5e-324, sys.float_info.max) | st.sampled_from(
+        [1.0, 5.0, 5e-324, 3e-323, 2.2250738585072014e-308, sys.float_info.max]))
+    x0 = draw(st.sampled_from([0.0, -0.0, -x1])
+              | st.floats(-sys.float_info.max, x1, exclude_max=True))
+    steps = 2 * draw(st.integers(2, 200)) + draw(st.floats(0.0, 0.999))
+    return x0, x1, x1 / steps - x0 / steps
+
+
+@given(_odd_grids())
+@example((0.0, 1.0, 0.1))
+@example((-sys.float_info.max, sys.float_info.max, sys.float_info.max / 2))
+# 3 points, which the rule leaves out: 2h is an invalid step there
+@example((0.0, 4.634091051476445, 2.317045525969927))
+@settings(max_examples=500, deadline=None)
+def test_grid_of_twice_the_step_is_every_other_point(interval):
+    # what lets the exact values of a grid of 2n + 1 >= 5 points reuse those
+    # of the grid of 2h at its even points
+    x0, x1, h = interval
+    assume(0.0 < h < math.inf)
+    p = Interval(x0, x1)
+    try:
+        xs = ode._grid(p, h)
+    except DomainError:
+        return
+    if len(xs) < 5 or not len(xs) % 2:
+        return
+    assert list(map(float.hex, ode._grid(p, 2 * h))) == list(map(float.hex, xs[::2]))
 
 
 @pytest.mark.parametrize("first", ["int", "float"])
