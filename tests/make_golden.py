@@ -13,6 +13,10 @@ where a case says so.  OUT_DIR gets:
     <name>/stderr
     <name>/files/<path>    each file it wrote, by its path in the working
                            directory (out/... under $KAPPA_OUT_DIR)
+    library.json           library_calls(), the library's closed forms and
+                           ladder reports on fixed inputs, one call per line:
+                           the repr of its result, or the type and message
+                           of the error it raises
 
 OUT_DIR is replaced as a whole, if it is empty or holds a corpus.  Only the standard library is used, so the
 script runs wherever the `kappamath` entry point is installed; a change that
@@ -134,6 +138,77 @@ CASES = [
 ]
 
 
+def library_calls() -> list[tuple]:
+    """(name, function, args) of each call of the library table: the closed
+    forms at ordinary points and at the limits they keep (kappa = 0, the
+    series branch of a tiny kappa beta x, beta x overflowing to +-inf, exp
+    overflowing, f0 = +-0, a subnormal logistic f0, nan, +-inf and an int
+    beyond the float range), and the traces and reports built on them."""
+    from kappamath import (DecayProblem, Kappa, LogisticProblem, analytic_trace,
+                           closed_form_decay, convergence_order, error_table,
+                           logistic_closed_form)
+
+    xs = (0.0, -0.0, 0.1, 1.0, 3, -2.0, 2.0, -8.0, -800.0, 5e-324, 1e308, -1e308,
+          float("nan"), float("inf"), float("-inf"), 10**400)
+    decays = (
+        DecayProblem(Kappa(0.5)),
+        DecayProblem(Kappa(0.0), beta=2.0, f0=-1.5, x_max=2.0),
+        DecayProblem(Kappa(1e-300), beta=1e-3, f0=0.25),
+        DecayProblem(Kappa(-0.9), beta=1e308, f0=3.0, x_max=2.0),
+        DecayProblem(Kappa(0.0), beta=1e300, f0=-0.0, x_max=2.0),
+        DecayProblem(Kappa(0.0), beta=2.247116418577895e307, f0=0.0),
+        DecayProblem(Kappa(0.0), f0=2.0),
+    )
+    logistics = (
+        LogisticProblem(Kappa(0.5)),
+        LogisticProblem(Kappa(0.0), f0=0.2, x_max=1000.0),
+        LogisticProblem(Kappa(0.0), f0=5e-324, x_max=1000.0),
+        LogisticProblem(Kappa(1e-300), f0=0.75),
+        LogisticProblem(Kappa(-0.99), x_max=1e308),
+    )
+    calls = [("closed_form_decay", closed_form_decay, (p, x)) for p in decays for x in xs]
+    calls += [("logistic_closed_form", logistic_closed_form, (lp, x))
+              for lp in logistics for x in xs]
+    d1, d2, _, d4, d5, _, _ = decays
+    l1, l2, l3, _, l5 = logistics
+    calls += [("analytic_trace", analytic_trace, args) for args in (
+        (d1, 0.5), (d2, 0.25), (d4, 0.25), (d5, 0.5), (l1, 1.0), (l2, 250.0),
+        (l3, 250.0), (l5, 2e307), (d1, 0.0), (d1, float("nan")))]
+    stiff = DecayProblem(Kappa(0.0), beta=100.0, x_max=200.0)
+    calls += [("error_table", error_table, args) for args in (
+        (d1, ["ab2", "euler", "rk4"], 0.25), (d4, ["rk4"], 0.5), (d5, ["euler", "rk4"], 0.5),
+        (DecayProblem(Kappa(0.5), beta=1e308, x_max=2.0), ["euler", "rk4"], 0.5),
+        (l1, ["euler", "rk4"], 0.5), (l2, ["rk4"], 250.0), (l3, ["ab2"], 250.0),
+        (stiff, ["euler"], 1.0), (d1, ["heun"], 0.25))]
+    calls += [("convergence_order", convergence_order, args) for args in (
+        (d1, "rk4", 0.1, 4), (d2, "euler", 0.25, 3), (l1, "ab2", 0.25, 3),
+        (DecayProblem(Kappa(0.5), x_max=0.1), "rk4", 0.02, 6),
+        (DecayProblem(Kappa(0.5), x_max=0.01), "rk4", 0.001, 2))]
+    return calls
+
+
+def library_table() -> list[dict]:
+    """Each call of library_calls() as {"call": its text, "repr": the repr of
+    its result} or {"call": ..., "raises": [error type, message]}."""
+    from kappamath import ConvergenceError, DomainError
+
+    table = []
+    for name, fn, args in library_calls():
+        entry = {"call": f"{name}({', '.join(map(repr, args))})"}
+        try:
+            entry["repr"] = repr(fn(*args))
+        except (DomainError, ConvergenceError) as e:
+            entry["raises"] = [type(e).__name__, str(e)]
+        table.append(entry)
+    return table
+
+
+def json_lines(entries: list[dict]) -> str:
+    """A JSON list with one entry per line."""
+    lines = ",\n".join(json.dumps(entry) for entry in entries)
+    return f"[\n{lines}\n]\n"
+
+
 def files_under(root: Path) -> dict[str, bytes]:
     """Every file under root, by its /-separated path relative to root."""
     return {p.relative_to(root).as_posix(): p.read_bytes()
@@ -181,8 +256,8 @@ def main(argv: list[str]) -> int:
             target.write_bytes(data)
         manifest.append({"name": name, "args": args, "kappa_out_dir": out_dir_env,
                          "exit": run.returncode})
-    lines = ",\n".join(json.dumps(case) for case in manifest)
-    (out / "manifest.json").write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    (out / "manifest.json").write_text(json_lines(manifest), encoding="utf-8")
+    (out / "library.json").write_text(json_lines(library_table()), encoding="utf-8")
     return 0
 
 

@@ -1,6 +1,7 @@
 """Replay the golden CLI corpus (tests/golden, made by tests/make_golden.py)
 in-process and compare every byte: stdout, stderr, exit code and each file
-written.  The corpus is the same on every supported Python."""
+written; and the table of library outputs, tests/golden/library.json.  The
+corpus is the same on every supported Python."""
 
 import json
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kappamath.cli import main
-from make_golden import files_under
+from make_golden import files_under, json_lines, library_table
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
@@ -49,3 +50,13 @@ def test_plain_parser_and_argparse_print_the_same_bytes():
     # only by argparse
     plain = (GOLDEN / "solve-kappa-negative" / "stdout").read_bytes()
     assert plain and plain == (GOLDEN / "solve-kappa-abbreviated" / "stdout").read_bytes()
+
+
+def test_library_outputs_match_golden_table():
+    # the closed forms, traces and reports, bit for bit; the calls whose
+    # output moved are named
+    want = json.loads((GOLDEN / "library.json").read_text(encoding="utf-8"))
+    got = library_table()
+    assert [e["call"] for e in got] == [e["call"] for e in want]
+    assert [g["call"] for g, w in zip(got, want) if g != w] == []
+    assert json_lines(got) == (GOLDEN / "library.json").read_text(encoding="utf-8")
