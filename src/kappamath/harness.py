@@ -10,7 +10,7 @@ from operator import attrgetter, sub
 
 from .core import Kappa, Record, _finite, _isfinite, kappa_exp
 from .errors import ConvergenceError, DomainError, FloorError
-from .ode import MAX_LEVELS, SOLVERS, _cached, _grid
+from .ode import MAX_LEVELS, SOLVERS, _cached, _exact_at, _grid
 
 # series is imported inside series_error_curve and picard_vs_series, its
 # only users, so the ladders and the CLI's compare never load it.
@@ -83,10 +83,13 @@ def _exact_on(p, h: float) -> tuple:
     xs = _grid(p, h)
     n = len(xs)
     if n < 5 or not n % 2:
-        return tuple(map(p.exact, xs))
+        return _exact_at(p, xs)
     ex = [0.0] * n
     ex[::2] = _cached(_exact_on, n // 2 + 1)(p, 2 * h)
-    ex[1::2] = map(p.exact, xs[1::2])
+    # the grid of h read again, so that ode's cache holds it as more recent
+    # than the grid of 2h, which no finer level reads: a ladder of 8 levels
+    # then builds each of its 9 grids once
+    ex[1::2] = _exact_at(p, _grid(p, h)[1::2])
     return tuple(ex)
 
 

@@ -45,6 +45,15 @@ MAX_POINTS = 1_000_000
 MAX_LEVELS = 8
 
 
+def _exp(u: float) -> float:
+    """math.exp, and its limit where that overflows: inf, as kappa_exp gives,
+    and 0.0 for an int u below the float range."""
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf if u > 0 else 0.0
+
+
 class DecayProblem(Record):
     """Decay equation data: rhs G(x, f) = -beta * f / sqrt(1 + k^2 beta^2 x^2).
 
@@ -93,21 +102,32 @@ class DecayProblem(Record):
     # rhs(x, f), with 1/beta and kappa bound: read once per solve
     rhs = property(_slope)
 
-    def exact(self, x: float) -> float:
-        """f0 * exp_k(-beta x), and its limits where beta x overflows from a
+    def exact_grid(self, xs) -> tuple:
+        """exact at each x of the sequence xs, in one list comprehension:
+        f0 * exp_k(-beta x), and its limits where beta x overflows from a
         finite x: 0 at x > 0 and +-inf at x < 0.  f0 = 0 gives the zero
-        solution, also at an x < 0 where exp_k(-beta x) overflows."""
-        try:
-            bx = self.beta * x
-        except OverflowError:  # an int x beyond the float range
-            bx = math.inf
+        solution, also at an x < 0 where exp_k(-beta x) overflows.
+        DomainError names the first x that is nan, +-inf or past the float
+        range."""
+        _finite("closed_form_decay", *xs)
+        return self._exact_grid(xs)
+
+    def _exact_grid(self, xs) -> tuple:
+        # exact_grid on points known to be finite, such as those of _grid
         f0 = self.f0
-        if math.isfinite(bx):
-            e = kappa_exp(self.k, -bx)
-        else:
-            _finite("closed_form_decay", x)
-            e = 0.0 if bx > 0.0 else math.inf
-        return f0 * e if f0 else f0
+        if not f0:
+            return (f0,) * len(xs)
+        c = self.k.value
+        beta = self.beta
+        exp = math.exp
+        try:
+            return tuple([f0 * exp(_scaled_arcsinh(c, -(beta * x))) for x in xs])
+        except OverflowError:  # an exp overflowed
+            return tuple([f0 * _exp(_scaled_arcsinh(c, -(beta * x))) for x in xs])
+
+    def exact(self, x: float) -> float:
+        """f0 * exp_k(-beta x): exact_grid at the one point x."""
+        return self.exact_grid((x,))[0]
 
 
 class LogisticProblem(Record):
@@ -150,14 +170,29 @@ class LogisticProblem(Record):
     # rhs(x, f), with kappa bound: read once per solve
     rhs = property(_slope)
 
-    def exact(self, x: float) -> float:
-        """f0 / (f0 + (1 - f0) * exp_k(-x)); the default f0 = 1/2 gives the
+    def exact_grid(self, xs) -> tuple:
+        """exact at each x of the sequence xs, in one list comprehension:
+        f0 / (f0 + (1 - f0) * exp_k(-x)); the default f0 = 1/2 gives the
         plain 1/(1 + exp_k(-x)).  Unlike 1/(1 + c exp_k(-x)) with
-        c = (1 - f0)/f0, this stays finite for a subnormal f0."""
-        if not _isfinite(x):
-            raise DomainError(f"logistic_closed_form needs finite arguments, got {x!r}")
+        c = (1 - f0)/f0, this stays finite for a subnormal f0.  DomainError
+        names the first x that is nan, +-inf or past the float range."""
+        _finite("logistic_closed_form", *xs)
+        return self._exact_grid(xs)
+
+    def _exact_grid(self, xs) -> tuple:
+        # exact_grid on points known to be finite, such as those of _grid
+        c = self.k.value
         f0 = self.f0
-        return f0 / (f0 + (1.0 - f0) * kappa_exp(self.k, -x))
+        g = 1.0 - f0
+        exp = math.exp
+        try:
+            return tuple([f0 / (f0 + g * exp(_scaled_arcsinh(c, -x))) for x in xs])
+        except OverflowError:  # an exp overflowed
+            return tuple([f0 / (f0 + g * _exp(_scaled_arcsinh(c, -x))) for x in xs])
+
+    def exact(self, x: float) -> float:
+        """f0 / (f0 + (1 - f0) * exp_k(-x)): exact_grid at the one point x."""
+        return self.exact_grid((x,))[0]
 
 
 class SolutionTrace(Record):
@@ -334,7 +369,20 @@ SOLVERS = {"euler": euler_solve, "ab2": ab2_solve, "rk4": rk4_solve}
 def analytic_trace(p, h: float) -> SolutionTrace:
     """Closed-form solution sampled on the same grid the steppers use."""
     xs = _grid(p, h)
-    return SolutionTrace("analytic", h, xs, tuple(map(p.exact, xs)))
+    return SolutionTrace("analytic", h, xs, _exact_at(p, xs))
+
+
+# The exact methods that their class's exact_grid backs
+_GRID_BACKED = (DecayProblem.exact, LogisticProblem.exact)
+
+
+def _exact_at(p, xs) -> tuple:
+    """p.exact at each of the finite points xs: the grid form where p's exact
+    is one that an exact_grid backs, else point by point, as for a user
+    problem or a subclass that overrides exact."""
+    if getattr(type(p), "exact", None) in _GRID_BACKED:
+        return p._exact_grid(xs)
+    return tuple(map(p.exact, xs))
 
 
 # f0 / (f0 + (1 - f0) * exp_k(-x)) as a function of (lp, x): the method itself

@@ -341,6 +341,42 @@ def test_ladders_count_their_rhs_and_exact_evaluations(problem, n_rhs, n_exact, 
                     for m in METHODS]
 
 
+@pytest.mark.parametrize("problem,n_exact,n_initial", [
+    (DecayProblem, 801, 0), (LogisticProblem, 1601, 15)])
+def test_ladders_count_the_points_of_the_grid_form(problem, n_exact, n_initial, monkeypatch):
+    # the library problems' exact values come from the grid form: the points
+    # of the finest grid once, as the benchmark ladders make them, and one
+    # point for each logistic solve's initial value
+    calls = []
+    grid_form = problem._exact_grid
+
+    def exact_grid(self, xs):
+        calls.append(len(xs))
+        return grid_form(self, xs)
+
+    monkeypatch.setattr(problem, "_exact_grid", exact_grid)
+    harness._exact_on.cache_clear()
+    p = problem(Kappa(0.9), x_max=5.0)
+    for m in METHODS:
+        convergence_order(p, m, 0.1, 5)
+    assert sum(calls) == n_exact + n_initial and calls.count(1) == n_initial
+
+
+@pytest.mark.parametrize("x_max,h0,grids", [
+    # h0 down to h0 / 128, and 2 h0 for the values of h0's even points
+    (5.0, 0.1, 9),
+    # 9 points at h0, 5 at 2 h0 and 3 at 4 h0: 2 h0 reads 4 h0's values
+    (4.0, 0.5, 10)])
+def test_eight_level_ladders_build_each_grid_once(x_max, h0, grids):
+    # the 8 grids that the cache keeps are those the next ladder reads
+    p = decay(x_max=x_max)
+    ode._points.cache_clear()
+    harness._exact_on.cache_clear()
+    fits = [convergence_order(p, m, h0, 8) for m in METHODS]
+    assert ode._points.cache_info().misses == grids
+    assert len(fits[0].step_sizes) == 8
+
+
 def test_values_cache_never_holds_max_points_over_8_points(monkeypatch):
     monkeypatch.setattr(ode, "MAX_POINTS", 80)
     harness._exact_on.cache_clear()

@@ -28,6 +28,7 @@ from kappamath import (
     slope_field,
     substitution_decay,
 )
+from kappamath.core import _finite, _isfinite
 
 # frozen from 40-digit mpmath evaluation of exp_k(-x)
 DECAY_09_AT_1 = 0.40708183717417998691
@@ -705,6 +706,99 @@ def test_logistic_rhs_and_exact_are_the_documented_forms(kv, f0, x, f):
     p = LogisticProblem(Kappa(kv), f0=f0)
     assert outcome(p.rhs, x, f) == outcome(logistic_slope, p, x, f)
     assert outcome(p.exact, x) == outcome(logistic_exact, p, x)
+
+
+# The closed forms point by point, as exact computed them before the grid
+# forms: the reference that the grid forms match bit for bit.
+def pointwise_decay_exact(p, x):
+    try:
+        bx = p.beta * x
+    except OverflowError:  # an int x beyond the float range
+        bx = math.inf
+    if math.isfinite(bx):
+        e = kappa_exp(p.k, -bx)
+    else:
+        _finite("closed_form_decay", x)
+        e = 0.0 if bx > 0.0 else math.inf
+    return p.f0 * e if p.f0 else p.f0
+
+
+def pointwise_logistic_exact(p, x):
+    if not _isfinite(x):
+        raise DomainError(f"logistic_closed_form needs finite arguments, got {x!r}")
+    return p.f0 / (p.f0 + (1.0 - p.f0) * kappa_exp(p.k, -x))
+
+
+def pointwise(exact, p, xs):
+    return tuple(exact(p, x) for x in xs)
+
+
+_XS = st.lists(st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                         st.sampled_from([10**400, -10**400])), max_size=8).map(tuple)
+_NAN, _INF = math.nan, math.inf
+
+
+@given(kv=st.one_of(_KV, st.sampled_from([0.0, 1e-300, -5e-324])),
+       beta=st.floats(1e-300, 1e308), f0=st.floats(allow_nan=False, allow_infinity=False),
+       xs=_XS)
+@example(kv=0.0, beta=1.0, f0=1.0, xs=(0.0, -0.0, 1.0, -2.0, 3))
+@example(kv=1e-300, beta=1e-3, f0=0.25, xs=(0.5, 3.0, -1e300))  # the series branch
+@example(kv=-0.9, beta=1e308, f0=3.0, xs=(1.0, 2.0, -2.0))  # beta x overflows to +-inf
+@example(kv=0.0, beta=1.0, f0=2.0, xs=(1.0, -800.0, -0.5))  # exp overflows mid-grid
+@example(kv=0.5, beta=1.0, f0=-1.5, xs=(-1e308, 1e308))
+@example(kv=0.0, beta=2.247116418577895e307, f0=0.0, xs=(-8.0, 8.0, -1000.0))  # f0 = +-0
+@example(kv=0.0, beta=2.247116418577895e307, f0=-0.0, xs=(-8.0, 8.0, -1000.0))
+@example(kv=0.5, beta=1.0, f0=1.0, xs=(0.5, _NAN, _INF))  # the first refused x is named
+@example(kv=0.5, beta=1.0, f0=0.0, xs=(-_INF, 1.0))
+@example(kv=0.5, beta=1.0, f0=1.0, xs=(1.0, 10**400))
+@example(kv=0.5, beta=1.0, f0=1.0, xs=())
+def test_decay_grid_form_is_exact_point_by_point(kv, beta, f0, xs):
+    p = DecayProblem(Kappa(kv), beta=beta, f0=f0)
+    want = outcome(pointwise, pointwise_decay_exact, p, xs)
+    assert outcome(p.exact_grid, xs) == want
+    assert outcome(pointwise, DecayProblem.exact, p, xs) == want
+
+
+@given(kv=st.one_of(_KV, st.sampled_from([0.0, 1e-300, -5e-324])),
+       f0=st.floats(5e-324, 1.0, exclude_max=True), xs=_XS)
+@example(kv=0.0, f0=0.5, xs=(0.0, -0.0, 1.0, -2.0, 3))
+@example(kv=1e-300, f0=0.75, xs=(0.5, 3.0, -1e300))  # the series branch
+@example(kv=0.0, f0=0.2, xs=(1.0, -800.0, -0.5))  # exp overflows mid-grid
+@example(kv=0.0, f0=5e-324, xs=(-1e308, 700.0, 1000.0, -1000.0))  # a subnormal f0
+@example(kv=-0.99, f0=0.5, xs=(-1e308, 1e308))
+@example(kv=0.5, f0=0.5, xs=(0.5, _NAN, _INF))  # the first refused x is named
+@example(kv=0.5, f0=0.5, xs=(-_INF, 1.0))
+@example(kv=0.5, f0=0.5, xs=(1.0, 10**400))
+def test_logistic_grid_form_is_exact_point_by_point(kv, f0, xs):
+    p = LogisticProblem(Kappa(kv), f0=f0)
+    want = outcome(pointwise, pointwise_logistic_exact, p, xs)
+    assert outcome(p.exact_grid, xs) == want
+    assert outcome(pointwise, LogisticProblem.exact, p, xs) == want
+
+
+def test_decay_closed_form_of_an_int_beta_past_the_float_range():
+    # an int beta times an int x is an int, which may pass the float range:
+    # the refusal and the limits are those of a float beta
+    p = DecayProblem(Kappa(0.0), beta=10**300)
+    assert p.exact_grid((10**10, -10**10, 0)) == (0.0, math.inf, 1.0)
+    with pytest.raises(DomainError, match="closed_form_decay needs finite arguments"):
+        DecayProblem(Kappa(0.5), beta=1).exact(10**400)
+
+
+@pytest.mark.parametrize("problem", [DecayProblem, LogisticProblem])
+def test_subclass_that_overrides_exact_is_read_point_by_point(problem):
+    # the grid form backs only the exact of its own class
+    class Doubled(problem):
+        def exact(self, x):
+            return 2.0 * super().exact(x)
+
+    p = Doubled(Kappa(0.5), x_max=2.0)
+    trace = analytic_trace(p, 0.25)
+    assert trace.fs == tuple(2.0 * problem.exact(p, x) for x in trace.xs)
+    assert trace.fs != p.exact_grid(trace.xs)
+    for r in harness.error_ladder(p, "rk4", 0.25, 3):
+        fs = rk4_solve(p, r.h).fs
+        assert r.abs_errors == tuple(abs(f - p.exact(x)) for f, x in zip(fs, r.xs))
 
 
 def test_decay_rejects_beta_whose_slope_denominator_overflows():
