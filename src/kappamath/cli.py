@@ -277,7 +277,7 @@ def _cmd_slope_field(args) -> None:
 def _cmd_logistic(args) -> None:
     lp = LogisticProblem(Kappa(args.kappa), f0=args.f0, x_max=args.x_max)
     trace = SOLVERS[args.method](lp, args.h)
-    exact = lp.exact_grid(trace.xs)
+    exact = analytic_trace(lp, args.h).fs
     rows = zip(trace.xs, exact, trace.fs, map(abs, map(sub, trace.fs, exact)))
     _write_table(args, ["x", "f_analytic", "f_method", "abs_error"], rows,
                  kappa=args.kappa, method=args.method, h=args.h)

@@ -4,13 +4,12 @@ Everything is measured against the closed-form solutions, so the reports
 quantify what the solver comparison plots only show qualitatively.
 """
 
-import functools
 import math
 from operator import attrgetter, sub
 
 from .core import Kappa, Record, _finite, _isfinite, kappa_exp
 from .errors import ConvergenceError, DomainError, FloorError
-from .ode import MAX_LEVELS, SOLVERS, _cached, _exact_at, _grid
+from .ode import MAX_LEVELS, SOLVERS, _exact_values
 
 # series is imported inside series_error_curve and picard_vs_series, its
 # only users, so the ladders and the CLI's compare never load it.
@@ -63,34 +62,6 @@ def error_table(p, methods, h: float) -> list[ErrorReport]:
     if not methods:
         raise DomainError("need at least one method")
     return [next(error_ladder(p, m, h, 1)) for m in sorted(set(methods))]
-
-
-def _exact_values(p, h: float, xs) -> tuple:
-    """p.exact on the grid xs of step h; a Record p, immutable with an == over
-    type and fields, reads them from _exact_on.  Equal fields give the same
-    values up to the sign of a zero, which no absolute error sees."""
-    if not isinstance(p, Record):
-        return tuple(map(p.exact, xs))
-    return _cached(_exact_on, len(xs))(p, h)
-
-
-@functools.lru_cache(maxsize=MAX_LEVELS)
-def _exact_on(p, h: float) -> tuple:
-    """p.exact on the grid of step h.  The even points of a grid of 2n + 1 >= 5
-    points are the grid of 2h, bit for bit, and reuse its values (on fewer, 2h
-    may be an invalid step): a ladder evaluates each point of its finest grid
-    once, and the other methods' ladders on an equal problem none."""
-    xs = _grid(p, h)
-    n = len(xs)
-    if n < 5 or not n % 2:
-        return _exact_at(p, xs)
-    ex = [0.0] * n
-    ex[::2] = _cached(_exact_on, n // 2 + 1)(p, 2 * h)
-    # the grid of h read again, so that ode's cache holds it as more recent
-    # than the grid of 2h, which no finer level reads: a ladder of 8 levels
-    # then builds each of its 9 grids once
-    ex[1::2] = _exact_at(p, _grid(p, h)[1::2])
-    return tuple(ex)
 
 
 def _rms(errors: tuple) -> float:

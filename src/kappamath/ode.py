@@ -46,12 +46,11 @@ MAX_LEVELS = 8
 
 
 def _exp(u: float) -> float:
-    """math.exp, and its limit where that overflows: inf, as kappa_exp gives,
-    and 0.0 for an int u below the float range."""
+    """math.exp, and inf, as kappa_exp gives, where that overflows."""
     try:
         return math.exp(u)
     except OverflowError:
-        return math.inf if u > 0 else 0.0
+        return math.inf
 
 
 class DecayProblem(Record):
@@ -76,7 +75,7 @@ class DecayProblem(Record):
             raise DomainError(f"x_max must be positive, got {x_max!r}")
         if not _isfinite(f0):
             raise DomainError(f"f0 must be finite, got {f0!r}")
-        super().__init__(k, beta, f0, x_max)
+        super().__init__(k, float(beta), f0, x_max)
 
     @property
     def x_start(self) -> float:
@@ -102,18 +101,9 @@ class DecayProblem(Record):
     # rhs(x, f), with 1/beta and kappa bound: read once per solve
     rhs = property(_slope)
 
-    def exact_grid(self, xs) -> tuple:
-        """exact at each x of the sequence xs, in one list comprehension:
-        f0 * exp_k(-beta x), and its limits where beta x overflows from a
-        finite x: 0 at x > 0 and +-inf at x < 0.  f0 = 0 gives the zero
-        solution, also at an x < 0 where exp_k(-beta x) overflows.
-        DomainError names the first x that is nan, +-inf or past the float
-        range."""
-        _finite("closed_form_decay", *xs)
-        return self._exact_grid(xs)
-
     def _exact_grid(self, xs) -> tuple:
-        # exact_grid on points known to be finite, such as those of _grid
+        # exact at each of the finite points xs, such as those of _grid, in
+        # one list comprehension
         f0 = self.f0
         if not f0:
             return (f0,) * len(xs)
@@ -126,8 +116,12 @@ class DecayProblem(Record):
             return tuple([f0 * _exp(_scaled_arcsinh(c, -(beta * x))) for x in xs])
 
     def exact(self, x: float) -> float:
-        """f0 * exp_k(-beta x): exact_grid at the one point x."""
-        return self.exact_grid((x,))[0]
+        """f0 * exp_k(-beta x), and its limits where beta x overflows from a
+        finite x: 0 at x > 0 and +-inf at x < 0.  f0 = 0 gives the zero
+        solution, also at an x < 0 where exp_k(-beta x) overflows.
+        DomainError where x is nan, +-inf or past the float range."""
+        _finite("closed_form_decay", x)
+        return self._exact_grid((x,))[0]
 
 
 class LogisticProblem(Record):
@@ -170,17 +164,9 @@ class LogisticProblem(Record):
     # rhs(x, f), with kappa bound: read once per solve
     rhs = property(_slope)
 
-    def exact_grid(self, xs) -> tuple:
-        """exact at each x of the sequence xs, in one list comprehension:
-        f0 / (f0 + (1 - f0) * exp_k(-x)); the default f0 = 1/2 gives the
-        plain 1/(1 + exp_k(-x)).  Unlike 1/(1 + c exp_k(-x)) with
-        c = (1 - f0)/f0, this stays finite for a subnormal f0.  DomainError
-        names the first x that is nan, +-inf or past the float range."""
-        _finite("logistic_closed_form", *xs)
-        return self._exact_grid(xs)
-
     def _exact_grid(self, xs) -> tuple:
-        # exact_grid on points known to be finite, such as those of _grid
+        # exact at each of the finite points xs, such as those of _grid, in
+        # one list comprehension
         c = self.k.value
         f0 = self.f0
         g = 1.0 - f0
@@ -191,8 +177,12 @@ class LogisticProblem(Record):
             return tuple([f0 / (f0 + g * _exp(_scaled_arcsinh(c, -x))) for x in xs])
 
     def exact(self, x: float) -> float:
-        """f0 / (f0 + (1 - f0) * exp_k(-x)): exact_grid at the one point x."""
-        return self.exact_grid((x,))[0]
+        """f0 / (f0 + (1 - f0) * exp_k(-x)); the default f0 = 1/2 gives the
+        plain 1/(1 + exp_k(-x)).  Unlike 1/(1 + c exp_k(-x)) with
+        c = (1 - f0)/f0, this stays finite for a subnormal f0.  DomainError
+        where x is nan, +-inf or past the float range."""
+        _finite("logistic_closed_form", x)
+        return self._exact_grid((x,))[0]
 
 
 class SolutionTrace(Record):
@@ -300,6 +290,47 @@ def _points(x0, x1, h, n: int) -> tuple:
     return tuple(xs)
 
 
+# The exact methods that their class's _exact_grid backs
+_GRID_BACKED = (DecayProblem.exact, LogisticProblem.exact)
+
+
+def _exact_at(p, xs) -> tuple:
+    """p.exact at each of the finite points xs: the grid form where p's exact
+    is one that an _exact_grid backs, else point by point, as for a user
+    problem or a subclass that overrides exact."""
+    if getattr(type(p), "exact", None) in _GRID_BACKED:
+        return p._exact_grid(xs)
+    return tuple(map(p.exact, xs))
+
+
+def _exact_values(p, h: float, xs) -> tuple:
+    """p.exact on the grid xs of step h; a Record p, immutable with an == over
+    type and fields, reads them from _exact_on.  Equal fields give the same
+    values up to the sign of a zero, which no absolute error sees."""
+    if not isinstance(p, Record):
+        return tuple(map(p.exact, xs))
+    return _cached(_exact_on, len(xs))(p, h)
+
+
+@functools.lru_cache(maxsize=MAX_LEVELS)
+def _exact_on(p, h: float) -> tuple:
+    """p.exact on the grid of step h.  The even points of a grid of 2n + 1 >= 5
+    points are the grid of 2h, bit for bit, and reuse its values (on fewer, 2h
+    may be an invalid step): a ladder evaluates each point of its finest grid
+    once, and the other methods' ladders on an equal problem none."""
+    xs = _grid(p, h)
+    n = len(xs)
+    if n < 5 or not n % 2:
+        return _exact_at(p, xs)
+    ex = [0.0] * n
+    ex[::2] = _cached(_exact_on, n // 2 + 1)(p, 2 * h)
+    # the grid of h read again, so that _points holds it as more recent than
+    # the grid of 2h, which no finer level reads: a ladder of 8 levels then
+    # builds each of its 9 grids once
+    ex[1::2] = _exact_at(p, _grid(p, h)[1::2])
+    return tuple(ex)
+
+
 def _rk4_values(rhs, xs, f: float, h: float) -> list[float]:
     """Classical RK4 from f at xs[0] over the grid xs of spacing h."""
     hh = 0.5 * h
@@ -370,19 +401,6 @@ def analytic_trace(p, h: float) -> SolutionTrace:
     """Closed-form solution sampled on the same grid the steppers use."""
     xs = _grid(p, h)
     return SolutionTrace("analytic", h, xs, _exact_at(p, xs))
-
-
-# The exact methods that their class's exact_grid backs
-_GRID_BACKED = (DecayProblem.exact, LogisticProblem.exact)
-
-
-def _exact_at(p, xs) -> tuple:
-    """p.exact at each of the finite points xs: the grid form where p's exact
-    is one that an exact_grid backs, else point by point, as for a user
-    problem or a subclass that overrides exact."""
-    if getattr(type(p), "exact", None) in _GRID_BACKED:
-        return p._exact_grid(xs)
-    return tuple(map(p.exact, xs))
 
 
 # f0 / (f0 + (1 - f0) * exp_k(-x)) as a function of (lp, x): the method itself

@@ -13,8 +13,9 @@ where a case says so.  OUT_DIR gets:
     <name>/stderr
     <name>/files/<path>    each file it wrote, by its path in the working
                            directory (out/... under $KAPPA_OUT_DIR)
-    library.json           library_calls(), the library's closed forms and
-                           ladder reports on fixed inputs, one call per line:
+    library.json           library_calls(), the library's closed forms,
+                           ladder reports, analytic routes, quadrature and
+                           series on fixed inputs, one call per line:
                            the repr of its result, or the type and message
                            of the error it raises
 
@@ -26,6 +27,7 @@ alters output bytes regenerates the corpus and names what changed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -143,10 +145,18 @@ def library_calls() -> list[tuple]:
     forms at ordinary points and at the limits they keep (kappa = 0, the
     series branch of a tiny kappa beta x, beta x overflowing to +-inf, exp
     overflowing, f0 = +-0, a subnormal logistic f0, nan, +-inf and an int
-    beyond the float range), and the traces and reports built on them."""
-    from kappamath import (DecayProblem, Kappa, LogisticProblem, analytic_trace,
-                           closed_form_decay, convergence_order, error_table,
-                           logistic_closed_form)
+    beyond the float range), and the traces and reports built on them; then
+    the other analytic routes, the quadrature, the series products and the
+    comparison reports, with their overflows and refusals.  The integrands
+    are builtins, or partials of them, whose repr is the same in every run."""
+    from functools import partial
+
+    from kappamath import (DecayProblem, Kappa, LogisticProblem, adaptive_quadrature,
+                           analytic_trace, asymptote_check, closed_form_decay,
+                           convergence_order, error_table, kappa_integral,
+                           logistic_closed_form, picard_vs_series, quadrature_decay,
+                           residual_decay, series_compose, series_multiply,
+                           substitution_decay)
 
     xs = (0.0, -0.0, 0.1, 1.0, 3, -2.0, 2.0, -8.0, -800.0, 5e-324, 1e308, -1e308,
           float("nan"), float("inf"), float("-inf"), 10**400)
@@ -169,7 +179,7 @@ def library_calls() -> list[tuple]:
     calls = [("closed_form_decay", closed_form_decay, (p, x)) for p in decays for x in xs]
     calls += [("logistic_closed_form", logistic_closed_form, (lp, x))
               for lp in logistics for x in xs]
-    d1, d2, _, d4, d5, _, _ = decays
+    d1, d2, d3, d4, d5, _, _ = decays
     l1, l2, l3, _, l5 = logistics
     calls += [("analytic_trace", analytic_trace, args) for args in (
         (d1, 0.5), (d2, 0.25), (d4, 0.25), (d5, 0.5), (l1, 1.0), (l2, 250.0),
@@ -184,6 +194,51 @@ def library_calls() -> list[tuple]:
         (d1, "rk4", 0.1, 4), (d2, "euler", 0.25, 3), (l1, "ab2", 0.25, 3),
         (DecayProblem(Kappa(0.5), x_max=0.1), "rk4", 0.02, 6),
         (DecayProblem(Kappa(0.5), x_max=0.01), "rk4", 0.001, 2))]
+    # an int beta past the float range is stored as a float
+    calls += [("closed_form_decay", closed_form_decay, (DecayProblem(Kappa(kv), beta=10**300), x))
+              for kv in (0.0, 0.5) for x in (10**10, -10**10)]
+    nan, inf = math.nan, math.inf
+    for name, fn in (("quadrature_decay", quadrature_decay),
+                     ("substitution_decay", substitution_decay)):
+        calls += [(name, fn, args) for args in (
+            (d1, 0.0), (d1, 1.0), (d1, 5.0), (d2, 2.0), (d3, 5.0), (d4, 2.0),
+            (d1, -1.0), (d1, 5.5), (d1, nan))]
+    calls += [("residual_decay", residual_decay, args) for args in (
+        (d1, 1.0, -1.0, 0.0), (d1, 0.5, -0.3, 1.0), (d4, 3.0, -1e300, -2.0),
+        # beta f and hypot(1/beta, kappa x) f' overflow with opposite signs
+        (DecayProblem(Kappa(1e-300), beta=1e300, x_max=1.7976931348623157e308),
+         -1e300, 1e300, 1e100),
+        (d1, nan, 1.0, 1.0), (d1, 1.0, 1.0, 10**400))]
+    inf_integrand = partial(math.copysign, math.inf)
+    calls += [("adaptive_quadrature", adaptive_quadrature, args) for args in (
+        (math.cos, 0.0, 1.0), (math.sqrt, 0.0, 1.0), (abs, -1.0, 2.0), (math.atan, 3.0, 3.0),
+        (partial(math.hypot, 1e308), 0.0, 10.0), (inf_integrand, 0.0, 1.0),
+        (math.cos, 1.0, 0.0), (math.cos, 0.0, nan), (math.cos, 0.0, 10**400))]
+    calls += [("kappa_integral", kappa_integral, args) for args in (
+        (Kappa(0.9), math.cos, 0.0, 1.0), (Kappa(0.0), math.exp, 0.0, 1.0),
+        (Kappa(-0.5), abs, -2.0, 3.0), (Kappa(0.5), inf_integrand, 0.0, 1.0),
+        (Kappa(0.5), math.cos, 2.0, 1.0), (Kappa(0.5), math.cos, -inf, 1.0))]
+    calls += [("series_multiply", series_multiply, args) for args in (
+        ([1.0, 2.0, 3.0], [1.0, -1.0], 4), ([0.5, 0.25], [2.0, 0.0, 8.0], 1),
+        ([1e200, 0.0], [1e200], 1),
+        # terms that overflow with both signs
+        ([1e300, 1e300], [1e300, -1e300], 1),
+        ([1.0], [1.0], 65), ([1.0], [1.0], 2.0), ([nan], [1.0], 2))]
+    calls += [("series_compose", series_compose, args) for args in (
+        ([1.0, 1.0, 0.5, 1.0 / 6.0], [0.0, 1.0, 0.5], 3), ([2.0, -1.0], [0.0, 3.0], 4),
+        # terms that overflow with both signs, and a zero times an overflowed power
+        ([1e300, 1e300, 1e300], [0.0, 1e300, -1e300], 2), ([1.0, 0.0, 0.0, 1.0], [0.0, 1e200], 3),
+        ([1.0], [1.0], 2), ([1.0], [0.0], 65), ([1.0], [0.0, inf], 2))]
+    calls += [("picard_vs_series", picard_vs_series, args) for args in (
+        (Kappa(0.5), 4, [0.0, 0.5, 1.0]), (Kappa(-0.3), 0, [0.1]), (Kappa(0.9), 8, [-2.0, 2.0]),
+        # both routes are inf
+        (Kappa(0.0), 8, [1e100]),
+        (Kappa(0.5), 21, [0.5]), (Kappa(0.5), 3, [nan]))]
+    calls += [("asymptote_check", asymptote_check, args) for args in (
+        (Kappa(0.5), 10.0), (Kappa(0.5), 1e6), (Kappa(-0.9), 1e308),
+        # at a tiny kappa the log of the ratio once cancelled past the float range
+        (Kappa(5.04318622038353e-270), 1.7976931348623157e308), (Kappa(1e-300), 1e300),
+        (Kappa(0.0), 10.0), (Kappa(0.5), -1.0), (Kappa(0.5), inf))]
     return calls
 
 

@@ -27,7 +27,7 @@ from kappamath import (
     series_multiply,
     series_truncate,
 )
-from kappamath import harness, ode
+from kappamath import ode
 from kappamath.harness import ROUNDOFF_FLOOR, ErrorReport, _rms, error_ladder, fit_ladder
 from kappamath.ode import SOLVERS
 
@@ -350,12 +350,12 @@ def test_ladders_count_the_points_of_the_grid_form(problem, n_exact, n_initial, 
     calls = []
     grid_form = problem._exact_grid
 
-    def exact_grid(self, xs):
+    def counted(self, xs):
         calls.append(len(xs))
         return grid_form(self, xs)
 
-    monkeypatch.setattr(problem, "_exact_grid", exact_grid)
-    harness._exact_on.cache_clear()
+    monkeypatch.setattr(problem, "_exact_grid", counted)
+    ode._exact_on.cache_clear()
     p = problem(Kappa(0.9), x_max=5.0)
     for m in METHODS:
         convergence_order(p, m, 0.1, 5)
@@ -371,7 +371,7 @@ def test_eight_level_ladders_build_each_grid_once(x_max, h0, grids):
     # the 8 grids that the cache keeps are those the next ladder reads
     p = decay(x_max=x_max)
     ode._points.cache_clear()
-    harness._exact_on.cache_clear()
+    ode._exact_on.cache_clear()
     fits = [convergence_order(p, m, h0, 8) for m in METHODS]
     assert ode._points.cache_info().misses == grids
     assert len(fits[0].step_sizes) == 8
@@ -379,19 +379,19 @@ def test_eight_level_ladders_build_each_grid_once(x_max, h0, grids):
 
 def test_values_cache_never_holds_max_points_over_8_points(monkeypatch):
     monkeypatch.setattr(ode, "MAX_POINTS", 80)
-    harness._exact_on.cache_clear()
+    ode._exact_on.cache_clear()
     p, calls = counting_decay(x_max=1.0)
     # 9 points are cached, with the 5 and 3 of twice and four times the step
     reports = [next(error_ladder(p, "rk4", 0.125, 1))]
-    assert len(calls) == 9 and harness._exact_on.cache_info().currsize == 3
+    assert len(calls) == 9 and ode._exact_on.cache_info().currsize == 3
     # 10 points, MAX_POINTS // 8, are evaluated afresh on every call
     del calls[:]
     reports += [next(error_ladder(p, m, 1.0 / 9.0, 1)) for m in METHODS]
-    assert len(calls) == 3 * 10 and harness._exact_on.cache_info().currsize == 3
+    assert len(calls) == 3 * 10 and ode._exact_on.cache_info().currsize == 3
     # 17 points read their even points from the cached 9, but are not cached
     del calls[:]
     reports += [next(error_ladder(p, m, 0.0625, 1)) for m in METHODS]
-    assert len(calls) == 3 * 8 and harness._exact_on.cache_info().currsize == 3
+    assert len(calls) == 3 * 8 and ode._exact_on.cache_info().currsize == 3
     assert_fresh(p, reports)
 
 
