@@ -70,10 +70,6 @@ def _csv(columns, rows, **fixed) -> str:
     return "\n".join([",".join(columns), *map(template.__mod__, rows)]) + "\n"
 
 
-def _non_finite(v) -> ConvergenceError:
-    return ConvergenceError(f"non-finite value {float(v)!r} in JSON output")
-
-
 def _json_text(obj) -> str:
     import json
     import re
@@ -84,7 +80,8 @@ def _json_text(obj) -> str:
         # Without allow_nan=False the encoder spells them NaN, Infinity and
         # -Infinity; name the first one outside a string as Python prints it.
         found = re.finditer(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)', json.dumps(obj))
-        raise _non_finite(next(m[1] for m in found if m[1])) from None
+        v = float(next(m[1] for m in found if m[1]))
+        raise ConvergenceError(f"non-finite value {v!r} in JSON output") from None
 
 
 def _json_table(names, rows, key, meta) -> str:
@@ -98,8 +95,8 @@ def _json_table(names, rows, key, meta) -> str:
     if not rows:
         return head
     if not all(map(math.isfinite, chain.from_iterable(rows))):
-        raise _non_finite(next(v for v in chain.from_iterable(rows)
-                               if not math.isfinite(v)))
+        # the head is finite: _json_text names the first cell that is not
+        return _json_text({**meta, key: [dict(zip(names, row)) for row in rows]})
     cells = ",\n".join(f"      {json.dumps(n).replace('%', '%%')}: %r" for n in names)
     template = "    {\n" + cells + "\n    }"
     # head ends with the empty list, '[]\n}\n': open it and fill it

@@ -50,8 +50,6 @@ class Record:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other) -> bool:
-        if other is self:
-            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()
@@ -96,15 +94,17 @@ def _isfinite(v: float) -> bool:
 def _finite(name: str, *values: float) -> None:
     """DomainError naming the first nan, +-inf or number beyond the float
     range among a call's arguments."""
+    for v in values:
+        if not _isfinite(v):
+            raise DomainError(f"{name} needs finite arguments, got {v!r}")
+
+
+def _exp(u: float) -> float:
+    """math.exp, and inf, its correctly rounded value, where that overflows."""
     try:
-        for v in values:
-            if not math.isfinite(v):
-                break
-        else:
-            return
-    except OverflowError:  # v is an int beyond the float range
-        pass
-    raise DomainError(f"{name} needs finite arguments, got {v!r}")
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
 
 
 def _ordered_sum(values) -> float:
@@ -154,14 +154,9 @@ def kappa_exp(k: Kappa, x: float) -> float:
     form suffers for large negative k*x.  Overflow for extreme positive x is
     reported as +inf rather than raised.
     """
-    try:
-        if math.isfinite(x):
-            return math.exp(_scaled_arcsinh(k.value, x))
-    except OverflowError:
-        # the exp overflowed, or x is an int beyond the float range
-        if _isfinite(x):
-            return math.inf
-    raise DomainError(f"kappa_exp needs finite x, got {x!r}")
+    if not _isfinite(x):
+        raise DomainError(f"kappa_exp needs finite x, got {x!r}")
+    return _exp(_scaled_arcsinh(k.value, x))
 
 
 def kappa_ln(k: Kappa, x: float) -> float:

@@ -93,10 +93,8 @@ def error_ladder(p, method: str, h0: float, levels: int):
     if not (isinstance(levels, int) and 1 <= levels <= MAX_LEVELS):
         raise DomainError(f"levels must be in [1, {MAX_LEVELS}], got {levels!r}")
     for i in range(levels):
-        try:
-            h = h0 / 2**i
-        except OverflowError:
-            h = h0  # an int beyond the float range: the solver refuses it
+        # a non-finite h0 reaches the solver as it is, and the solver refuses it
+        h = h0 / 2**i if _isfinite(h0) else h0
         trace = SOLVERS[method](p, h)
         xs = trace.xs
         exact = _exact_values(p, h, xs)

@@ -13,8 +13,8 @@ import functools
 import math
 import sys
 
-from .core import (Kappa, Record, _finite, _isfinite, _scaled_arcsinh, adaptive_quadrature,
-                   differential_weight, kappa_exp)
+from .core import (Kappa, Record, _exp, _finite, _isfinite, _scaled_arcsinh,
+                   adaptive_quadrature, differential_weight, kappa_exp)
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -43,14 +43,6 @@ MAX_POINTS = 1_000_000
 # Deepest halving ladder (h0 / 2**7 is already 128 times the work of h0), and
 # so the size of the caches of grids and exact values that a ladder reads.
 MAX_LEVELS = 8
-
-
-def _exp(u: float) -> float:
-    """math.exp, and inf, as kappa_exp gives, where that overflows."""
-    try:
-        return math.exp(u)
-    except OverflowError:
-        return math.inf
 
 
 class DecayProblem(Record):

@@ -523,6 +523,29 @@ def test_ints_beyond_the_float_range_raise_domain_error(name, big):
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: kappa_sum(_K, 10**400, math.nan),
+     f"kappa_sum needs finite arguments, got {10**400!r}"),
+    (lambda: kappa_sum(_K, math.nan, 10**400), "kappa_sum needs finite arguments, got nan"),
+    (lambda: kappamath.series_multiply([1.0, -math.inf], [10**400], 2),
+     "series_multiply needs finite arguments, got -inf"),
+], ids=["int-then-nan", "nan-then-int", "inf-then-int"])
+def test_the_first_argument_that_is_not_finite_is_named(call, message):
+    # one check per argument, in call order, whether a nan, an inf or an int
+    # beyond the float range comes first
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kv", [0.0, 0.5])
+@pytest.mark.parametrize("x, want", [(10**300, math.inf), (-10**300, 0.0)])
+def test_kappa_exp_of_an_int_whose_exp_leaves_the_float_range(kv, x, want):
+    # a finite int; at kappa = 0 the int itself reaches math.exp
+    got = kappa_exp(Kappa(kv), x)
+    assert got == want and math.copysign(1.0, got) == 1.0
+
+
 # 50-digit references of the defining closed forms; k = 0 is the classical limit.
 def _mp_exp(k, x):
     return mp.exp(x if k == 0 else mp.asinh(k * x) / k)
