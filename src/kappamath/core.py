@@ -99,12 +99,13 @@ def _finite(name: str, *values: float) -> None:
             raise DomainError(f"{name} needs finite arguments, got {v!r}")
 
 
+# log of the float maximum, rounded down: math.exp overflows exactly past it
+_EXP_MAX = 709.782712893384
+
+
 def _exp(u: float) -> float:
     """math.exp, and inf, its correctly rounded value, where that overflows."""
-    try:
-        return math.exp(u)
-    except OverflowError:
-        return math.inf
+    return math.inf if u > _EXP_MAX else math.exp(u)
 
 
 def _ordered_sum(values) -> float:

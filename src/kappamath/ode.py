@@ -13,8 +13,9 @@ import functools
 import math
 import sys
 
-from .core import (Kappa, Record, _exp, _finite, _isfinite, _scaled_arcsinh,
-                   adaptive_quadrature, differential_weight, kappa_exp)
+from .core import (_EXP_MAX, Kappa, Record, _exp, _finite, _isfinite,
+                   _scaled_arcsinh, adaptive_quadrature, differential_weight,
+                   kappa_exp)
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -94,18 +95,17 @@ class DecayProblem(Record):
     rhs = property(_slope)
 
     def _exact_grid(self, xs) -> tuple:
-        # exact at each of the finite points xs, such as those of _grid, in
-        # one list comprehension
+        # exact at each of the finite points xs, such as those of _grid
         f0 = self.f0
         if not f0:
             return (f0,) * len(xs)
         c = self.k.value
         beta = self.beta
         exp = math.exp
-        try:
-            return tuple([f0 * exp(_scaled_arcsinh(c, -(beta * x))) for x in xs])
-        except OverflowError:  # an exp overflowed
-            return tuple([f0 * _exp(_scaled_arcsinh(c, -(beta * x))) for x in xs])
+        top = _EXP_MAX
+        # past top exp(u) overflows, but f0 exp(u) = +-exp(u + log|f0|) may not
+        return tuple([f0 * exp(u) if (u := _scaled_arcsinh(c, -(beta * x))) <= top
+                      else math.copysign(_exp(u + math.log(abs(f0))), f0) for x in xs])
 
     def exact(self, x: float) -> float:
         """f0 * exp_k(-beta x), and its limits where beta x overflows from a
@@ -157,16 +157,15 @@ class LogisticProblem(Record):
     rhs = property(_slope)
 
     def _exact_grid(self, xs) -> tuple:
-        # exact at each of the finite points xs, such as those of _grid, in
-        # one list comprehension
+        # exact at each of the finite points xs, such as those of _grid
         c = self.k.value
         f0 = self.f0
         g = 1.0 - f0
         exp = math.exp
-        try:
-            return tuple([f0 / (f0 + g * exp(_scaled_arcsinh(c, -x))) for x in xs])
-        except OverflowError:  # an exp overflowed
-            return tuple([f0 / (f0 + g * _exp(_scaled_arcsinh(c, -x))) for x in xs])
+        top = _EXP_MAX
+        # past top, g exp(u) > 2e292 > f0: the value is (f0 / g) exp(-u)
+        return tuple([f0 / (f0 + g * exp(u)) if (u := _scaled_arcsinh(c, -x)) <= top
+                      else exp(math.log(f0 / g) - u) for x in xs])
 
     def exact(self, x: float) -> float:
         """f0 / (f0 + (1 - f0) * exp_k(-x)); the default f0 = 1/2 gives the
@@ -401,7 +400,8 @@ logistic_closed_form = LogisticProblem.exact
 
 def logistic_residual(lp: LogisticProblem, x: float) -> float:
     """sqrt(1+k^2 x^2) f'(x) - f(x)(1 - f(x)) on the closed form, with the
-    derivative taken analytically (quotient rule)."""
+    derivative taken analytically (quotient rule).  Where exp_k(-x)
+    overflows it works on its own f = 0, not on exact(x), and returns 0.0."""
     e = (1.0 - lp.f0) * kappa_exp(lp.k, -x)
     w = lp.weight(x)
     f = lp.f0 / (lp.f0 + e)

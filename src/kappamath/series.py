@@ -125,15 +125,16 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
     return _trustworthy(out)
 
 
-def _odd_series(order: int, ratio) -> list[float]:
-    # c_1 = 1 and c_{2n+1} = c_{2n-1} * ratio(n); the even coefficients are 0
+def _parity_series(order: int, first: int, ratio) -> list[float]:
+    # c_first = 1 and c_{first+2n} = c_{first+2n-2} * ratio(n), first 0 or 1;
+    # the coefficients of the other parity are 0
     c = [0.0] * (order + 1)
-    if order >= 1:
-        c[1] = 1.0
+    if order >= first:
+        c[first] = 1.0
     term = 1.0
-    for n in range(1, (order - 1) // 2 + 1):
+    for n in range(1, (order - first) // 2 + 1):
         term *= ratio(n)
-        c[2 * n + 1] = term
+        c[first + 2 * n] = term
     return c
 
 
@@ -141,7 +142,8 @@ def _coordinate_series(k: Kappa, order: int) -> list[float]:
     # Maclaurin coefficients of u(x) = arcsinh(k x)/k: only odd powers,
     # c_{2n+1} = (-1)^n (2n)! k^(2n) / (4^n (n!)^2 (2n+1)).
     k2 = k.value * k.value
-    return _odd_series(order, lambda n: -k2 * (2 * n - 1) ** 2 / (2 * n * (2 * n + 1)))
+    return _parity_series(order, 1,
+                          lambda n: -k2 * (2 * n - 1) ** 2 / (2 * n * (2 * n + 1)))
 
 
 def exp_kappa_taylor(k: Kappa, order: int) -> PowerSeries:
@@ -171,7 +173,7 @@ def ln_kappa_shifted_taylor(k: Kappa, order: int) -> PowerSeries:
     _check_order(order)
     # sinh(k t)/k in t: odd coefficients k^(2n)/(2n+1)!
     k2 = k.value * k.value
-    sinh_ratio = _odd_series(order, lambda n: k2 / (2 * n * (2 * n + 1)))
+    sinh_ratio = _parity_series(order, 1, lambda n: k2 / (2 * n * (2 * n + 1)))
     log1p = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, order + 1)]
     coeffs = series_compose(sinh_ratio, log1p, order)
     return PowerSeries("x", tuple(coeffs))
@@ -180,13 +182,9 @@ def ln_kappa_shifted_taylor(k: Kappa, order: int) -> PowerSeries:
 def sqrt_weight_series(k: Kappa, order: int) -> PowerSeries:
     """Binomial series of sqrt(1 + k^2 x^2); only even powers are nonzero."""
     _check_order(order)
-    c = [0.0] * (order + 1)
-    c[0] = 1.0
-    term = 1.0
     k2 = k.value * k.value
-    for m in range(1, order // 2 + 1):
-        term *= k2 * (0.5 - (m - 1)) / m  # C(1/2, m) ratio
-        c[2 * m] = term
+    # c_{2m} = C(1/2, m) k^(2m), from the ratio of consecutive binomials
+    c = _parity_series(order, 0, lambda m: k2 * (0.5 - (m - 1)) / m)
     return PowerSeries("x", tuple(c))
 
 

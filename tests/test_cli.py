@@ -365,6 +365,17 @@ def test_solve_analytic_classical_endpoint(capsys):
     assert abs(last_f - math.exp(-1)) < 1e-15
 
 
+@pytest.mark.xfail(strict=True, reason="f0 exp(-x) is 0 where exp(-x) underflows and the "
+                   "product does not (FOUND in CHANGES.md)")
+def test_solve_analytic_keeps_a_large_f0_past_exp_underflow(capsys):
+    rc, out, _ = run(capsys, "solve", "--kappa", "0", "--method", "analytic",
+                     "--f0", "1e300", "--x-max", "800", "--h", "100")
+    assert rc == 0
+    last_f = float(out.strip().split("\n")[-1].split(",")[1])
+    # 1e300 exp(-800), from 60-digit mpmath
+    assert last_f == pytest.approx(3.6678745841776874e-48, rel=1e-12, abs=0.0)
+
+
 def test_solve_rejects_bad_step(capsys):
     rc, _, _ = run(capsys, "solve", "--kappa", "0.9", "--method", "euler", "--h", "-1")
     assert rc == 2

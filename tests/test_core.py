@@ -546,6 +546,21 @@ def test_kappa_exp_of_an_int_whose_exp_leaves_the_float_range(kv, x, want):
     assert got == want and math.copysign(1.0, got) == 1.0
 
 
+def test_exp_max_is_the_last_float_whose_exp_is_finite():
+    # core._EXP_MAX decides exp overflow for every module: math.exp is finite
+    # there and raises at the next float, and log of the float maximum lies
+    # between the two
+    top = core._EXP_MAX
+    above = math.nextafter(top, math.inf)
+    assert math.isfinite(math.exp(top))
+    with pytest.raises(OverflowError):
+        math.exp(above)
+    with mp.workdps(60):
+        assert top <= mp.log(sys.float_info.max) < above
+    assert (core._exp(top), core._exp(above)) == (math.exp(top), math.inf)
+    assert math.isnan(core._exp(math.nan))
+
+
 # 50-digit references of the defining closed forms; k = 0 is the classical limit.
 def _mp_exp(k, x):
     return mp.exp(x if k == 0 else mp.asinh(k * x) / k)

@@ -65,12 +65,11 @@ def overflow_handlers(source: str) -> list[str]:
 
 
 # Each is where its overflow first arises: math.isfinite of an int past the
-# float range, exp and sinh past the float maximum, the same exp over a grid,
-# and float() of a series coefficient past the float range.
+# float range, sinh past the float maximum, and float() of a series
+# coefficient past the float range.  Whether an exp overflows is decided by
+# comparing its argument with core._EXP_MAX, before the call, not by a handler.
 OVERFLOW_HANDLERS = [
-    "core._isfinite", "core._exp", "core._scaled_sinh",
-    "ode.DecayProblem._exact_grid", "ode.LogisticProblem._exact_grid",
-    "series.PowerSeries.__init__",
+    "core._isfinite", "core._scaled_sinh", "series.PowerSeries.__init__",
 ]
 
 
