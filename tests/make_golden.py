@@ -14,10 +14,14 @@ where a case says so.  OUT_DIR gets:
     <name>/files/<path>    each file it wrote, by its path in the working
                            directory (out/... under $KAPPA_OUT_DIR)
     library.json           library_calls(), the library's closed forms,
-                           ladder reports, analytic routes, quadrature and
-                           series on fixed inputs, one call per line:
-                           the repr of its result, or the type and message
-                           of the error it raises
+                           ladder reports, analytic routes, quadrature,
+                           series products and compositions, and the series
+                           builders (exp_kappa_taylor,
+                           ln_kappa_shifted_taylor, decay_series_solution,
+                           and picard_iterate_in_x of the 16th iterate) at
+                           four kappas and orders 0 to 64, on fixed inputs,
+                           one call per line: the repr of its result, or
+                           the type and message of the error it raises
 
 OUT_DIR is replaced as a whole, if it is empty or holds a corpus.  Only the standard library is used, so the
 script runs wherever the `kappamath` entry point is installed; a change that
@@ -146,17 +150,21 @@ def library_calls() -> list[tuple]:
     series branch of a tiny kappa beta x, beta x overflowing to +-inf, exp
     overflowing, f0 = +-0, a subnormal logistic f0, nan, +-inf and an int
     beyond the float range), and the traces and reports built on them; then
-    the other analytic routes, the quadrature, the series products and the
-    comparison reports, with their overflows and refusals.  The integrands
+    the other analytic routes, the quadrature, the series products and
+    compositions, the series builders at kappa 0, 0.5, -0.95 and 1e-300 and
+    orders 0, 1, 16, 48 and 64, and the comparison reports, with their
+    overflows and refusals.  The integrands
     are builtins, or partials of them, whose repr is the same in every run."""
     from functools import partial
 
     from kappamath import (DecayProblem, Kappa, LogisticProblem, adaptive_quadrature,
                            analytic_trace, asymptote_check, closed_form_decay,
-                           convergence_order, error_table, kappa_integral,
-                           logistic_closed_form, picard_vs_series, quadrature_decay,
-                           residual_decay, series_compose, series_multiply,
-                           substitution_decay)
+                           convergence_order, decay_series_solution, error_table,
+                           exp_kappa_taylor, kappa_integral, ln_kappa_shifted_taylor,
+                           logistic_closed_form, picard_iterate, picard_vs_series,
+                           quadrature_decay, residual_decay, series_compose,
+                           series_multiply, substitution_decay)
+    from kappamath.series import picard_iterate_in_x
 
     xs = (0.0, -0.0, 0.1, 1.0, 3, -2.0, 2.0, -8.0, -800.0, 5e-324, 1e308, -1e308,
           float("nan"), float("inf"), float("-inf"), 10**400)
@@ -228,7 +236,18 @@ def library_calls() -> list[tuple]:
         ([1.0, 1.0, 0.5, 1.0 / 6.0], [0.0, 1.0, 0.5], 3), ([2.0, -1.0], [0.0, 3.0], 4),
         # terms that overflow with both signs, and a zero times an overflowed power
         ([1e300, 1e300, 1e300], [0.0, 1e300, -1e300], 2), ([1.0, 0.0, 0.0, 1.0], [0.0, 1e200], 3),
-        ([1.0], [1.0], 2), ([1.0], [0.0], 65), ([1.0], [0.0, inf], 2))]
+        ([1.0], [1.0], 2), ([1.0], [0.0], 65), ([1.0], [0.0, inf], 2),
+        # an overflowed power term meets a zero inside the inner series
+        ([1.0] * 5, [0.0, 1e200, 0.0, 1.0], 4))]
+    # the series builders, bit for bit, from order 0 to MAX_ORDER
+    kappas = (Kappa(0.0), Kappa(0.5), Kappa(-0.95), Kappa(1e-300))
+    orders = (0, 1, 16, 48, 64)
+    for name, fn in (("exp_kappa_taylor", exp_kappa_taylor),
+                     ("ln_kappa_shifted_taylor", ln_kappa_shifted_taylor),
+                     ("decay_series_solution", decay_series_solution)):
+        calls += [(name, fn, (k, order)) for k in kappas for order in orders]
+    calls += [("picard_iterate_in_x", picard_iterate_in_x, (picard_iterate(k, 16), k, order))
+              for k in kappas for order in orders]
     calls += [("picard_vs_series", picard_vs_series, args) for args in (
         (Kappa(0.5), 4, [0.0, 0.5, 1.0]), (Kappa(-0.3), 0, [0.1]), (Kappa(0.9), 8, [-2.0, 2.0]),
         # both routes are inf
