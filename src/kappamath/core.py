@@ -108,15 +108,6 @@ def _exp(u: float) -> float:
     return math.inf if u > _EXP_MAX else math.exp(u)
 
 
-def _ordered_sum(values) -> float:
-    """Float sum added left to right from 0.0, as builtin sum() adds on 3.10
-    and 3.11; from Python 3.12 sum() compensates, which moves last digits."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def _scaled_arcsinh(c: float, x: float) -> float:
     """arcsinh(c*x)/c, continuously extended to x at c = 0.
 

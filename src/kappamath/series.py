@@ -4,16 +4,17 @@ Series come in two coordinates: the raw variable x, and the deformed
 coordinate u = arcsinh(k x)/k in which the decay equation becomes classical.
 Picard iterates are exact polynomials in u, so they are built there in
 integers scaled by n! and only converted to floats at the boundary.
-Composition sums the powers of the inner series, each pruned of the leading
-zeros that its zero constant term implies.
+Products and compositions multiply only the nonzero terms of the second
+factor, listed once per call, so an odd inner series such as u(x) costs
+half the multiply-adds of a dense one and gives the dense result bit for
+bit.
 """
 
 import functools
 import math
 from collections.abc import Sequence
-from operator import mul
 
-from .core import Kappa, Record, _finite, _isfinite, _ordered_sum, _scaled_arcsinh
+from .core import Kappa, Record, _finite, _isfinite, _scaled_arcsinh
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -60,24 +61,47 @@ def _check_order(order: int) -> None:
         raise DomainError(f"series order must be in [0, {MAX_ORDER}], got {order!r}")
 
 
+def _floats(c: Sequence[float], order: int) -> list[float]:
+    # the first order+1 finite coefficients as floats, so that a product of
+    # two ints that leaves the float range is inf, as it is for floats
+    return list(map(float, c[: order + 1]))
+
+
 def _pad(c: Sequence[float], order: int) -> list[float]:
-    return list(c[: order + 1]) + [0.0] * (order + 1 - len(c))
+    c = _floats(c, order)
+    return c + [0.0] * (order + 1 - len(c))
 
 
 def series_truncate(c: Sequence[float], order: int) -> list[float]:
-    """Pad or cut a coefficient list to exactly order+1 entries."""
+    """Pad or cut a coefficient list to exactly order+1 float entries."""
     _check_order(order)
     _finite("series_truncate", *c)
     return _pad(c, order)
 
 
-def _cauchy(a: Sequence[float], b: Sequence[float], order: int) -> list[float]:
+def _nonzero(b: list[float]) -> list[tuple[int, float]]:
+    return [(k, bk) for k, bk in enumerate(b) if bk != 0.0]
+
+
+def _cauchy(a: list[float], b: list[float], terms: list[tuple[int, float]],
+            order: int) -> list[float]:
+    # The product of a and b truncated at order, where terms is _nonzero(b).
+    # A finite a_i meets only those terms: a_i * 0.0 is +-0.0, and a sum
+    # that starts at +0.0 is never -0.0, so adding +-0.0 leaves it as it is.
+    # An inf or nan a_i meets every b_k, since inf * 0.0 is nan.
     out = [0.0] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
+    for i, ai in enumerate(a):
         if ai == 0.0:
             continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] += ai * bj
+        if math.isfinite(ai):
+            top = order - i
+            for k, bk in terms:
+                if k > top:
+                    break
+                out[i + k] += ai * bk
+        else:
+            for k, bk in enumerate(b[: order + 1 - i]):
+                out[i + k] += ai * bk
     return out
 
 
@@ -96,7 +120,8 @@ def series_multiply(a: Sequence[float], b: Sequence[float], order: int) -> list[
     coefficient's terms overflow with both signs."""
     _check_order(order)
     _finite("series_multiply", *a, *b)
-    return _trustworthy(_cauchy(a, b, order))
+    a, b = _floats(a, order), _floats(b, order)
+    return _trustworthy(_cauchy(a, b, _nonzero(b), order))
 
 
 def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -> list[float]:
@@ -104,21 +129,25 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
 
     The inner series must have zero constant term, otherwise truncation
     would not commute with composition.  It is the sum of outer[j] * inner^j
-    over the nonzero outer[j], with the power kept running: inner^j starts
-    at order j, so the zero skip in the Cauchy product prunes its leading
-    zeros and the cost is about order^3/6 multiply-adds.  ConvergenceError
-    where a coefficient's terms overflow with both signs.
+    over the nonzero outer[j], with the power kept running.  Each step of
+    the power multiplies its nonzero terms by the nonzero terms of the
+    inner series, listed once, so its leading zeros and the inner series'
+    zeros cost nothing.  A power term that has overflowed to inf (or become
+    nan) meets every inner term instead, zeros included, and inf * 0 is
+    nan.  ConvergenceError where a coefficient's terms overflow with both
+    signs, or an overflowed term meets an exact zero.
     """
     _check_order(order)
     _finite("series_compose", *outer, *inner)
-    inner = _pad(inner, order)
+    outer, inner = _floats(outer, order), _pad(inner, order)
     if inner[0] != 0.0:
         raise DomainError("series_compose needs inner constant term 0")
+    terms = _nonzero(inner)
     out = [0.0] * (order + 1)
     power = [1.0] + [0.0] * order
-    for j, cj in enumerate(outer[: order + 1]):
+    for j, cj in enumerate(outer):
         if j:
-            power = _cauchy(power, inner, order)
+            power = _cauchy(power, inner, terms, order)
         if cj != 0.0:
             for i in range(j, order + 1):
                 out[i] += cj * power[i]
@@ -161,7 +190,12 @@ def exp_kappa_taylor(k: Kappa, order: int) -> PowerSeries:
     g = [0.0] * (order + 1)
     g[0] = 1.0
     for n in range(1, order + 1):
-        g[n] = _ordered_sum(map(mul, du[1 : n + 1 : 2], g[n - 1 :: -2])) / n
+        # added left to right from 0.0: from Python 3.12 sum() compensates,
+        # which would move last digits between Python versions
+        total = 0.0
+        for d, gj in zip(du[1 : n + 1 : 2], g[n - 1 :: -2]):
+            total += d * gj
+        g[n] = total / n
     return PowerSeries("x", tuple(g))
 
 

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kappamath import (
+    ConvergenceError,
     DomainError,
     Kappa,
     PowerSeries,
@@ -19,6 +22,7 @@ from kappamath import (
 )
 from kappamath import series
 from kappamath.series import (
+    MAX_ORDER,
     _coordinate_series,
     picard_iterate_in_x,
     series_compose,
@@ -286,3 +290,84 @@ def test_series_helpers():
     with pytest.raises(DomainError):
         series_compose([1.0, 1.0], [1.0, 1.0], 3)
     assert series_truncate([1, 2], 3) == [1.0, 2.0, 0.0, 0.0]
+
+
+def dense_cauchy(a, b, order):
+    # reference product: every term of b, exact zeros included
+    out = [0.0] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai == 0.0:
+            continue
+        for j, bj in enumerate(b[: order + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def dense_compose(outer, inner, order):
+    # reference composition: the running power inner^j by dense products
+    inner = list(inner[: order + 1]) + [0.0] * (order + 1 - len(inner))
+    out = [0.0] * (order + 1)
+    power = [1.0] + [0.0] * order
+    for j, cj in enumerate(outer[: order + 1]):
+        if j:
+            power = dense_cauchy(power, inner, order)
+        if cj != 0.0:
+            for i in range(j, order + 1):
+                out[i] += cj * power[i]
+    return out
+
+
+def outcome(fn, *args):
+    """repr of fn(*args), or the type and message of the error it raises."""
+    try:
+        return repr(fn(*args))
+    except (ConvergenceError, DomainError) as e:
+        return (type(e).__name__, str(e))
+
+
+def reference_outcome(dense, *args):
+    coeffs = dense(*args)
+    for i, c in enumerate(coeffs):
+        if math.isnan(c):
+            return ("ConvergenceError", f"series coefficient {i} overflows with both signs")
+    return repr(coeffs)
+
+
+# exact zeros of both signs about half the time, magnitudes up to 1e308, so
+# that powers overflow to inf and meet the zeros
+_coefficients = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0]),
+              st.floats(min_value=-1e308, max_value=1e308)), max_size=MAX_ORDER + 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(outer=_coefficients, inner=_coefficients, order=st.integers(0, MAX_ORDER),
+       sign=st.sampled_from([0.0, -0.0]))
+@example(outer=[1.0, 0.0, 0.0, 1.0], inner=[1e200], order=3, sign=0.0)
+@example(outer=[1.0] * 5, inner=[1e200, 0.0, 1.0], order=4, sign=0.0)
+def test_sparse_products_match_the_dense_reference_bit_for_bit(outer, inner, order, sign):
+    # skipping b's exact zeros moves no bit, and an overflowed power term
+    # still meets them and gives the same ConvergenceError; the examples are
+    # the two compositions in the golden library table where one does
+    inner = [sign, *inner]
+    assert outcome(series_multiply, outer, inner, order) == reference_outcome(
+        dense_cauchy, outer, inner, order)
+    assert outcome(series_compose, outer, inner, order) == reference_outcome(
+        dense_compose, outer, inner, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(st.integers(-10**308, 10**308), max_size=10),
+       b=st.lists(st.integers(-10**308, 10**308), max_size=10), order=st.integers(0, 8))
+@example(a=[10**300], b=[10**300], order=0)
+@example(a=[1, 2], b=[], order=3)
+def test_int_coefficients_act_as_their_floats(a, b, order):
+    # a product of two ints past the float range is inf, as for floats, not
+    # OverflowError, and every coefficient that comes back is a float
+    fa, fb = [float(c) for c in a], [float(c) for c in b]
+    truncated = series_truncate(a, order)
+    assert truncated == series_truncate(fa, order)
+    assert all(type(c) is float for c in truncated)
+    assert outcome(series_multiply, a, b, order) == outcome(series_multiply, fa, fb, order)
+    assert outcome(series_compose, a, [0, *b], order) == outcome(
+        series_compose, fa, [0.0, *fb], order)
