@@ -238,7 +238,9 @@ def library_calls() -> list[tuple]:
         ([1e300, 1e300, 1e300], [0.0, 1e300, -1e300], 2), ([1.0, 0.0, 0.0, 1.0], [0.0, 1e200], 3),
         ([1.0], [1.0], 2), ([1.0], [0.0], 65), ([1.0], [0.0, inf], 2),
         # an overflowed power term meets a zero inside the inner series
-        ([1.0] * 5, [0.0, 1e200, 0.0, 1.0], 4))]
+        ([1.0] * 5, [0.0, 1e200, 0.0, 1.0], 4), ([0.0, 0.0, 1.0, 1.0], [0.0, 1e200, 0.0, 1.0], 4),
+        # an empty inner series, and a -0.0 constant term
+        ([2.0, 1.0], [], 3), ([2.0, 1.0], [-0.0], 3))]
     # the series builders, bit for bit, from order 0 to MAX_ORDER
     kappas = (Kappa(0.0), Kappa(0.5), Kappa(-0.95), Kappa(1e-300))
     orders = (0, 1, 16, 48, 64)
