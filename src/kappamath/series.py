@@ -6,8 +6,9 @@ Picard iterates are exact polynomials in u, so they are built there in
 integers scaled by n! and only converted to floats at the boundary.
 Products and compositions multiply only the nonzero terms of the second
 factor, listed once per call, so an odd inner series such as u(x) costs
-half the multiply-adds of a dense one and gives the dense result bit for
-bit.
+half the multiply-adds of a dense one.  An exact zero adds nothing, even
+to a term that has overflowed, so the ring raises ConvergenceError only
+where a coefficient's terms overflow with both signs.
 """
 
 import functools
@@ -67,48 +68,39 @@ def _floats(c: Sequence[float], order: int) -> list[float]:
     return list(map(float, c[: order + 1]))
 
 
-def _pad(c: Sequence[float], order: int) -> list[float]:
-    c = _floats(c, order)
-    return c + [0.0] * (order + 1 - len(c))
-
-
 def series_truncate(c: Sequence[float], order: int) -> list[float]:
     """Pad or cut a coefficient list to exactly order+1 float entries."""
     _check_order(order)
     _finite("series_truncate", *c)
-    return _pad(c, order)
+    c = _floats(c, order)
+    return c + [0.0] * (order + 1 - len(c))
 
 
 def _nonzero(b: list[float]) -> list[tuple[int, float]]:
     return [(k, bk) for k, bk in enumerate(b) if bk != 0.0]
 
 
-def _cauchy(a: list[float], b: list[float], terms: list[tuple[int, float]],
-            order: int) -> list[float]:
+def _cauchy(a: list[float], terms: list[tuple[int, float]], order: int) -> list[float]:
     # The product of a and b truncated at order, where terms is _nonzero(b).
-    # A finite a_i meets only those terms: a_i * 0.0 is +-0.0, and a sum
-    # that starts at +0.0 is never -0.0, so adding +-0.0 leaves it as it is.
-    # An inf or nan a_i meets every b_k, since inf * 0.0 is nan.
+    # An exact zero b_k adds nothing: a finite a_i * 0.0 is +-0.0, and a sum
+    # that starts at +0.0 is never -0.0, so adding +-0.0 leaves it as it is;
+    # and where a_i has overflowed, the true a_i * 0 is 0 all the same.
     out = [0.0] * (order + 1)
     for i, ai in enumerate(a):
         if ai == 0.0:
             continue
-        if math.isfinite(ai):
-            top = order - i
-            for k, bk in terms:
-                if k > top:
-                    break
-                out[i + k] += ai * bk
-        else:
-            for k, bk in enumerate(b[: order + 1 - i]):
-                out[i + k] += ai * bk
+        top = order - i
+        for k, bk in terms:
+            if k > top:
+                break
+            out[i + k] += ai * bk
     return out
 
 
 def _trustworthy(coeffs: list[float]) -> list[float]:
     """coeffs, or ConvergenceError naming the first that is nan: from finite
-    arguments, a coefficient whose terms overflow with both signs, or whose
-    overflowed term meets an exact zero."""
+    arguments, a coefficient whose terms overflow with both signs, or that
+    is built from a running-power coefficient whose terms do."""
     for i, c in enumerate(coeffs):
         if math.isnan(c):
             raise ConvergenceError(f"series coefficient {i} overflows with both signs")
@@ -120,8 +112,7 @@ def series_multiply(a: Sequence[float], b: Sequence[float], order: int) -> list[
     coefficient's terms overflow with both signs."""
     _check_order(order)
     _finite("series_multiply", *a, *b)
-    a, b = _floats(a, order), _floats(b, order)
-    return _trustworthy(_cauchy(a, b, _nonzero(b), order))
+    return _trustworthy(_cauchy(_floats(a, order), _nonzero(_floats(b, order)), order))
 
 
 def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -> list[float]:
@@ -132,22 +123,22 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
     over the nonzero outer[j], with the power kept running.  Each step of
     the power multiplies its nonzero terms by the nonzero terms of the
     inner series, listed once, so its leading zeros and the inner series'
-    zeros cost nothing.  A power term that has overflowed to inf (or become
-    nan) meets every inner term instead, zeros included, and inf * 0 is
-    nan.  ConvergenceError where a coefficient's terms overflow with both
-    signs, or an overflowed term meets an exact zero.
+    zeros cost nothing, and an exact zero adds nothing even to a power
+    term that has overflowed to inf.  ConvergenceError only where a
+    coefficient's terms, or those of the power it is built from, overflow
+    with both signs.
     """
     _check_order(order)
     _finite("series_compose", *outer, *inner)
-    outer, inner = _floats(outer, order), _pad(inner, order)
-    if inner[0] != 0.0:
+    outer, inner = _floats(outer, order), _floats(inner, order)
+    if inner and inner[0] != 0.0:
         raise DomainError("series_compose needs inner constant term 0")
     terms = _nonzero(inner)
     out = [0.0] * (order + 1)
     power = [1.0] + [0.0] * order
     for j, cj in enumerate(outer):
         if j:
-            power = _cauchy(power, inner, terms, order)
+            power = _cauchy(power, terms, order)
         if cj != 0.0:
             for i in range(j, order + 1):
                 out[i] += cj * power[i]

@@ -237,7 +237,7 @@ def library_calls() -> list[tuple]:
         # terms that overflow with both signs, and a zero times an overflowed power
         ([1e300, 1e300, 1e300], [0.0, 1e300, -1e300], 2), ([1.0, 0.0, 0.0, 1.0], [0.0, 1e200], 3),
         ([1.0], [1.0], 2), ([1.0], [0.0], 65), ([1.0], [0.0, inf], 2),
-        # an overflowed power term meets a zero inside the inner series
+        # an overflowed power term meets a zero inside the inner series, which adds nothing
         ([1.0] * 5, [0.0, 1e200, 0.0, 1.0], 4), ([0.0, 0.0, 1.0, 1.0], [0.0, 1e200, 0.0, 1.0], 4),
         # an empty inner series, and a -0.0 constant term
         ([2.0, 1.0], [], 3), ([2.0, 1.0], [-0.0], 3))]
