@@ -28,18 +28,26 @@ __all__ = [
 
 
 class Record:
-    """Immutable value type whose fields are the subclass's __slots__.
+    """Immutable value type whose fields are its classes' __slots__.
 
-    __init__ sets each field once, from exactly one value per slot; ==,
-    hash and repr go field by field, assignment raises AttributeError, and
-    pickle and copy rebuild the object through __init__, so a validating
-    subclass checks its values again.
+    The fields are decided once, when a subclass is made: its base's
+    fields, then the slots it names itself, so a subclass with
+    __slots__ = (), or with none, keeps its base's fields.  __init__ sets
+    each field once, from exactly one value per field; ==, hash and repr go
+    field by field, assignment raises AttributeError, and pickle and copy
+    rebuild the object through __init__, so a validating subclass checks its
+    values again.
     """
 
     __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__dict__.get("__slots__", ()))
 
     def __init__(self, *values) -> None:
-        names = self.__slots__
+        names = self._fields
         if len(values) != len(names):
             raise TypeError(f"{type(self).__name__} takes {len(names)} "
                             f"values, got {len(values)}")
@@ -47,7 +55,7 @@ class Record:
             object.__setattr__(self, name, v)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -58,7 +66,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:

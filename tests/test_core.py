@@ -22,8 +22,10 @@ from kappamath import (
     LogisticProblem,
     PowerSeries,
     adaptive_quadrature,
+    analytic_trace,
     asymptote_check,
     convergence_order,
+    error_ladder,
     error_table,
     exp_kappa_taylor,
     differential_weight,
@@ -51,6 +53,32 @@ KPROD_HALF_1_1 = 0.95972829134738505642
 ARCSINH_09_OVER_09 = 0.89874103961420273612
 
 KAPPAS = [0.0, 0.1, -0.1, 0.5, -0.5, 0.9, -0.9]
+
+
+# subclasses of the problem records with an empty __slots__ of their own,
+# and their twins with none; at module level so that pickle finds them
+class SlottedDecay(DecayProblem):
+    __slots__ = ()
+
+
+class PlainDecay(DecayProblem):
+    pass
+
+
+class SlottedLogistic(LogisticProblem):
+    __slots__ = ()
+
+
+class PlainLogistic(LogisticProblem):
+    pass
+
+
+class Point(core.Record):
+    __slots__ = ("x",)
+
+
+class Point3(Point):
+    __slots__ = ("y", "z")
 
 
 def test_kappa_accepts_open_interval():
@@ -107,6 +135,37 @@ def test_record_types_are_immutable_values():
         with pytest.raises(DomainError) as exc:
             make()
         assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("slotted,plain,args", [
+    (SlottedDecay, PlainDecay, (Kappa(0.5),)),
+    (SlottedDecay, PlainDecay, (Kappa(-0.9), 2.0, 0.25, 3.0)),
+    (SlottedLogistic, PlainLogistic, (Kappa(0.5),)),
+    (SlottedLogistic, PlainLogistic, (Kappa(0.3), 0.2, 4.0))])
+def test_record_subclass_with_empty_slots_keeps_its_fields(slotted, plain, args):
+    # __slots__ = () names no new field: the subclass has its base's fields,
+    # as the subclass without __slots__ has
+    s, p = slotted(*args), plain(*args)
+    base = slotted.__mro__[1]
+    assert s._values() == p._values() == base(*args)._values()
+    assert s == slotted(*args) and s != p and s != base(*args)
+    assert hash(s) == hash(slotted(*args)) == hash(p)
+    assert repr(s) == repr(p).replace(plain.__name__, slotted.__name__, 1)
+    for twin in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(twin) is slotted and twin == s and twin is not s
+    with pytest.raises(AttributeError):
+        s.extra = 0
+    assert analytic_trace(s, 0.25) == analytic_trace(p, 0.25)
+    assert list(error_ladder(s, "rk4", 0.5, 3)) == list(error_ladder(p, "rk4", 0.5, 3))
+
+
+def test_record_subclass_adds_the_slots_it_names():
+    # new slots are fields after the base's, one value each in __init__
+    r = Point3(1.0, 2.0, 3.0)
+    assert repr(r) == "Point3(x=1.0, y=2.0, z=3.0)"
+    assert r == pickle.loads(pickle.dumps(r)) and r != Point3(1.0, 2.0, 4.0)
+    with pytest.raises(TypeError, match="Point3 takes 3 values, got 1"):
+        Point3(1.0)
 
 
 def test_kappa_exp_frozen_value():
