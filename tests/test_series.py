@@ -351,9 +351,8 @@ def test_sparse_products_agree_with_the_dense_reference(outer, inner, order, sig
     # but a ConvergenceError of the kernel is one of the reference too
     # (whose first nan may come earlier)
     inner = [sign, *inner]
-    for fn, dense, args in ((series_multiply, dense_cauchy, (outer, inner, order)),
-                            (series_compose, dense_compose, (outer, inner, order))):
-        got, want = outcome(fn, *args), reference_outcome(dense, *args)
+    for fn, dense in ((series_multiply, dense_cauchy), (series_compose, dense_compose)):
+        got, want = outcome(fn, outer, inner, order), reference_outcome(dense, outer, inner, order)
         if isinstance(want, str):  # the reference gives a list
             assert got == want
         elif isinstance(got, tuple):
