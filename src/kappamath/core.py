@@ -44,7 +44,9 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields += tuple(cls.__dict__.get("__slots__", ()))
+        slots = cls.__dict__.get("__slots__", ())
+        # one string is one name, as Python reads it
+        cls._fields += (slots,) if isinstance(slots, str) else tuple(slots)
 
     def __init__(self, *values) -> None:
         names = self._fields

@@ -56,12 +56,13 @@ def error_table(p, methods, h: float) -> list[ErrorReport]:
     """Per-method absolute errors against the closed form on the trace grid,
     in sorted method order for determinism: the one-level error_ladder of
     each method."""
-    unknown = set(methods) - set(SOLVERS)
+    methods = sorted(set(methods))
+    unknown = [m for m in methods if m not in SOLVERS]
     if unknown:
-        raise DomainError(f"unknown methods: {sorted(unknown)}")
+        raise DomainError(f"unknown methods: {unknown}")
     if not methods:
         raise DomainError("need at least one method")
-    return [next(error_ladder(p, m, h, 1)) for m in sorted(set(methods))]
+    return [next(error_ladder(p, m, h, 1)) for m in methods]
 
 
 def _rms(errors: tuple) -> float:

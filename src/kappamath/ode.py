@@ -43,6 +43,8 @@ MAX_POINTS = 1_000_000
 
 # Deepest halving ladder (h0 / 2**7 is already 128 times the work of h0), and
 # so the size of the caches of grids and exact values that a ladder reads.
+# Each keeps only results of fewer than MAX_POINTS // MAX_LEVELS points, fewer
+# than MAX_POINTS in all; a larger one is computed once, where it is needed.
 MAX_LEVELS = 8
 
 
@@ -250,14 +252,8 @@ def _grid(p, h: float, min_steps: int = 1) -> tuple:
         raise DomainError(f"step size {h!r} gives more than {MAX_POINTS} "
                           f"grid points over [{x0!r}, {x1!r}]")
     n = int(steps)
-    return _cached(_points, n + 1)(x0, x1, h, n)
-
-
-def _cached(cached, n: int):
-    """cached, a functools.lru_cache of MAX_LEVELS entries, for n points; for
-    n >= MAX_POINTS // MAX_LEVELS the function it wraps, so that the entries
-    held have fewer than MAX_POINTS points in all."""
-    return cached if n < MAX_POINTS // MAX_LEVELS else cached.__wrapped__
+    points = _points if n + 1 < MAX_POINTS // MAX_LEVELS else _points.__wrapped__
+    return points(x0, x1, h, n)
 
 
 # A start of -0.0 gives the same points as 0.0, and an int start or step the
@@ -295,26 +291,28 @@ def _exact_at(p, xs) -> tuple:
 
 
 def _exact_values(p, h: float, xs) -> tuple:
-    """p.exact on the grid xs of step h; a Record p, immutable with an == over
-    type and fields, reads them from _exact_on.  Equal fields give the same
-    values up to the sign of a zero, which no absolute error sees."""
-    if not isinstance(p, Record):
-        return tuple(map(p.exact, xs))
-    return _cached(_exact_on, len(xs))(p, h)
+    """p.exact on the grid xs of step h.  A Record p, immutable with an == over
+    type and fields, reads them from _exact_on where xs is small enough to
+    keep; equal fields give the same values up to the sign of a zero, which
+    no absolute error sees.  Any other p, or a grid too large to keep, is
+    evaluated on xs itself, at every point."""
+    if isinstance(p, Record) and len(xs) < MAX_POINTS // MAX_LEVELS:
+        return _exact_on(p, h)
+    return _exact_at(p, xs)
 
 
 @functools.lru_cache(maxsize=MAX_LEVELS)
 def _exact_on(p, h: float) -> tuple:
-    """p.exact on the grid of step h.  The even points of a grid of 2n + 1 >= 5
-    points are the grid of 2h, bit for bit, and reuse its values (on fewer, 2h
-    may be an invalid step): a ladder evaluates each point of its finest grid
-    once, and the other methods' ladders on an equal problem none."""
+    """p.exact on a grid of step h small enough to keep.  The even points of a
+    grid of 2n + 1 >= 5 points are the smaller grid of 2h, bit for bit, and
+    reuse its values (on fewer, 2h may be an invalid step): a ladder evaluates
+    each point of its finest grid once, and the other methods' ladders none."""
     xs = _grid(p, h)
     n = len(xs)
     if n < 5 or not n % 2:
         return _exact_at(p, xs)
     ex = [0.0] * n
-    ex[::2] = _cached(_exact_on, n // 2 + 1)(p, 2 * h)
+    ex[::2] = _exact_on(p, 2 * h)
     # the grid of h read again, so that _points holds it as more recent than
     # the grid of 2h, which no finer level reads: a ladder of 8 levels then
     # builds each of its 9 grids once

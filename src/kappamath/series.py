@@ -44,13 +44,10 @@ class PowerSeries(Record):
     def __init__(self, variable: str, coefficients: Sequence[float]) -> None:
         if variable not in ("x", "u"):
             raise DomainError(f"unknown series variable {variable!r}")
-        try:
-            coeffs = tuple(map(float, coefficients))
-        except OverflowError:  # an int beyond the float range
-            coeffs = (math.inf,)
-        if not coeffs or not all(map(math.isfinite, coeffs)):
+        coeffs = tuple(coefficients)
+        if not coeffs or not all(map(_isfinite, coeffs)):
             raise DomainError("coefficients must be a nonempty finite list")
-        super().__init__(variable, coeffs)
+        super().__init__(variable, tuple(map(float, coeffs)))
 
     @property
     def order(self) -> int:

@@ -81,6 +81,11 @@ class Point3(Point):
     __slots__ = ("y", "z")
 
 
+class Named(core.Record):
+    # one string is one slot name, as Python reads it
+    __slots__ = "value"
+
+
 def test_kappa_accepts_open_interval():
     assert Kappa(0.75).value == 0.75
     assert Kappa(0.0).value == 0.0
@@ -166,6 +171,17 @@ def test_record_subclass_adds_the_slots_it_names():
     assert r == pickle.loads(pickle.dumps(r)) and r != Point3(1.0, 2.0, 4.0)
     with pytest.raises(TypeError, match="Point3 takes 3 values, got 1"):
         Point3(1.0)
+
+
+def test_record_subclass_with_one_string_slot_has_one_field():
+    r = Named(1.0)
+    assert Named._fields == ("value",) and r.value == 1.0
+    assert r == Named(1.0) and r != Named(2.0) and hash(r) == hash(Named(1.0))
+    assert repr(r) == "Named(value=1.0)"
+    twin = pickle.loads(pickle.dumps(r))
+    assert type(twin) is Named and twin == r and twin is not r
+    with pytest.raises(TypeError, match="Named takes 1 values, got 2"):
+        Named(1.0, 2.0)
 
 
 def test_kappa_exp_frozen_value():
@@ -580,6 +596,14 @@ def test_ints_beyond_the_float_range_raise_domain_error(name, big):
     with pytest.raises(DomainError) as info:
         call(big)
     assert str(info.value).startswith(message)
+
+
+def test_series_coefficient_that_is_not_a_number_raises_type_error():
+    # as the ring helpers do: a str is not read as the number it spells
+    for call in (lambda: PowerSeries("x", [1.0, "1"]),
+                 lambda: kappamath.series_multiply([1.0, "1"], [1.0], 2)):
+        with pytest.raises(TypeError):
+            call()
 
 
 @pytest.mark.parametrize("call, message", [

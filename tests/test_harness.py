@@ -64,6 +64,19 @@ def test_error_table_sorted_and_validated():
         error_table(decay(), [], 0.1)
 
 
+@pytest.mark.parametrize("methods", [
+    lambda names: iter(names), lambda names: (m for m in names)], ids=["iter", "generator"])
+def test_error_table_reads_a_one_shot_iterable_once(methods):
+    p = decay(x_max=1.0)
+    reports = error_table(p, methods(["rk4", "euler"]), 0.1)
+    assert [r.method for r in reports] == ["euler", "rk4"]
+    assert reports == error_table(p, ["rk4", "euler"], 0.1)
+    with pytest.raises(DomainError, match="need at least one method"):
+        error_table(p, methods([]), 0.1)
+    with pytest.raises(DomainError, match=r"unknown methods: \['simpson'\]"):
+        error_table(p, methods(["rk4", "simpson"]), 0.1)
+
+
 @pytest.mark.parametrize("method,expected,tol", [
     ("euler", 1.0, 0.2), ("ab2", 2.0, 0.2), ("rk4", 4.0, 0.25)])
 def test_convergence_orders(method, expected, tol):
@@ -388,10 +401,32 @@ def test_values_cache_never_holds_max_points_over_8_points(monkeypatch):
     del calls[:]
     reports += [next(error_ladder(p, m, 1.0 / 9.0, 1)) for m in METHODS]
     assert len(calls) == 3 * 10 and ode._exact_on.cache_info().currsize == 3
-    # 17 points read their even points from the cached 9, but are not cached
+    # 17 points are too many to keep: each call evaluates them on its own grid
     del calls[:]
     reports += [next(error_ladder(p, m, 0.0625, 1)) for m in METHODS]
-    assert len(calls) == 3 * 8 and ode._exact_on.cache_info().currsize == 3
+    assert len(calls) == 3 * 17 and ode._exact_on.cache_info().currsize == 3
+    assert_fresh(p, reports)
+
+
+def test_ladder_builds_each_grid_too_large_to_keep_once(monkeypatch):
+    # 9 points are kept; the grids of 17 and 33 points are built by the
+    # solver, and their exact values read that grid, not one built anew
+    monkeypatch.setattr(ode, "MAX_POINTS", 80)
+    build = ode._points.__wrapped__
+    builds = []
+
+    def counted(*args):
+        xs = build(*args)
+        builds.append(len(xs))
+        return xs
+
+    monkeypatch.setattr(ode._points, "__wrapped__", counted)
+    ode._points.cache_clear()
+    ode._exact_on.cache_clear()
+    p = decay(x_max=1.0)
+    reports = list(error_ladder(p, "rk4", 0.125, 3))
+    assert [len(r.xs) for r in reports] == [9, 17, 33]
+    assert builds == [17, 33]
     assert_fresh(p, reports)
 
 
