@@ -17,8 +17,9 @@ where a case says so.  OUT_DIR gets:
                            ladder reports, analytic routes, quadrature,
                            series products and compositions, and the series
                            builders (exp_kappa_taylor,
-                           ln_kappa_shifted_taylor, decay_series_solution,
-                           and picard_iterate_in_x of the 16th iterate) at
+                           ln_kappa_shifted_taylor, sqrt_weight_series,
+                           decay_series_solution, and picard_iterate_in_x
+                           of the 16th iterate) at
                            four kappas and orders 0 to 64, on fixed inputs,
                            one call per line: the repr of its result, or
                            the type and message of the error it raises
@@ -150,10 +151,12 @@ def library_calls() -> list[tuple]:
     series branch of a tiny kappa beta x, beta x overflowing to +-inf, exp
     overflowing, f0 = +-0, a subnormal logistic f0, nan, +-inf and an int
     beyond the float range), and the traces and reports built on them; then
-    the other analytic routes, the quadrature, the series products and
-    compositions, the series builders at kappa 0, 0.5, -0.95 and 1e-300 and
-    orders 0, 1, 16, 48 and 64, and the comparison reports, with their
-    overflows and refusals.  The integrands
+    the other analytic routes, the closed forms where exp(u) falls below its
+    normal range and a large or subnormal f0 brings the value back into
+    view, the quadrature, the series products and compositions, the series
+    builders at kappa 0, 0.5, -0.95 and 1e-300 and orders 0, 1, 16, 48 and
+    64, and the comparison reports, with their overflows and refusals.  The
+    integrands
     are builtins, or partials of them, whose repr is the same in every run."""
     from functools import partial
 
@@ -163,7 +166,7 @@ def library_calls() -> list[tuple]:
                            exp_kappa_taylor, kappa_integral, ln_kappa_shifted_taylor,
                            logistic_closed_form, picard_iterate, picard_vs_series,
                            quadrature_decay, residual_decay, series_compose,
-                           series_multiply, substitution_decay)
+                           series_multiply, sqrt_weight_series, substitution_decay)
     from kappamath.series import picard_iterate_in_x
 
     xs = (0.0, -0.0, 0.1, 1.0, 3, -2.0, 2.0, -8.0, -800.0, 5e-324, 1e308, -1e308,
@@ -211,6 +214,16 @@ def library_calls() -> list[tuple]:
         calls += [(name, fn, args) for args in (
             (d1, 0.0), (d1, 1.0), (d1, 5.0), (d2, 2.0), (d3, 5.0), (d4, 2.0),
             (d1, -1.0), (d1, 5.5), (d1, nan))]
+    # exp(u) below its normal range, times f0 = 1e300 or 1e20, or over a
+    # subnormal logistic f0
+    big = DecayProblem(Kappa(0.0), f0=1e300, x_max=800.0)
+    calls += [(name, fn, (big, 800.0)) for name, fn in (
+        ("closed_form_decay", closed_form_decay), ("substitution_decay", substitution_decay),
+        ("quadrature_decay", quadrature_decay))]
+    calls += [("closed_form_decay", closed_form_decay,
+               (DecayProblem(Kappa(0.0), f0=1e20, x_max=740.0), 740.0)),
+              ("logistic_closed_form", logistic_closed_form,
+               (LogisticProblem(Kappa(0.0), f0=5e-324, x_max=744.0), 744.0))]
     calls += [("residual_decay", residual_decay, args) for args in (
         (d1, 1.0, -1.0, 0.0), (d1, 0.5, -0.3, 1.0), (d4, 3.0, -1e300, -2.0),
         # beta f and hypot(1/beta, kappa x) f' overflow with opposite signs
@@ -246,6 +259,7 @@ def library_calls() -> list[tuple]:
     orders = (0, 1, 16, 48, 64)
     for name, fn in (("exp_kappa_taylor", exp_kappa_taylor),
                      ("ln_kappa_shifted_taylor", ln_kappa_shifted_taylor),
+                     ("sqrt_weight_series", sqrt_weight_series),
                      ("decay_series_solution", decay_series_solution)):
         calls += [(name, fn, (k, order)) for k in kappas for order in orders]
     calls += [("picard_iterate_in_x", picard_iterate_in_x, (picard_iterate(k, 16), k, order))
