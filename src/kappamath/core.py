@@ -8,6 +8,7 @@ case rather than by small-k division.
 """
 
 import math
+import operator
 from collections.abc import Callable
 
 from .errors import ConvergenceError, DomainError
@@ -32,32 +33,37 @@ class Record:
 
     The fields are decided once, when a subclass is made: its base's
     fields, then the slots it names itself, so a subclass with
-    __slots__ = (), or with none, keeps its base's fields.  __init__ sets
-    each field once, from exactly one value per field; ==, hash and repr go
-    field by field, assignment raises AttributeError, and pickle and copy
-    rebuild the object through __init__, so a validating subclass checks its
-    values again.
+    __slots__ = (), or with none, keeps its base's fields.  With them are
+    fixed each field's slot setter and _values, an operator.attrgetter over
+    the fields.  __init__ sets each field once, from exactly one value per
+    field; ==, hash and repr go field by field, assignment raises
+    AttributeError, and pickle and copy rebuild the object through
+    __init__, so a validating subclass checks its values again.
     """
 
     __slots__ = ()
     _fields = ()
+    _setters = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         slots = cls.__dict__.get("__slots__", ())
         # one string is one name, as Python reads it
-        cls._fields += (slots,) if isinstance(slots, str) else tuple(slots)
+        names = (slots,) if isinstance(slots, str) else tuple(slots)
+        cls._fields += names
+        cls._setters += tuple(cls.__dict__[name].__set__ for name in names)
+        cls._values = _values_getter(cls._fields)
 
     def __init__(self, *values) -> None:
-        names = self._fields
-        if len(values) != len(names):
-            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} "
                             f"values, got {len(values)}")
-        for name, v in zip(names, values):
-            object.__setattr__(self, name, v)
+        for setter, v in zip(setters, values):
+            setter(self, v)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return ()
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -68,7 +74,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -79,6 +85,17 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def _values_getter(fields: tuple):
+    """The method that returns a record's field values as a tuple, read by one
+    operator.attrgetter, which gives a bare value for a single name."""
+    if not fields:
+        return Record._values
+    get = operator.attrgetter(*fields)
+    if len(fields) == 1:
+        return lambda self: (get(self),)
+    return lambda self: get(self)
 
 
 class Kappa(Record):
@@ -92,11 +109,15 @@ class Kappa(Record):
         super().__init__(float(value))
 
 
-def _isfinite(v: float) -> bool:
-    """math.isfinite, and False for a number beyond the float range, such as
-    the int 10**400, for which math.isfinite raises OverflowError."""
+def _isfinite(v: float, w: float = 0.0, *more: float) -> bool:
+    """math.isfinite of each value, and False for a number beyond the float
+    range, such as the int 10**400, for which math.isfinite raises
+    OverflowError.  The values past the second are checked in one C-level
+    pass; one or two values are checked alone, which costs less than that
+    pass (w defaults to 0.0, which is finite)."""
     try:
-        return math.isfinite(v)
+        return (math.isfinite(v) and math.isfinite(w)
+                and (not more or all(map(math.isfinite, more))))
     except OverflowError:
         return False
 
@@ -104,9 +125,9 @@ def _isfinite(v: float) -> bool:
 def _finite(name: str, *values: float) -> None:
     """DomainError naming the first nan, +-inf or number beyond the float
     range among a call's arguments."""
-    for v in values:
-        if not _isfinite(v):
-            raise DomainError(f"{name} needs finite arguments, got {v!r}")
+    if values and not _isfinite(*values):
+        v = next(v for v in values if not _isfinite(v))
+        raise DomainError(f"{name} needs finite arguments, got {v!r}")
 
 
 # log of the float maximum, rounded down: math.exp overflows exactly past it

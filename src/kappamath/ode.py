@@ -198,7 +198,8 @@ def quadrature_decay(p: DecayProblem, x: float) -> float:
     # beta * p.weight(t), bit for bit, in one frame per evaluation
     beta = p.beta
     c = p.k.value * beta
-    integral = adaptive_quadrature(lambda t: beta * (1.0 / math.hypot(1.0, c * t)), 0.0, x)
+    hypot = math.hypot
+    integral = adaptive_quadrature(lambda t: beta * (1.0 / hypot(1.0, c * t)), 0.0, x)
     return p.f0 * math.exp(-integral)
 
 

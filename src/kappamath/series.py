@@ -45,7 +45,7 @@ class PowerSeries(Record):
         if variable not in ("x", "u"):
             raise DomainError(f"unknown series variable {variable!r}")
         coeffs = tuple(coefficients)
-        if not coeffs or not all(map(_isfinite, coeffs)):
+        if not coeffs or not _isfinite(*coeffs):
             raise DomainError("coefficients must be a nonempty finite list")
         super().__init__(variable, tuple(map(float, coeffs)))
 
@@ -98,9 +98,9 @@ def _trustworthy(coeffs: list[float]) -> list[float]:
     """coeffs, or ConvergenceError naming the first that is nan: from finite
     arguments, a coefficient whose terms overflow with both signs, or that
     is built from a running-power coefficient whose terms do."""
-    for i, c in enumerate(coeffs):
-        if math.isnan(c):
-            raise ConvergenceError(f"series coefficient {i} overflows with both signs")
+    if any(map(math.isnan, coeffs)):
+        i = next(i for i, c in enumerate(coeffs) if math.isnan(c))
+        raise ConvergenceError(f"series coefficient {i} overflows with both signs")
     return coeffs
 
 
@@ -138,7 +138,9 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
             power = _cauchy(power, terms, order)
         if cj != 0.0:
             for i in range(j, order + 1):
-                out[i] += cj * power[i]
+                # a zero term would add +-0.0, which leaves out as it is
+                if (pi := power[i]) != 0.0:
+                    out[i] += cj * pi
     return _trustworthy(out)
 
 
@@ -174,14 +176,15 @@ def exp_kappa_taylor(k: Kappa, order: int) -> PowerSeries:
     (1-k^2)/3!, (1-4k^2)/4!, (1-k^2)(1-9k^2)/5!.
     """
     _check_order(order)
-    du = [j * c for j, c in enumerate(_coordinate_series(k, order))]
+    # the odd weights 1 u_1, 3 u_3, ...: the even ones are 0
+    du = [j * c for j, c in enumerate(_coordinate_series(k, order))][1::2]
     g = [0.0] * (order + 1)
     g[0] = 1.0
     for n in range(1, order + 1):
         # added left to right from 0.0: from Python 3.12 sum() compensates,
         # which would move last digits between Python versions
         total = 0.0
-        for d, gj in zip(du[1 : n + 1 : 2], g[n - 1 :: -2]):
+        for d, gj in zip(du, g[n - 1 :: -2]):
             total += d * gj
         g[n] = total / n
     return PowerSeries("x", tuple(g))
@@ -201,13 +204,16 @@ def ln_kappa_shifted_taylor(k: Kappa, order: int) -> PowerSeries:
     return PowerSeries("x", tuple(coeffs))
 
 
+def _sqrt_weights(k: Kappa, order: int) -> list[float]:
+    # c_{2m} = C(1/2, m) k^(2m), from the ratio of consecutive binomials
+    k2 = k.value * k.value
+    return _parity_series(order, 0, lambda m: k2 * (0.5 - (m - 1)) / m)
+
+
 def sqrt_weight_series(k: Kappa, order: int) -> PowerSeries:
     """Binomial series of sqrt(1 + k^2 x^2); only even powers are nonzero."""
     _check_order(order)
-    k2 = k.value * k.value
-    # c_{2m} = C(1/2, m) k^(2m), from the ratio of consecutive binomials
-    c = _parity_series(order, 0, lambda m: k2 * (0.5 - (m - 1)) / m)
-    return PowerSeries("x", tuple(c))
+    return PowerSeries("x", _sqrt_weights(k, order))
 
 
 def decay_series_solution(k: Kappa, order: int) -> PowerSeries:
@@ -219,14 +225,16 @@ def decay_series_solution(k: Kappa, order: int) -> PowerSeries:
     The result coincides with the Maclaurin series of exp_k(-x).
     """
     _check_order(order)
-    w = sqrt_weight_series(k, order).coefficients
+    w = _sqrt_weights(k, order)
+    # j as a float, which w * j rounds the same as the int
+    js = list(map(float, range(order + 1)))
     a = [0.0] * (order + 1)
     a[0] = 1.0
     for p in range(order):
         total = -a[p]
         for m in range(1, p // 2 + 1):
             j = p - 2 * m + 1
-            total -= w[2 * m] * j * a[j]
+            total -= w[2 * m] * js[j] * a[j]
         a[p + 1] = total / (p + 1)
     return PowerSeries("x", tuple(a))
 
