@@ -2,6 +2,7 @@ import copy
 import importlib
 import itertools
 import math
+import operator
 import pickle
 import random
 import sys
@@ -84,6 +85,10 @@ class Point3(Point):
 class Named(core.Record):
     # one string is one slot name, as Python reads it
     __slots__ = "value"
+
+
+class Empty(core.Record):
+    __slots__ = ()
 
 
 def test_kappa_accepts_open_interval():
@@ -182,6 +187,40 @@ def test_record_subclass_with_one_string_slot_has_one_field():
     assert type(twin) is Named and twin == r and twin is not r
     with pytest.raises(TypeError, match="Named takes 1 values, got 2"):
         Named(1.0, 2.0)
+
+
+@pytest.mark.parametrize("cls, args, text", [
+    (Empty, (), "Empty()"),
+    (Kappa, (0.5,), "Kappa(value=0.5)"),
+    (Named, (1.5,), "Named(value=1.5)"),
+    (SlottedDecay, (Kappa(0.5), 2.0, 1.0, 3.0),
+     "SlottedDecay(k=Kappa(value=0.5), beta=2.0, f0=1.0, x_max=3.0)"),
+    (Point3, (1.0, 2.0, 3.0), "Point3(x=1.0, y=2.0, z=3.0)"),
+], ids=["no-field", "Kappa", "one-string-slot", "empty-slots", "new-slots"])
+def test_record_accessors_keep_each_shape(cls, args, text):
+    # the setters and the attrgetter are fixed when the class is made; a
+    # record's values are a tuple at every arity, though attrgetter of one
+    # name gives a bare value
+    r = cls(*args)
+    assert r._values() == tuple(getattr(r, name) for name in cls._fields) == args
+    if len(args) == 1:
+        assert operator.attrgetter(*cls._fields)(r) == args[0] != args
+    assert hash(r) == hash(args) and r == cls(*args) and repr(r) == text
+    for twin in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(twin) is cls and twin == r and twin is not r and hash(twin) == hash(r)
+    for wrong in (args + (0.0,), args[1:]):
+        if wrong != args:
+            with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(args)} "
+                               f"values, got {len(wrong)}$"):
+                core.Record.__init__(object.__new__(cls), *wrong)
+    with pytest.raises(AttributeError):
+        r.value = 0.0
+
+
+def test_kappa_has_one_field():
+    k = Kappa(0.25)
+    assert Kappa._fields == ("value",) and k._values() == (0.25,)
+    assert operator.attrgetter("value")(k) == 0.25
 
 
 def test_kappa_exp_frozen_value():
@@ -619,6 +658,41 @@ def test_the_first_argument_that_is_not_finite_is_named(call, message):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+_NOT_FINITE = {"huge-int": 10**400, "nan": math.nan, "inf": -math.inf}
+
+
+@pytest.mark.parametrize("bad", sorted(_NOT_FINITE))
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_finite_names_the_first_value_that_is_not_finite(bad, where, n):
+    # one or two values are checked alone, more in one pass; either way the
+    # value named is the first in order, though values of the other kinds
+    # that are not finite follow it
+    value = _NOT_FINITE[bad]
+    i = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    later = [v for name, v in sorted(_NOT_FINITE.items()) if name != bad]
+    values = [0.5] * i + [value] + [later[j % 2] for j in range(n - i - 1)]
+    assert not core._isfinite(*values)
+    with pytest.raises(DomainError) as info:
+        core._finite("f", *values)
+    assert str(info.value) == f"f needs finite arguments, got {value!r}"
+
+
+def test_finite_accepts_finite_values_and_no_values():
+    for n in range(5):
+        assert core._isfinite(*[1.5] * (n + 1)) and core._isfinite(2**1000, -3)
+        core._finite("f", *[1.5] * n)
+
+
+@pytest.mark.parametrize("values", [("1.0",), (1.0, "1.0"), (1.0, 2.0, 3.0, "1.0")],
+                         ids=["alone", "second", "in-the-pass"])
+def test_a_str_argument_raises_type_error(values):
+    # math.isfinite refuses it, wherever it sits, before any later value
+    for check in (core._isfinite, lambda *v: core._finite("f", *v)):
+        with pytest.raises(TypeError):
+            check(*values, math.nan)
 
 
 @pytest.mark.parametrize("kv", [0.0, 0.5])

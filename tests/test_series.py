@@ -422,3 +422,132 @@ def test_int_coefficients_act_as_their_floats(a, b, order):
     assert outcome(series_multiply, a, b, order) == outcome(series_multiply, fa, fb, order)
     assert outcome(series_compose, a, [0, *b], order) == outcome(
         series_compose, fa, [0.0, *fb], order)
+
+
+# The series loops as they stood before their bit-identical rewrites (the
+# weights read from a list, not a PowerSeries; j from a float table; the odd
+# weights sliced once; only the nonzero running-power terms added), kept as
+# references: each rewrite must give the same floats, the sign of a zero
+# included.
+def parent_parity_series(order, first, ratio):
+    c = [0.0] * (order + 1)
+    if order >= first:
+        c[first] = 1.0
+    term = 1.0
+    for n in range(1, (order - first) // 2 + 1):
+        term *= ratio(n)
+        c[first + 2 * n] = term
+    return c
+
+
+def parent_coordinate_series(kv, order):
+    k2 = kv * kv
+    return parent_parity_series(order, 1, lambda n: -k2 * (2 * n - 1) ** 2 / (2 * n * (2 * n + 1)))
+
+
+def parent_sqrt_weight_series(kv, order):
+    k2 = kv * kv
+    return parent_parity_series(order, 0, lambda m: k2 * (0.5 - (m - 1)) / m)
+
+
+def parent_exp_kappa_taylor(kv, order):
+    du = [j * c for j, c in enumerate(parent_coordinate_series(kv, order))]
+    g = [0.0] * (order + 1)
+    g[0] = 1.0
+    for n in range(1, order + 1):
+        total = 0.0
+        for d, gj in zip(du[1 : n + 1 : 2], g[n - 1 :: -2]):
+            total += d * gj
+        g[n] = total / n
+    return g
+
+
+def parent_decay_series_solution(kv, order):
+    w = parent_sqrt_weight_series(kv, order)
+    a = [0.0] * (order + 1)
+    a[0] = 1.0
+    for p in range(order):
+        total = -a[p]
+        for m in range(1, p // 2 + 1):
+            j = p - 2 * m + 1
+            total -= w[2 * m] * j * a[j]
+        a[p + 1] = total / (p + 1)
+    return a
+
+
+def parent_series_compose(outer, inner, order):
+    # every term of the running power added to out, its zeros included
+    outer = [float(c) for c in outer[: order + 1]]
+    inner = [float(c) for c in inner[: order + 1]]
+    terms = [(k, bk) for k, bk in enumerate(inner) if bk != 0.0]
+    out = [0.0] * (order + 1)
+    power = [1.0] + [0.0] * order
+    for j, cj in enumerate(outer):
+        if j:
+            product = [0.0] * (order + 1)
+            for i, ai in enumerate(power):
+                if ai == 0.0:
+                    continue
+                for k, bk in terms:
+                    if k > order - i:
+                        break
+                    product[i + k] += ai * bk
+            power = product
+        if cj != 0.0:
+            for i in range(j, order + 1):
+                out[i] += cj * power[i]
+    return out
+
+
+def hex_outcome(fn, *args):
+    """float.hex of each coefficient, so that the sign of a zero counts, or
+    the type and message of the error raised."""
+    try:
+        got = fn(*args)
+    except ConvergenceError as e:
+        return ("ConvergenceError", str(e))
+    return [c.hex() for c in getattr(got, "coefficients", got)]
+
+
+def parent_hex_outcome(coeffs):
+    refused = reference_outcome(lambda: coeffs)
+    return refused if isinstance(refused, tuple) else [c.hex() for c in coeffs]
+
+
+_SERIES_KAPPAS = st.floats(-0.99, 0.99) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kv=_SERIES_KAPPAS, order=st.integers(0, MAX_ORDER), n=st.integers(0, 20))
+@example(kv=0.0, order=64, n=20)
+@example(kv=1e-300, order=48, n=16)
+@example(kv=-0.95, order=64, n=16)
+def test_series_builders_match_the_parent_loops_bit_for_bit(kv, order, n):
+    k = Kappa(kv)
+    for fn, parent in ((exp_kappa_taylor, parent_exp_kappa_taylor),
+                       (decay_series_solution, parent_decay_series_solution),
+                       (sqrt_weight_series, parent_sqrt_weight_series)):
+        assert hex_outcome(fn, k, order) == parent_hex_outcome(parent(kv, order))
+    it = picard_iterate(k, n)
+    assert hex_outcome(picard_iterate_in_x, it, k, order) == parent_hex_outcome(
+        parent_series_compose(it.coefficients, parent_coordinate_series(kv, order), order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(outer=_coefficients, inner=_coefficients, order=st.integers(0, MAX_ORDER),
+       sign=st.sampled_from([0.0, -0.0]))
+# exact zeros, and a -0.0 constant term
+@example(outer=[2.0, -1.0], inner=[3.0], order=4, sign=0.0)
+@example(outer=[2.0, 1.0], inner=[], order=3, sign=-0.0)
+@example(outer=[0.0, -0.0, 1.0], inner=[-0.0, 2.0], order=5, sign=0.0)
+# an overflowed power term meets a zero of the inner series, or of outer
+@example(outer=[1.0, 0.0, 0.0, 1.0], inner=[1e200], order=3, sign=0.0)
+@example(outer=[1.0] * 5, inner=[1e200, 0.0, 1.0], order=4, sign=0.0)
+@example(outer=[0.0, 0.0, 1.0, 1.0], inner=[1e200, 0.0, 1.0], order=4, sign=0.0)
+# terms that overflow with both signs
+@example(outer=[1e300, 1e300, 1e300], inner=[1e300, -1e300], order=2, sign=0.0)
+@example(outer=[1.0, 1e300, -1e300], inner=[1e300, 1e300], order=4, sign=0.0)
+def test_series_compose_matches_the_parent_loop_bit_for_bit(outer, inner, order, sign):
+    inner = [sign, *inner]
+    assert hex_outcome(series_compose, outer, inner, order) == parent_hex_outcome(
+        parent_series_compose(outer, inner, order))
