@@ -132,6 +132,9 @@ def _finite(name: str, *values: float) -> None:
 
 # log of the float maximum, rounded down: math.exp overflows exactly past it
 _EXP_MAX = 709.782712893384
+# log of the smallest normal float, rounded up: math.exp is normal exactly
+# from it on, and below it has lost bits or is 0
+_EXP_MIN = -708.3964185322641
 
 
 def _exp(u: float) -> float:

@@ -13,7 +13,7 @@ import functools
 import math
 import sys
 
-from .core import (_EXP_MAX, Kappa, Record, _exp, _finite, _isfinite,
+from .core import (_EXP_MAX, _EXP_MIN, Kappa, Record, _exp, _finite, _isfinite,
                    _scaled_arcsinh, adaptive_quadrature, differential_weight,
                    kappa_exp)
 from .errors import ConvergenceError, DomainError
@@ -104,10 +104,12 @@ class DecayProblem(Record):
         c = self.k.value
         beta = self.beta
         exp = math.exp
-        top = _EXP_MAX
-        # past top exp(u) overflows, but f0 exp(u) = +-exp(u + log|f0|) may not
-        return tuple([f0 * exp(u) if (u := _scaled_arcsinh(c, -(beta * x))) <= top
-                      else math.copysign(_exp(u + math.log(abs(f0))), f0) for x in xs])
+        bottom, top = _EXP_MIN, _EXP_MAX
+        log_f0 = math.log(abs(f0))
+        # past top exp(u) overflows, and below bottom it has lost bits, but
+        # f0 exp(u) = +-exp(u + log|f0|) may be a normal float
+        return tuple([f0 * exp(u) if bottom <= (u := _scaled_arcsinh(c, -(beta * x))) <= top
+                      else math.copysign(_exp(u + log_f0), f0) for x in xs])
 
     def exact(self, x: float) -> float:
         """f0 * exp_k(-beta x), and its limits where beta x overflows from a
@@ -164,10 +166,15 @@ class LogisticProblem(Record):
         f0 = self.f0
         g = 1.0 - f0
         exp = math.exp
-        top = _EXP_MAX
-        # past top, g exp(u) > 2e292 > f0: the value is (f0 / g) exp(-u)
-        return tuple([f0 / (f0 + g * exp(u)) if (u := _scaled_arcsinh(c, -x)) <= top
-                      else exp(math.log(f0 / g) - u) for x in xs])
+        bottom, top = _EXP_MIN, _EXP_MAX
+        log_odds = math.log(f0 / g)
+        # past top, g exp(u) > 2e292 > f0: the value is (f0 / g) exp(-u).
+        # Below bottom exp(u) has lost bits, which a subnormal f0 brings into
+        # view: the value is 1 / (1 + (g / f0) exp(u)), whose exponent
+        # u - log(f0 / g) is below 37, since f0 >= 5e-324
+        return tuple([f0 / (f0 + g * exp(u)) if bottom <= (u := _scaled_arcsinh(c, -x)) <= top
+                      else exp(log_odds - u) if u > top else 1.0 / (1.0 + exp(u - log_odds))
+                      for x in xs])
 
     def exact(self, x: float) -> float:
         """f0 / (f0 + (1 - f0) * exp_k(-x)); the default f0 = 1/2 gives the
@@ -200,7 +207,7 @@ def quadrature_decay(p: DecayProblem, x: float) -> float:
     c = p.k.value * beta
     hypot = math.hypot
     integral = adaptive_quadrature(lambda t: beta * (1.0 / hypot(1.0, c * t)), 0.0, x)
-    return p.f0 * math.exp(-integral)
+    return _times_exp(p.f0, -integral)
 
 
 def substitution_decay(p: DecayProblem, x: float) -> float:
@@ -209,7 +216,16 @@ def substitution_decay(p: DecayProblem, x: float) -> float:
     if not (0.0 <= x <= p.x_max):
         raise DomainError(f"x must lie in [0, {p.x_max}], got {x!r}")
     u = _scaled_arcsinh(p.k.value * p.beta, x)
-    return p.f0 * math.exp(-p.beta * u)
+    return _times_exp(p.f0, -p.beta * u)
+
+
+def _times_exp(f0: float, t: float) -> float:
+    """f0 * exp(t) for t <= 0.  Below exp's normal range exp(t) has lost bits,
+    which a large f0 brings into view, so there it is +-exp(t + log|f0|);
+    f0 = 0 gives the zero solution."""
+    if _EXP_MIN <= t or not f0:
+        return f0 * math.exp(t)
+    return math.copysign(math.exp(t + math.log(abs(f0))), f0)
 
 
 def residual_decay(p: DecayProblem, f_val: float, dfdx: float, x: float) -> float:
@@ -400,7 +416,11 @@ logistic_closed_form = LogisticProblem.exact
 def logistic_residual(lp: LogisticProblem, x: float) -> float:
     """sqrt(1+k^2 x^2) f'(x) - f(x)(1 - f(x)) on the closed form, with the
     derivative taken analytically (quotient rule).  Where exp_k(-x)
-    overflows it works on its own f = 0, not on exact(x), and returns 0.0."""
+    overflows it works on its own f = 0, not on exact(x), and returns 0.0.
+    Below exp's normal range it works on its own f = f0 / (f0 + e),
+    e = (1 - f0) exp_k(-x), as well, though e has lost bits there: it
+    returns about e / f0, below 5e-308 / f0, and 0.0 where e is 0; with a
+    subnormal f0 that loss shows, as 0.111 at f0 = 5e-324 and x = 744."""
     e = (1.0 - lp.f0) * kappa_exp(lp.k, -x)
     w = lp.weight(x)
     f = lp.f0 / (lp.f0 + e)

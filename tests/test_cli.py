@@ -365,9 +365,8 @@ def test_solve_analytic_classical_endpoint(capsys):
     assert abs(last_f - math.exp(-1)) < 1e-15
 
 
-@pytest.mark.xfail(strict=True, reason="f0 exp(-x) is 0 where exp(-x) underflows and the "
-                   "product does not (FOUND in CHANGES.md)")
 def test_solve_analytic_keeps_a_large_f0_past_exp_underflow(capsys):
+    # f0 exp(-x) was once 0 where exp(-x) underflows and the product does not
     rc, out, _ = run(capsys, "solve", "--kappa", "0", "--method", "analytic",
                      "--f0", "1e300", "--x-max", "800", "--h", "100")
     assert rc == 0

@@ -659,11 +659,12 @@ def logistic_slope(p, x, f):
 
 
 # The closed forms as the problems document them, limits included.  Where
-# exp_k overflows, f0 exp_k(-beta x) is +-exp(u + log|f0|), u the exponent
-# arcsinh(-k beta x)/k, and the logistic is (f0 / (1 - f0)) exp(-u).
+# exp_k overflows or falls below the normal range, f0 exp_k(-beta x) is
+# +-exp(u + log|f0|), u the exponent arcsinh(-k beta x)/k, and the logistic
+# is (f0 / (1 - f0)) exp(-u) or 1 / (1 + ((1 - f0) / f0) exp(u)).
 def f0_times_exp_k(p, bx):
     e = kappa_exp(p.k, -bx)
-    if e < math.inf:
+    if sys.float_info.min <= e < math.inf:
         return p.f0 * e
     return math.copysign(_exp(to_kappa_number(p.k, -bx) + math.log(abs(p.f0))), p.f0)
 
@@ -681,9 +682,11 @@ def decay_exact(p, x):
 
 def logistic_exact(p, x):
     e = kappa_exp(p.k, -x)
-    if e < math.inf:
+    if sys.float_info.min <= e < math.inf:
         return p.f0 / (p.f0 + (1.0 - p.f0) * e)
-    return math.exp(math.log(p.f0 / (1.0 - p.f0)) - to_kappa_number(p.k, -x))
+    log_odds = math.log(p.f0 / (1.0 - p.f0))
+    u = to_kappa_number(p.k, -x)
+    return math.exp(log_odds - u) if e == math.inf else 1.0 / (1.0 + math.exp(u - log_odds))
 
 
 def outcome(fn, *args):
@@ -762,6 +765,7 @@ _NAN, _INF = math.nan, math.inf
 @example(kv=0.0, beta=1.0, f0=2.0, xs=(1.0, -800.0, -0.5))  # exp overflows mid-grid
 @example(kv=0.5, beta=1.0, f0=-1.5, xs=(-1e308, 1e308))
 @example(kv=0.0, beta=1.0, f0=-1e-300, xs=(-710.0, -1e5, 1.0))  # f0 exp_k stays finite
+@example(kv=0.0, beta=1.0, f0=-1e300, xs=(800.0, 708.0, 1e308))  # exp below its normal range
 @example(kv=0.0, beta=2.247116418577895e307, f0=0.0, xs=(-8.0, 8.0, -1000.0))  # f0 = +-0
 @example(kv=0.0, beta=2.247116418577895e307, f0=-0.0, xs=(-8.0, 8.0, -1000.0))
 @example(kv=0.5, beta=1.0, f0=1.0, xs=(0.5, _NAN, _INF))  # the first refused x is named
@@ -784,6 +788,7 @@ def test_decay_grid_form_is_exact_point_by_point(kv, beta, f0, xs):
 @example(kv=0.0, f0=5e-324, xs=(-1e308, 700.0, 1000.0, -1000.0))  # a subnormal f0
 @example(kv=-0.99, f0=0.5, xs=(-1e308, 1e308))
 @example(kv=0.0, f0=0.9999999999999999, xs=(-710.0, -715.0, 1.0))
+@example(kv=0.0, f0=5e-324, xs=(744.0, 708.0, 750.0))  # exp below its normal range
 @example(kv=0.5, f0=0.5, xs=(0.5, _NAN, _INF))  # the first refused x is named
 @example(kv=0.5, f0=0.5, xs=(-_INF, 1.0))
 @example(kv=0.5, f0=0.5, xs=(1.0, 10**400))
@@ -815,9 +820,6 @@ def _mp_logistic(p, x):
     return p.f0 / (p.f0 + (1 - mp.mpf(p.f0)) * mp.exp(u)), u
 
 
-# Below exp's normal range exp(u) has lost bits, or is 0, and |f0| > 1
-# scales that loss up: the underflow FOUND pinned by the xfails below.
-_LOG_MIN_NORMAL = math.log(sys.float_info.min)
 _CLOSED_FORM_KAPPAS = (st.just(0.0) | st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True)
                        | _either_sign(_log_uniform(1e-300, 1e-4)))
 _CLOSED_FORM_XS = _either_sign(_log_uniform(1e-300, 1e6)) | st.floats(-1e6, 1e6)
@@ -840,13 +842,15 @@ def test_decay_routes_match_mpmath_over_the_float_range(route):
         p = DecayProblem(Kappa(kv), beta=beta, f0=f0, x_max=max(x, 1.0))
         with mp.workdps(60):
             want, u = _mp_decay(p, x)
-            assume(not (abs(f0) > 1.0 and u < _LOG_MIN_NORMAL))
             got = fn(p, x)
             assert _ulps(got, want) <= 4.0 * (abs(float(u)) + 1.0), (got, float(want))
 
     # exp_k(710) overflows, and f0 exp_k(710) is about +-2.2e8
     check = example(0.0, 1.0, 1e-300, -710.0)(check)
     check = example(0.0, 1.0, -1e-300, -710.0)(check)
+    # exp_k(-800) is 0, and f0 exp_k(-800) is about +-3.7e-48
+    check = example(0.0, 1.0, 1e300, 800.0)(check)
+    check = example(0.0, 1.0, -1e300, 800.0)(check)
     check = example(0.000656629494949712, 1.00151308885223, 6.03695205294243,
                     6.03695205294243)(check)
     check = example(0.1494455540029169, 99999.9999999998, -99999.9999999998,
@@ -864,6 +868,8 @@ def test_decay_routes_match_mpmath_over_the_float_range(route):
 @example(kv=0.0, f0=0.9999999999999999, x=-710.0)
 @example(kv=0.0, f0=1 - 1e-10, x=-715.0)
 @example(kv=0.0, f0=0.5, x=-710.0)
+# exp_k(-x) below its normal range, and f0 subnormal
+@example(kv=0.0, f0=5e-324, x=744.0)
 @example(kv=0.463055096863061, f0=8.409652572084801e-213, x=2.904391097295281)
 @settings(max_examples=200, deadline=None)
 def test_logistic_closed_form_matches_mpmath_over_the_float_range(kv, f0, x):
@@ -885,7 +891,7 @@ def test_logistic_error_table_past_exp_overflow():
 
 
 _F0_1E300 = DecayProblem(Kappa(0.0), f0=1e300, x_max=800.0)
-_UNDERFLOW_FOUND = {
+_PAST_UNDERFLOW = {
     "closed_form_decay": (closed_form_decay, _mp_decay, _F0_1E300, 800.0),
     "substitution_decay": (substitution_decay, _mp_decay, _F0_1E300, 800.0),
     "quadrature_decay": (quadrature_decay, _mp_decay, _F0_1E300, 800.0),
@@ -897,14 +903,14 @@ _UNDERFLOW_FOUND = {
 }
 
 
-@pytest.mark.xfail(strict=True, reason="exp(u) below its normal range loses bits that a "
-                   "large f0, or a subnormal one, brings back into view (FOUND in CHANGES.md)")
-@pytest.mark.parametrize("case", sorted(_UNDERFLOW_FOUND))
+@pytest.mark.parametrize("case", sorted(_PAST_UNDERFLOW))
 def test_closed_forms_past_exp_underflow(case):
-    # each route gives 0.0 at f0 = 1e300 (the value is 3.67e-48), the closed
-    # form 4.1995579896505956e-302 at f0 = 1e20 (4.19e-302), and the logistic
+    # exp(u) below its normal range has lost bits, which a large f0, or a
+    # subnormal one, brings back into view: each route once gave 0.0 at
+    # f0 = 1e300 (the value is 3.67e-48), the closed form
+    # 4.1995579896505956e-302 at f0 = 1e20 (4.19e-302), and the logistic
     # 0.3333333333333333 at f0 = 5e-324 (0.392)
-    fn, reference, p, x = _UNDERFLOW_FOUND[case]
+    fn, reference, p, x = _PAST_UNDERFLOW[case]
     with mp.workdps(60):
         want, _ = reference(p, x)
         assert fn(p, x) == pytest.approx(float(want), rel=1e-11, abs=0.0)
