@@ -366,7 +366,7 @@ def test_solve_analytic_classical_endpoint(capsys):
 
 
 def test_solve_analytic_keeps_a_large_f0_past_exp_underflow(capsys):
-    # f0 exp(-x) was once 0 where exp(-x) underflows and the product does not
+    # exp(-x) underflows to 0 at x = 800, and f0 exp(-x) does not
     rc, out, _ = run(capsys, "solve", "--kappa", "0", "--method", "analytic",
                      "--f0", "1e300", "--x-max", "800", "--h", "100")
     assert rc == 0

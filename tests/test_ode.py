@@ -906,10 +906,10 @@ _PAST_UNDERFLOW = {
 @pytest.mark.parametrize("case", sorted(_PAST_UNDERFLOW))
 def test_closed_forms_past_exp_underflow(case):
     # exp(u) below its normal range has lost bits, which a large f0, or a
-    # subnormal one, brings back into view: each route once gave 0.0 at
-    # f0 = 1e300 (the value is 3.67e-48), the closed form
-    # 4.1995579896505956e-302 at f0 = 1e20 (4.19e-302), and the logistic
-    # 0.3333333333333333 at f0 = 5e-324 (0.392)
+    # subnormal one, would bring into view: the values are 3.67e-48 at
+    # f0 = 1e300, 4.19e-302 at f0 = 1e20, and 0.392 for the logistic at
+    # f0 = 5e-324, where f0 exp(u) would give 0.0, 4.1995579896505956e-302
+    # and 0.3333333333333333
     fn, reference, p, x = _PAST_UNDERFLOW[case]
     with mp.workdps(60):
         want, _ = reference(p, x)

@@ -424,11 +424,10 @@ def test_int_coefficients_act_as_their_floats(a, b, order):
         series_compose, fa, [0.0, *fb], order)
 
 
-# The series loops as they stood before their bit-identical rewrites (the
-# weights read from a list, not a PowerSeries; j from a float table; the odd
-# weights sliced once; only the nonzero running-power terms added), kept as
-# references: each rewrite must give the same floats, the sign of a zero
-# included.
+# Reference loops for the series builders, in their plainest form: weights
+# read from a full list, j as an int, the odd weights sliced per
+# coefficient, every running-power term added.  The builders must give the
+# same floats, the sign of a zero included.
 def parent_parity_series(order, first, ratio):
     c = [0.0] * (order + 1)
     if order >= first:
