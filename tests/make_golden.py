@@ -15,14 +15,16 @@ where a case says so.  OUT_DIR gets:
                            directory (out/... under $KAPPA_OUT_DIR)
     library.json           library_calls(), the library's closed forms,
                            ladder reports, analytic routes, quadrature,
-                           series products and compositions, and the series
+                           series products and compositions, the series
                            builders (exp_kappa_taylor,
                            ln_kappa_shifted_taylor, sqrt_weight_series,
                            decay_series_solution, and picard_iterate_in_x
-                           of the 16th iterate) at
-                           four kappas and orders 0 to 64, on fixed inputs,
-                           one call per line: the repr of its result, or
-                           the type and message of the error it raises
+                           of the 16th iterate) at four kappas and orders
+                           0 to 64, picard_iterate_in_x of other iterates
+                           and of series in u near the float maximum, and
+                           the logistic residual, on fixed inputs, one
+                           call per line: the repr of its result, or the
+                           type and message of the error it raises
 
 OUT_DIR is replaced as a whole, if it is empty or holds a corpus.  Only the standard library is used, so the
 script runs wherever the `kappamath` entry point is installed; a change that
@@ -155,18 +157,21 @@ def library_calls() -> list[tuple]:
     normal range and a large or subnormal f0 brings the value back into
     view, the quadrature, the series products and compositions, the series
     builders at kappa 0, 0.5, -0.95 and 1e-300 and orders 0, 1, 16, 48 and
-    64, and the comparison reports, with their overflows and refusals.  The
-    integrands
-    are builtins, or partials of them, whose repr is the same in every run."""
+    64, the expansion in x of iterates 0, 5 and 20 at kappa +-0.99 and 0.3
+    and of series in u near the float maximum, the comparison reports, and
+    the logistic residual where a subnormal f0 meets exp(u) below its
+    normal range, with their overflows and refusals.  The integrands are
+    builtins, or partials of them, whose repr is the same in every run."""
     from functools import partial
 
-    from kappamath import (DecayProblem, Kappa, LogisticProblem, adaptive_quadrature,
-                           analytic_trace, asymptote_check, closed_form_decay,
-                           convergence_order, decay_series_solution, error_table,
-                           exp_kappa_taylor, kappa_integral, ln_kappa_shifted_taylor,
-                           logistic_closed_form, picard_iterate, picard_vs_series,
-                           quadrature_decay, residual_decay, series_compose,
-                           series_multiply, sqrt_weight_series, substitution_decay)
+    from kappamath import (DecayProblem, Kappa, LogisticProblem, PowerSeries,
+                           adaptive_quadrature, analytic_trace, asymptote_check,
+                           closed_form_decay, convergence_order, decay_series_solution,
+                           error_table, exp_kappa_taylor, kappa_integral,
+                           ln_kappa_shifted_taylor, logistic_closed_form, logistic_residual,
+                           picard_iterate, picard_vs_series, quadrature_decay,
+                           residual_decay, series_compose, series_multiply,
+                           sqrt_weight_series, substitution_decay)
     from kappamath.series import picard_iterate_in_x
 
     xs = (0.0, -0.0, 0.1, 1.0, 3, -2.0, 2.0, -8.0, -800.0, 5e-324, 1e308, -1e308,
@@ -264,11 +269,28 @@ def library_calls() -> list[tuple]:
         calls += [(name, fn, (k, order)) for k in kappas for order in orders]
     calls += [("picard_iterate_in_x", picard_iterate_in_x, (picard_iterate(k, 16), k, order))
               for k in kappas for order in orders]
+    # other iterates at kappa near +-1, and a user series in u whose
+    # coefficients near the float maximum meet coordinate terms below 1,
+    # above 1 or of both signs
+    calls += [("picard_iterate_in_x", picard_iterate_in_x, (picard_iterate(k, n), k, order))
+              for n in (0, 5, 20) for k in (Kappa(0.99), Kappa(-0.99), Kappa(0.3))
+              for order in (16, 64)]
+    big = sys.float_info.max
+    calls += [("picard_iterate_in_x", picard_iterate_in_x, (PowerSeries("u", c), Kappa(kv), order))
+              for c, kv, order in (
+                  ([0.0] * 20 + [big], 1e-3, 24), ([0.0] * 20 + [big], 0.99, 24),
+                  ([big] * 21, 0.99, 24), ([big, -big] * 5, 0.5, 12))]
     calls += [("picard_vs_series", picard_vs_series, args) for args in (
         (Kappa(0.5), 4, [0.0, 0.5, 1.0]), (Kappa(-0.3), 0, [0.1]), (Kappa(0.9), 8, [-2.0, 2.0]),
         # both routes are inf
         (Kappa(0.0), 8, [1e100]),
-        (Kappa(0.5), 21, [0.5]), (Kappa(0.5), 3, [nan]))]
+        (Kappa(0.5), 21, [0.5]), (Kappa(0.5), 3, [nan]),
+        # the oracle's iterate, at six points
+        (Kappa(0.43), 16, [0.0, 0.3, 1.0, 2.5, 4.0, 5.0]),
+        (Kappa(-0.99), 16, [0.1, 0.5, 1.5, 2.0, 3.5, 5.0]))]
+    # the residual where a subnormal f0 meets exp(u) below its normal range
+    calls += [("logistic_residual", logistic_residual,
+               (LogisticProblem(Kappa(0.0), f0=5e-324, x_max=1000.0), x)) for x in (740.0, 744.0)]
     calls += [("asymptote_check", asymptote_check, args) for args in (
         (Kappa(0.5), 10.0), (Kappa(0.5), 1e6), (Kappa(-0.9), 1e308),
         # at a tiny kappa the log of the ratio once cancelled past the float range
