@@ -3,7 +3,10 @@
 Series come in two coordinates: the raw variable x, and the deformed
 coordinate u = arcsinh(k x)/k in which the decay equation becomes classical.
 Picard iterates are exact polynomials in u, so they are built there in
-integers scaled by n! and only converted to floats at the boundary.
+integers scaled by n! and only converted to floats at the boundary.  Since
+[x^i] u^j = k^(i-j) [z^i] arcsinh(z)^j, an iterate is expanded in x from a
+table of the kappa-free [z^i] arcsinh(z)^j, built once on first use, in
+O(order^2) multiply-adds with no series product.
 Products and compositions multiply only the nonzero terms of the second
 factor, listed once per call, so an odd inner series such as u(x) costs
 half the multiply-adds of a dense one.  An exact zero adds nothing, even
@@ -157,10 +160,10 @@ def _parity_series(order: int, first: int, ratio) -> list[float]:
     return c
 
 
-def _coordinate_series(k: Kappa, order: int) -> list[float]:
-    # Maclaurin coefficients of u(x) = arcsinh(k x)/k: only odd powers,
-    # c_{2n+1} = (-1)^n (2n)! k^(2n) / (4^n (n!)^2 (2n+1)).
-    k2 = k.value * k.value
+def _coordinate_series(kv: float, order: int) -> list[float]:
+    # Maclaurin coefficients of u(x) = arcsinh(k x)/k, k = kv: only odd
+    # powers, c_{2n+1} = (-1)^n (2n)! k^(2n) / (4^n (n!)^2 (2n+1)).
+    k2 = kv * kv
     return _parity_series(order, 1,
                           lambda n: -k2 * (2 * n - 1) ** 2 / (2 * n * (2 * n + 1)))
 
@@ -177,7 +180,7 @@ def exp_kappa_taylor(k: Kappa, order: int) -> PowerSeries:
     """
     _check_order(order)
     # the odd weights 1 u_1, 3 u_3, ...: the even ones are 0
-    du = [j * c for j, c in enumerate(_coordinate_series(k, order))][1::2]
+    du = [j * c for j, c in enumerate(_coordinate_series(k.value, order))][1::2]
     g = [0.0] * (order + 1)
     g[0] = 1.0
     for n in range(1, order + 1):
@@ -266,14 +269,51 @@ def _picard(n: int) -> PowerSeries:
     return PowerSeries("u", [c / scale for c in coeffs])
 
 
+@functools.cache
+def _arcsinh_power_columns() -> tuple[tuple[float, ...], ...]:
+    # Column i holds [z^i] arcsinh(z)^j for j = i, i - 2, ..., 0 or 1, the
+    # only j for which it is nonzero, since arcsinh is odd.  Rows come from
+    # the running power of the kappa = 1 coordinate series, through
+    # MAX_ORDER; no kappa is in them, so they are built once, on first use.
+    terms = _nonzero(_coordinate_series(1.0, MAX_ORDER))
+    rows = [[1.0] + [0.0] * MAX_ORDER]
+    for _ in range(MAX_ORDER):
+        rows.append(_cauchy(rows[-1], terms, MAX_ORDER))
+    return tuple(tuple(rows[j][i] for j in range(i, -1, -2)) for i in range(MAX_ORDER + 1))
+
+
 def picard_iterate_in_x(it: PowerSeries, k: Kappa, order: int) -> PowerSeries:
-    """Maclaurin expansion in x of a Picard iterate through the given order
-    (compose it with u(x))."""
+    """Maclaurin expansion in x of a Picard iterate through the given order:
+    the iterate, or any series in u, composed with u(x) = U(k x)/k, where
+    U = arcsinh has no kappa in it.
+
+    So [x^i] u(x)^j = k^(i-j) [z^i] U(z)^j, and coefficient i is the sum of
+    a_j ([z^i] U^j k^(i-j)) over j = i, i - 2, ..., read from a table of the
+    [z^i] U^j that is built once for every kappa: O(order^2) multiply-adds
+    and no series product.  The table entry is scaled by k^(i-j) before a_j
+    multiplies it, so a term overflows only where it does itself; the sum
+    runs left to right from 0.0, as in the other builders.
+    ConvergenceError where a coefficient's terms overflow with both signs.
+    """
     _check_order(order)
     if it.variable != "u":
         raise DomainError(f"need a series in u, got one in {it.variable!r}")
-    coeffs = series_compose(it.coefficients, _coordinate_series(k, order), order)
-    return PowerSeries("x", tuple(coeffs))
+    # a_j past the iterate's degree is 0.0: its terms are +-0.0, which leave
+    # a sum from 0.0 as it is, for that sum is never -0.0
+    a = list(it.coefficients[: order + 1])
+    a += [0.0] * (order + 1 - len(a))
+    k2 = k.value * k.value
+    k2_powers = [1.0]
+    for _ in range(order // 2):
+        k2_powers.append(k2_powers[-1] * k2)
+    columns = _arcsinh_power_columns()
+    coeffs = []
+    for i in range(order + 1):
+        total = 0.0
+        for aj, p, km in zip(a[i::-2], columns[i], k2_powers):
+            total += aj * (p * km)
+        coeffs.append(total)
+    return PowerSeries("x", tuple(_trustworthy(coeffs)))
 
 
 def evaluate_series(s: PowerSeries, k: Kappa, x: float) -> float:

@@ -1,7 +1,10 @@
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -259,7 +262,7 @@ def test_exp_taylor_recurrence_matches_composition(kv, order):
     # the O(n^3) route: Horner composition of exp(t) with u(x)
     k = Kappa(kv)
     exp_c = [1.0 / math.factorial(j) for j in range(order + 1)]
-    composed = horner_compose(exp_c, _coordinate_series(k, order), order)
+    composed = horner_compose(exp_c, _coordinate_series(kv, order), order)
     got = exp_kappa_taylor(k, order).coefficients
     assert len(got) == order + 1
     assert max(abs(g - c) for g, c in zip(got, composed)) <= 1e-15
@@ -517,19 +520,85 @@ _SERIES_KAPPAS = st.floats(-0.99, 0.99) | st.sampled_from([0.0, -0.0, 1e-300, -1
 
 
 @settings(max_examples=150, deadline=None)
-@given(kv=_SERIES_KAPPAS, order=st.integers(0, MAX_ORDER), n=st.integers(0, 20))
-@example(kv=0.0, order=64, n=20)
-@example(kv=1e-300, order=48, n=16)
-@example(kv=-0.95, order=64, n=16)
-def test_series_builders_match_the_parent_loops_bit_for_bit(kv, order, n):
+@given(kv=_SERIES_KAPPAS, order=st.integers(0, MAX_ORDER))
+@example(kv=0.0, order=64)
+@example(kv=1e-300, order=48)
+@example(kv=-0.95, order=64)
+def test_series_builders_match_the_parent_loops_bit_for_bit(kv, order):
     k = Kappa(kv)
     for fn, parent in ((exp_kappa_taylor, parent_exp_kappa_taylor),
                        (decay_series_solution, parent_decay_series_solution),
                        (sqrt_weight_series, parent_sqrt_weight_series)):
         assert hex_outcome(fn, k, order) == parent_hex_outcome(parent(kv, order))
-    it = picard_iterate(k, n)
-    assert hex_outcome(picard_iterate_in_x, it, k, order) == parent_hex_outcome(
-        parent_series_compose(it.coefficients, parent_coordinate_series(kv, order), order))
+
+
+def mp_compose_with_coordinate(a, kv, order):
+    """The x-coefficients of sum_j a_j u(x)^j, u = arcsinh(k x)/k, composed
+    at 60 digits from the running power of u's own series, and for each the
+    sum of the magnitudes of its terms a_j [x^i] u^j."""
+    with mp.workdps(60):
+        k2 = mp.mpf(kv) ** 2
+        u = [mp.mpf(0)] * (order + 1)
+        c = mp.mpf(1)
+        for m in range((order + 1) // 2):
+            if m:
+                c *= -k2 * (2 * m - 1) ** 2 / (2 * m * (2 * m + 1))
+            u[2 * m + 1] = c
+        value, size = [mp.mpf(0)] * (order + 1), [mp.mpf(0)] * (order + 1)
+        power = [mp.mpf(1)] + [mp.mpf(0)] * order
+        for j, aj in enumerate(a[: order + 1]):
+            if j:
+                power = [mp.fsum(power[i - k] * u[k] for k in range(1, i + 1))
+                         for i in range(order + 1)]
+            for i in range(j, order + 1):
+                value[i] += aj * power[i]
+                size[i] += abs(aj * power[i])
+        return value, size
+
+
+@settings(max_examples=100, deadline=None)
+@given(kv=_SERIES_KAPPAS, order=st.integers(0, MAX_ORDER), n=st.integers(0, 20))
+@example(kv=0.0, order=64, n=20)
+@example(kv=-0.0, order=64, n=20)
+@example(kv=1e-300, order=64, n=20)
+@example(kv=-1e-300, order=64, n=20)
+@example(kv=0.99, order=64, n=20)
+@example(kv=-0.99, order=64, n=20)
+def test_picard_iterate_in_x_matches_an_mpmath_composition(kv, order, n):
+    # coefficient i is within 2 (i + 1) (eps S_i + eta A_i) of the 60-digit
+    # composition, where S_i sums the magnitudes of its terms, A_i sums
+    # |a_j| over j <= i, for terms that fall below the normal range, and eta
+    # is the smallest subnormal; the parent's running power of the
+    # coordinate series meets the same bound on the same draws
+    k = Kappa(kv)
+    a = picard_iterate(k, n).coefficients
+    value, size = mp_compose_with_coordinate(a, kv, order)
+    eps, eta = sys.float_info.epsilon, math.ulp(0.0)
+    bounds = [2 * (i + 1) * (eps * s + eta * math.fsum(map(abs, a[: i + 1])))
+              for i, s in enumerate(size)]
+    for got in (picard_iterate_in_x(picard_iterate(k, n), k, order).coefficients,
+                parent_series_compose(a, parent_coordinate_series(kv, order), order)):
+        assert len(got) == order + 1
+        for i, (g, v, b) in enumerate(zip(got, value, bounds)):
+            assert abs(mp.mpf(g) - v) <= b, (i, g, v)
+
+
+def test_arcsinh_power_table_is_built_once_for_every_kappa():
+    # the table holds no kappa: one build serves every kappa and order, and
+    # importing the module builds nothing
+    series._arcsinh_power_columns.cache_clear()
+    for kv in (0.0, -0.5, 0.99, 1e-300):
+        k = Kappa(kv)
+        for order in (0, 16, MAX_ORDER):
+            picard_iterate_in_x(picard_iterate(k, 16), k, order)
+    info = series._arcsinh_power_columns.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    code = ("import kappamath.series as s\n"
+            "print(s._arcsinh_power_columns.cache_info().misses)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 @settings(max_examples=300, deadline=None)
