@@ -14,8 +14,7 @@ import math
 import sys
 
 from .core import (_EXP_MAX, _EXP_MIN, Kappa, Record, _exp, _finite, _isfinite,
-                   _scaled_arcsinh, adaptive_quadrature, differential_weight,
-                   kappa_exp)
+                   _scaled_arcsinh, adaptive_quadrature, differential_weight)
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -415,15 +414,26 @@ logistic_closed_form = LogisticProblem.exact
 
 def logistic_residual(lp: LogisticProblem, x: float) -> float:
     """sqrt(1+k^2 x^2) f'(x) - f(x)(1 - f(x)) on the closed form, with the
-    derivative taken analytically (quotient rule).  Where exp_k(-x)
-    overflows it works on its own f = 0, not on exact(x), and returns 0.0.
-    Below exp's normal range it works on its own f = f0 / (f0 + e),
-    e = (1 - f0) exp_k(-x), as well, though e has lost bits there: it
-    returns about e / f0, below 5e-308 / f0, and 0.0 where e is 0; with a
-    subnormal f0 that loss shows, as 0.111 at f0 = 5e-324 and x = 744."""
-    e = (1.0 - lp.f0) * kappa_exp(lp.k, -x)
-    w = lp.weight(x)
-    f = lp.f0 / (lp.f0 + e)
-    # d/dx exp_k(-x) = -w * exp_k(-x); e / (f0 + e) tends to 1 as e -> inf
-    dfdx = w * f * e / (lp.f0 + e) if e != math.inf else w * f
-    return dfdx / w - f * (1.0 - f)
+    derivative taken analytically: with r = ((1 - f0)/f0) exp_k(-x),
+    f = 1/(1 + r) and sqrt(1+k^2 x^2) f' = f q, q = r/(1 + r), the 1 - f of
+    the quotient rule.  f and q come from r in the closed form's forms:
+    f0/(f0 + e) and e/(f0 + e), e = (1 - f0) exp_k(-x), inside exp's normal
+    range; from 1/r past it, where exp_k(-x) overflows; and from r in log
+    space below it, where e has lost bits that a subnormal f0 brings into
+    view.  So f is exact(x), and the residual, the rounding of f(1 - f)
+    taken two ways, is within a few eps f of 0.  DomainError where x is
+    nan, +-inf or past the float range."""
+    _finite("logistic_residual", x)
+    f0 = lp.f0
+    g = 1.0 - f0
+    u = _scaled_arcsinh(lp.k.value, -x)
+    if _EXP_MIN <= u <= _EXP_MAX:
+        e = g * math.exp(u)
+        f, q = f0 / (f0 + e), e / (f0 + e)
+    elif u > _EXP_MAX:
+        s = math.exp(math.log(f0 / g) - u)
+        f, q = s / (1.0 + s), 1.0 / (1.0 + s)
+    else:
+        r = math.exp(u - math.log(f0 / g))
+        f, q = 1.0 / (1.0 + r), r / (1.0 + r)
+    return f * q - f * (1.0 - f)
