@@ -161,7 +161,7 @@ def _parity_series(order: int, first: int, ratio) -> list[float]:
 
 
 def _coordinate_series(kv: float, order: int) -> list[float]:
-    # Maclaurin coefficients of u(x) = arcsinh(k x)/k, k = kv: only odd
+    # Maclaurin coefficients of u(x) = arcsinh(k x)/k at k = kv: only odd
     # powers, c_{2n+1} = (-1)^n (2n)! k^(2n) / (4^n (n!)^2 (2n+1)).
     k2 = kv * kv
     return _parity_series(order, 1,

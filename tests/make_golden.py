@@ -275,11 +275,11 @@ def library_calls() -> list[tuple]:
     calls += [("picard_iterate_in_x", picard_iterate_in_x, (picard_iterate(k, n), k, order))
               for n in (0, 5, 20) for k in (Kappa(0.99), Kappa(-0.99), Kappa(0.3))
               for order in (16, 64)]
-    big = sys.float_info.max
+    fmax = sys.float_info.max
     calls += [("picard_iterate_in_x", picard_iterate_in_x, (PowerSeries("u", c), Kappa(kv), order))
               for c, kv, order in (
-                  ([0.0] * 20 + [big], 1e-3, 24), ([0.0] * 20 + [big], 0.99, 24),
-                  ([big] * 21, 0.99, 24), ([big, -big] * 5, 0.5, 12))]
+                  ([0.0] * 20 + [fmax], 1e-3, 24), ([0.0] * 20 + [fmax], 0.99, 24),
+                  ([fmax] * 21, 0.99, 24), ([fmax, -fmax] * 5, 0.5, 12))]
     calls += [("picard_vs_series", picard_vs_series, args) for args in (
         (Kappa(0.5), 4, [0.0, 0.5, 1.0]), (Kappa(-0.3), 0, [0.1]), (Kappa(0.9), 8, [-2.0, 2.0]),
         # both routes are inf

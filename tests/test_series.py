@@ -571,12 +571,13 @@ def test_picard_iterate_in_x_matches_an_mpmath_composition(kv, order, n):
     # is the smallest subnormal; the parent's running power of the
     # coordinate series meets the same bound on the same draws
     k = Kappa(kv)
-    a = picard_iterate(k, n).coefficients
+    it = picard_iterate(k, n)
+    a = it.coefficients
     value, size = mp_compose_with_coordinate(a, kv, order)
     eps, eta = sys.float_info.epsilon, math.ulp(0.0)
     bounds = [2 * (i + 1) * (eps * s + eta * math.fsum(map(abs, a[: i + 1])))
               for i, s in enumerate(size)]
-    for got in (picard_iterate_in_x(picard_iterate(k, n), k, order).coefficients,
+    for got in (picard_iterate_in_x(it, k, order).coefficients,
                 parent_series_compose(a, parent_coordinate_series(kv, order), order)):
         assert len(got) == order + 1
         for i, (g, v, b) in enumerate(zip(got, value, bounds)):
