@@ -26,9 +26,12 @@ where a case says so.  OUT_DIR gets:
                            call per line: the repr of its result, or the
                            type and message of the error it raises
 
-OUT_DIR is replaced as a whole, if it is empty or holds a corpus.  Only the standard library is used, so the
-script runs wherever the `kappamath` entry point is installed; a change that
-alters output bytes regenerates the corpus and names what changed.
+OUT_DIR is replaced as a whole, if it is empty or holds a corpus.  Only the
+standard library is used.  The cases run through the installed `kappamath`
+entry point where there is one on PATH, and otherwise as
+`python -m kappamath.cli` with this checkout's src/ put first on PYTHONPATH,
+so the script also runs in a checkout with no installed package.  A change
+that alters output bytes regenerates the corpus and names what changed.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
 
 # (name, args), and a third item False where $KAPPA_OUT_DIR is unset.
 CASES = [
@@ -327,21 +331,35 @@ def files_under(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def _run(args: list[str], out_dir_env: bool, work: Path):
-    env = dict(os.environ, COLUMNS="80")
+def kappamath_command(installed: str | None, pythonpath: str | None,
+                      ) -> tuple[list[str], dict[str, str]]:
+    """The command that runs the CLI, and the variables it adds to the
+    environment: the entry point where shutil.which found one (installed),
+    else this interpreter on kappamath.cli, with the checkout's src/ before
+    the caller's PYTHONPATH."""
+    if installed is not None:
+        return ["kappamath"], {}
+    return ([sys.executable, "-m", "kappamath.cli"],
+            {"PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), pythonpath)))})
+
+
+def _run(command: list[str], extra_env: dict[str, str], args: list[str],
+         out_dir_env: bool, work: Path):
+    env = dict(os.environ, COLUMNS="80", **extra_env)
     env.pop("KAPPA_OUT_DIR", None)
     if out_dir_env:
         env["KAPPA_OUT_DIR"] = str(work / "out")
-    return subprocess.run(["kappamath", *args], cwd=work, env=env,
+    return subprocess.run([*command, *args], cwd=work, env=env,
                           capture_output=True, check=False)
 
 
 def main(argv: list[str]) -> int:
     out = Path(argv[0]) if argv else HERE / "golden"
-    if shutil.which("kappamath") is None:
-        print("make_golden: no `kappamath` on PATH; install the package first",
-              file=sys.stderr)
-        return 1
+    installed = shutil.which("kappamath")
+    command, extra_env = kappamath_command(installed, os.environ.get("PYTHONPATH"))
+    if installed is None:
+        # library_table() imports kappamath in this process as well
+        sys.path.insert(0, str(SRC))
     if out.exists() and any(out.iterdir()) and not (out / "manifest.json").is_file():
         print(f"make_golden: {out} holds no corpus; not replacing it", file=sys.stderr)
         return 1
@@ -352,7 +370,7 @@ def main(argv: list[str]) -> int:
         out_dir_env = flag[0] if flag else True
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
-            run = _run(args, out_dir_env, work)
+            run = _run(command, extra_env, args, out_dir_env, work)
             written = files_under(work)
         if run.returncode not in (0, 2, 3):  # not an exit code of kappamath
             sys.stderr.buffer.write(run.stderr)

@@ -4,12 +4,14 @@ written; and the table of library outputs, tests/golden/library.json.  The
 corpus is the same on every supported Python."""
 
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from kappamath.cli import main
-from make_golden import files_under, json_lines, library_table
+from make_golden import SRC, files_under, json_lines, kappamath_command, library_table
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
@@ -59,3 +61,15 @@ def test_library_outputs_match_golden_table():
     got = library_table()
     assert [g["call"] for g, w in zip(got, json.loads(text)) if g != w] == []
     assert json_lines(got) == text
+
+
+def test_make_golden_runs_the_entry_point_or_the_checkouts_source():
+    # the installed entry point where there is one; else this interpreter
+    # on kappamath.cli, with the checkout's src first on PYTHONPATH
+    assert kappamath_command("/usr/bin/kappamath", "/elsewhere") == (["kappamath"], {})
+    command = [sys.executable, "-m", "kappamath.cli"]
+    assert kappamath_command(None, None) == (command, {"PYTHONPATH": str(SRC)})
+    assert kappamath_command(None, "") == (command, {"PYTHONPATH": str(SRC)})
+    assert kappamath_command(None, "/elsewhere") == (
+        command, {"PYTHONPATH": str(SRC) + os.pathsep + "/elsewhere"})
+    assert (SRC / "kappamath" / "cli.py").is_file()
