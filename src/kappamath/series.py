@@ -7,6 +7,10 @@ integers scaled by n! and only converted to floats at the boundary.  Since
 [x^i] u^j = k^(i-j) [z^i] arcsinh(z)^j, an iterate is expanded in x from a
 table of the kappa-free [z^i] arcsinh(z)^j, built once on first use, in
 O(order^2) multiply-adds with no series product.
+The Taylor series of exp_k = exp(u(x)) comes from g' = u' g in its
+second-order form, (1+k^2 x^2) g'' + k^2 x g' - g = 0, whose two-term
+recurrence (n+1)(n+2) g_{n+2} = (1 - k^2 n^2) g_n costs O(order); it reads
+nothing of the decay recurrence, against which the acceptance gate checks it.
 Products and compositions multiply only the nonzero terms of the second
 factor, listed once per call, so an odd inner series such as u(x) costs
 half the multiply-adds of a dense one.  An exact zero adds nothing, even
@@ -172,24 +176,22 @@ def exp_kappa_taylor(k: Kappa, order: int) -> PowerSeries:
     """Maclaurin coefficients of the deformed exponential about 0.
 
     exp_k(x) = exp(u(x)) with u the coordinate series, so g = exp_k obeys
-    g' = u' g, and equating powers of x gives the O(order^2) recurrence
-        n g_n = sum_{j=1..n} j u_j g_{n-j},   g_0 = 1,
-    whose weights j u_j are the coefficients of u'(x) = (1+k^2 x^2)^(-1/2)
-    (only odd j are nonzero).  The first few coefficients are 1, 1, 1/2,
-    (1-k^2)/3!, (1-4k^2)/4!, (1-k^2)(1-9k^2)/5!.
+    g' = u' g.  Differentiating once more, with (1+k^2 x^2) u'^2 = 1 and
+    (1+k^2 x^2) u'' = -k^2 x u', gives
+        (1+k^2 x^2) g'' + k^2 x g' - g = 0,
+    and equating powers of x gives the two-term O(order) recurrence
+        (n+1)(n+2) g_{n+2} = (1 - k^2 n^2) g_n,   g_0 = g_1 = 1.
+    So the coefficients are 1, 1, 1/2, (1-k^2)/3!, (1-4k^2)/4!,
+    (1-k^2)(1-9k^2)/5!, ...  At k = 1/m the part of m's parity is a
+    polynomial of degree m, and its coefficients past x^m are +0.0.
     """
     _check_order(order)
-    # the odd weights 1 u_1, 3 u_3, ...: the even ones are 0
-    du = [j * c for j, c in enumerate(_coordinate_series(k.value, order))][1::2]
-    g = [0.0] * (order + 1)
-    g[0] = 1.0
-    for n in range(1, order + 1):
-        # added left to right from 0.0: from Python 3.12 sum() compensates,
-        # which would move last digits between Python versions
-        total = 0.0
-        for d, gj in zip(du, g[n - 1 :: -2]):
-            total += d * gj
-        g[n] = total / n
+    k2 = k.value * k.value
+    g = [1.0] * min(order + 1, 2)
+    for n in range(2, order + 1):
+        m = n - 2
+        # + 0.0 turns the -0.0 that follows an exact zero into +0.0
+        g.append(g[m] * (1.0 - k2 * (m * m)) / ((n - 1) * n) + 0.0)
     return PowerSeries("x", tuple(g))
 
 

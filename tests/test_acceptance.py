@@ -81,7 +81,8 @@ def test_criterion_03_power_series_oracle():
     for kv in (0.1, 0.5, 0.9):
         k = Kappa(kv)
         got = decay_series_solution(k, 8).coefficients
-        # independent oracle: exp series from the g' = u'g recurrence, sign-alternated
+        # independent oracle: exp series from g' = u'g in its second-order form,
+        # (n+1)(n+2) g_{n+2} = (1 - k^2 n^2) g_n, sign-alternated
         oracle = [(-1) ** n * c for n, c in enumerate(exp_kappa_taylor(k, 8).coefficients)]
         ok &= all(abs(g - w) <= 1e-12 for g, w in zip(got, oracle))
         low_want = [1.0, -1.0, 0.5, (kv**2 - 1) / 6, (1 - 4 * kv**2) / 24]

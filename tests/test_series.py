@@ -526,10 +526,80 @@ _SERIES_KAPPAS = st.floats(-0.99, 0.99) | st.sampled_from([0.0, -0.0, 1e-300, -1
 @example(kv=-0.95, order=64)
 def test_series_builders_match_the_parent_loops_bit_for_bit(kv, order):
     k = Kappa(kv)
-    for fn, parent in ((exp_kappa_taylor, parent_exp_kappa_taylor),
-                       (decay_series_solution, parent_decay_series_solution),
+    for fn, parent in ((decay_series_solution, parent_decay_series_solution),
                        (sqrt_weight_series, parent_sqrt_weight_series)):
         assert hex_outcome(fn, k, order) == parent_hex_outcome(parent(kv, order))
+
+
+def mp_exp_kappa_coefficients(kv, order):
+    """The Maclaurin coefficients G_n of exp_k at 60 digits, from the product
+    form G_n = prod (1 - k^2 m^2) / n! over m = n - 2, n - 4, ... >= 0, and
+    the S_n that take |1 - k^2 m^2| up to 1 + k^2 m^2."""
+    with mp.workdps(60):
+        k2 = mp.mpf(kv) ** 2
+        value, size = [mp.mpf(1)] * min(order + 1, 2), [mp.mpf(1)] * min(order + 1, 2)
+        for n in range(2, order + 1):
+            m = n - 2
+            value.append(value[m] * (1 - k2 * m * m) / ((n - 1) * n))
+            size.append(size[m] * (1 + k2 * m * m) / ((n - 1) * n))
+        return value, size
+
+
+@settings(max_examples=150, deadline=None)
+@given(kv=_SERIES_KAPPAS, order=st.integers(0, MAX_ORDER))
+@example(kv=0.0, order=64)
+@example(kv=1e-300, order=48)
+@example(kv=-0.95, order=64)
+@example(kv=0.99, order=64)
+@example(kv=1 / 3, order=64)
+def test_exp_kappa_taylor_is_within_rounding_of_mpmath(kv, order):
+    # |g_n - G_n| <= n eps S_n against the 60-digit coefficients; the
+    # parent's O(order^2) convolution meets the same bound on the same draws
+    value, size = mp_exp_kappa_coefficients(kv, order)
+    eps = sys.float_info.epsilon
+    for got in (exp_kappa_taylor(Kappa(kv), order).coefficients,
+                parent_exp_kappa_taylor(kv, order)):
+        assert len(got) == order + 1
+        for n, (g, v, sz) in enumerate(zip(got, value, size)):
+            assert abs(mp.mpf(g) - v) <= n * eps * sz, (n, g, v)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exp_kappa_taylor_has_exact_positive_zeros_at_kappa_one_over_m(m, sign):
+    # at k = 1/m the part of exp_k with m's parity is a polynomial of degree
+    # m: its coefficients past x^m are +0.0, and none before is zero.  The
+    # parent's convolution gives +0.0 there through x^26 and, from x^28 on,
+    # leftovers of cancellation within its rounding bound; none is -0.0
+    got = exp_kappa_taylor(Kappa(sign / m), MAX_ORDER).coefficients
+    parent = parent_exp_kappa_taylor(sign / m, MAX_ORDER)
+    for n in range(m % 2, MAX_ORDER + 1, 2):
+        if n > m:
+            assert got[n].hex() == "0x0.0p+0", n
+            assert parent[n].hex() == "0x0.0p+0" or n >= 28, n
+        else:
+            assert got[n] != 0.0, n
+    assert "-0x0.0p+0" not in (c.hex() for c in parent)
+
+
+def test_exp_taylor_and_decay_series_read_nothing_of_each_other(monkeypatch):
+    # the two routes criterion 3 compares stay independent: each builder
+    # gives the same coefficients with the other's parts made to raise
+    def refuse(*args):
+        raise AssertionError("the other route was read")
+
+    for kv, order in ((0.43, 48), (-0.95, 64), (0.5, 16), (0.0, 8)):
+        k = Kappa(kv)
+        want_exp = hex_outcome(exp_kappa_taylor, k, order)
+        want_decay = hex_outcome(decay_series_solution, k, order)
+        with monkeypatch.context() as mpatch:
+            mpatch.setattr(series, "_sqrt_weights", refuse)
+            mpatch.setattr(series, "decay_series_solution", refuse)
+            assert hex_outcome(exp_kappa_taylor, k, order) == want_exp
+        with monkeypatch.context() as mpatch:
+            mpatch.setattr(series, "exp_kappa_taylor", refuse)
+            mpatch.setattr(series, "_coordinate_series", refuse)
+            assert hex_outcome(decay_series_solution, k, order) == want_decay
 
 
 def mp_compose_with_coordinate(a, kv, order):
