@@ -123,7 +123,12 @@ class LogisticProblem(Record):
     """Logistic equation sqrt(1 + k^2 x^2) f' = f (1 - f) on [-x_max, x_max].
 
     f0 is the value at x = 0; the displayed closed form 1/(1 + exp_k(-x))
-    corresponds to the default f0 = 1/2.
+    corresponds to the default f0 = 1/2.  A stepper starts at exact(-x_max),
+    and raises ConvergenceError where that start is below
+    sys.float_info.min (past x_max of about 708.4 at k = 0 and f0 = 1/2):
+    a subnormal start carries fewer than 53 bits, and an increment h f'
+    below half the smallest subnormal rounds to 0.  The problem itself, its
+    closed form and analytic_trace take any such x_max.
     """
 
     __slots__ = ("k", "f0", "x_max")
@@ -142,8 +147,13 @@ class LogisticProblem(Record):
     @property
     def initial_value(self) -> float:
         # Numerical traces start on the closed form at the left edge so the
-        # comparison over the symmetric range is well-posed.
-        return self.exact(-self.x_max)
+        # comparison over the symmetric range is well-posed; one below the
+        # normal range is refused, as the class docstring says.
+        f = self.exact(-self.x_max)
+        if f < sys.float_info.min:
+            raise ConvergenceError(f"logistic start {f!r} at x = {-self.x_max!r} is below "
+                                   f"the normal range: a trace from it would lose its bits")
+        return f
 
     def weight(self, x: float) -> float:
         return differential_weight(self.k, x)

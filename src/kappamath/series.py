@@ -11,6 +11,10 @@ The Taylor series of exp_k = exp(u(x)) comes from g' = u' g in its
 second-order form, (1+k^2 x^2) g'' + k^2 x g' - g = 0, whose two-term
 recurrence (n+1)(n+2) g_{n+2} = (1 - k^2 n^2) g_n costs O(order); it reads
 nothing of the decay recurrence, against which the acceptance gate checks it.
+The decay recurrence, from sqrt(1+k^2 x^2) f' = -f with the square root
+expanded binomially, works on the totals d_j = j a_j, each kept from the
+step that formed it before its division by j: d_{p+1} = -a_p -
+sum_m C(1/2, m) k^(2m) d_{p-2m+1}, one multiply a term, O(order^2) in all.
 Products and compositions multiply only the nonzero terms of the second
 factor, listed once per call, so an odd inner series such as u(x) costs
 half the multiply-adds of a dense one.  An exact zero adds nothing, even
@@ -61,8 +65,12 @@ class PowerSeries(Record):
         return len(self.coefficients) - 1
 
 
+def _is_order(order) -> bool:
+    return isinstance(order, int) and 0 <= order <= MAX_ORDER
+
+
 def _check_order(order: int) -> None:
-    if not (isinstance(order, int) and 0 <= order <= MAX_ORDER):
+    if not _is_order(order):
         raise DomainError(f"series order must be in [0, {MAX_ORDER}], got {order!r}")
 
 
@@ -151,16 +159,16 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
     return _trustworthy(out)
 
 
-def _parity_series(order: int, first: int, ratio) -> list[float]:
-    # c_first = 1 and c_{first+2n} = c_{first+2n-2} * ratio(n), first 0 or 1;
-    # the coefficients of the other parity are 0
+def _parity_series(order: int, first: int, ratios: list[float]) -> list[float]:
+    # c_first = 1 and c_{first+2n} = c_{first+2n-2} * ratios[n-1], first 0
+    # or 1, for as many n as fit in order; the other parity's entries are 0
     c = [0.0] * (order + 1)
     if order >= first:
         c[first] = 1.0
     term = 1.0
-    for n in range(1, (order - first) // 2 + 1):
-        term *= ratio(n)
-        c[first + 2 * n] = term
+    for i, r in zip(range(first + 2, order + 1, 2), ratios):
+        term *= r
+        c[i] = term
     return c
 
 
@@ -168,8 +176,8 @@ def _coordinate_series(kv: float, order: int) -> list[float]:
     # Maclaurin coefficients of u(x) = arcsinh(k x)/k at k = kv: only odd
     # powers, c_{2n+1} = (-1)^n (2n)! k^(2n) / (4^n (n!)^2 (2n+1)).
     k2 = kv * kv
-    return _parity_series(order, 1,
-                          lambda n: -k2 * (2 * n - 1) ** 2 / (2 * n * (2 * n + 1)))
+    return _parity_series(order, 1, [-k2 * (2 * n - 1) ** 2 / (2 * n * (2 * n + 1))
+                                     for n in range(1, (order + 1) // 2)])
 
 
 def exp_kappa_taylor(k: Kappa, order: int) -> PowerSeries:
@@ -203,7 +211,8 @@ def ln_kappa_shifted_taylor(k: Kappa, order: int) -> PowerSeries:
     _check_order(order)
     # sinh(k t)/k in t: odd coefficients k^(2n)/(2n+1)!
     k2 = k.value * k.value
-    sinh_ratio = _parity_series(order, 1, lambda n: k2 / (2 * n * (2 * n + 1)))
+    sinh_ratio = _parity_series(order, 1, [k2 / (2 * n * (2 * n + 1))
+                                           for n in range(1, (order + 1) // 2)])
     log1p = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, order + 1)]
     coeffs = series_compose(sinh_ratio, log1p, order)
     return PowerSeries("x", tuple(coeffs))
@@ -212,7 +221,8 @@ def ln_kappa_shifted_taylor(k: Kappa, order: int) -> PowerSeries:
 def _sqrt_weights(k: Kappa, order: int) -> list[float]:
     # c_{2m} = C(1/2, m) k^(2m), from the ratio of consecutive binomials
     k2 = k.value * k.value
-    return _parity_series(order, 0, lambda m: k2 * (0.5 - (m - 1)) / m)
+    return _parity_series(order, 0, [k2 * (0.5 - (m - 1)) / m
+                                     for m in range(1, order // 2 + 1)])
 
 
 def sqrt_weight_series(k: Kappa, order: int) -> PowerSeries:
@@ -225,22 +235,28 @@ def decay_series_solution(k: Kappa, order: int) -> PowerSeries:
     """Series solution of the deformed decay equation with f(0) = 1.
 
     Coefficients follow the recurrence obtained by equating powers of x in
-    sqrt(1+k^2 x^2) f'(x) = -f(x) with the square root expanded binomially:
-        (p+1) a_{p+1} = -a_p - sum_{m>=1} C(1/2, m) k^(2m) (p-2m+1) a_{p-2m+1}.
-    The result coincides with the Maclaurin series of exp_k(-x).
+    sqrt(1+k^2 x^2) f'(x) = -f(x) with the square root expanded binomially,
+    written for the totals d_j = j a_j:
+        d_{p+1} = -a_p - sum_{m>=1} C(1/2, m) k^(2m) d_{p-2m+1},
+        a_{p+1} = d_{p+1} / (p+1).
+    Each d_j is kept as the total formed before its division by j, so a
+    term costs one multiply; the sum runs over m ascending, from -a_p.  The
+    loop is O(order^2) and reads only the binomial weights.  The result
+    coincides with the Maclaurin series of exp_k(-x).
     """
     _check_order(order)
-    w = _sqrt_weights(k, order)
-    # j as a float, which w * j rounds the same as the int
-    js = list(map(float, range(order + 1)))
-    a = [0.0] * (order + 1)
-    a[0] = 1.0
+    even = _sqrt_weights(k, order)[2::2]
+    a = [1.0]
+    d = [0.0]
     for p in range(order):
+        # d[p-1], d[p-3], ... down to d[1] or d[2]; at p = 0 and 1 none,
+        # for d then holds p + 1 entries, and the slice from -1 or 0 to 0
+        # is empty
         total = -a[p]
-        for m in range(1, p // 2 + 1):
-            j = p - 2 * m + 1
-            total -= w[2 * m] * js[j] * a[j]
-        a[p + 1] = total / (p + 1)
+        for wm, dj in zip(even, d[p - 1 : 0 : -2]):
+            total -= wm * dj
+        d.append(total)
+        a.append(total / (p + 1))
     return PowerSeries("x", tuple(a))
 
 

@@ -21,6 +21,8 @@ from kappamath import (
     DecayProblem,
     DomainError,
     Kappa,
+    LogisticProblem,
+    analytic_trace,
     error_ladder,
     kappa_exp,
     to_kappa_number,
@@ -668,15 +670,32 @@ def test_linspace_nodes_where_the_range_is_finite():
 
 
 def test_logistic_span_past_half_the_float_range(capsys):
-    # 2 * x_max overflows; the 20 steps of h = 1e307 do not
+    # 2 * x_max overflows; the 21 steps of h = 1e307 do not.  At kappa 0.99
+    # and f0 = 1 - 1e-6 the start exact(-x_max), about 3.7e-306, is normal
     for method in SOLVERS:
-        rc, out, err = run(capsys, "logistic", "--kappa", "0.5", "--f0", "0.5",
-                           "--x-max", "1e308", "--h", "1e307", "--method", method)
+        rc, out, err = run(capsys, "logistic", "--kappa", "0.99", "--f0", "0.999999",
+                           "--x-max", "1.05e308", "--h", "1e307", "--method", method)
         assert rc == 0, err
         rows = out.strip().split("\n")[1:]
-        assert len(rows) == 21
+        assert len(rows) == 22
         xs = [float(r.split(",")[0]) for r in rows]
-        assert xs[0] == -1e308 and xs[10] == 0.0 and xs[-1] == 1e308
+        assert xs[0] == -1.05e308 and xs[-1] == pytest.approx(1.05e308, rel=1e-15)
+
+
+@pytest.mark.parametrize("args", [
+    # the start underflows to 0.0; it is 1e-323, 6.2e-320 and 1.37e-315 at
+    # x_max = 744, 735 and 725, and a subnormal f0 makes every start subnormal
+    ("--kappa", "0.5", "--f0", "0.5", "--x-max", "1e308", "--h", "1e307"),
+    ("--kappa", "0", "--f0", "0.5", "--x-max", "744", "--h", "0.25"),
+    ("--kappa", "0", "--f0", "0.5", "--x-max", "735", "--h", "0.25"),
+    ("--kappa", "0", "--f0", "0.5", "--x-max", "725", "--h", "0.25"),
+    ("--kappa", "0", "--f0", "5e-324", "--x-max", "1000", "--h", "10"),
+])
+def test_logistic_start_below_the_normal_range_exits_3(capsys, args):
+    for method in SOLVERS:
+        rc, out, err = run(capsys, "logistic", *args, "--method", method)
+        assert (rc, out) == (3, ""), err
+        assert "logistic start" in err and "below the normal range" in err
 
 
 def test_solve_grid_ends_before_an_overflowing_point(capsys):
@@ -690,11 +709,13 @@ def test_solve_grid_ends_before_an_overflowing_point(capsys):
 
 
 def test_logistic_subnormal_f0(capsys):
+    # the closed form keeps a subnormal f0; the command refuses the trace,
+    # whose start exact(-1000) underflows
     rc, out, _ = run(capsys, "logistic", "--kappa", "0", "--f0", "5e-324",
                      "--x-max", "1000", "--h", "10")
-    assert rc == 0
-    f = {float(x): float(fa) for x, fa, _, _ in
-         (line.split(",") for line in out.strip().split("\n")[1:])}
+    assert (rc, out) == (3, "")
+    trace = analytic_trace(LogisticProblem(Kappa(0.0), f0=5e-324, x_max=1000.0), 10.0)
+    f = dict(zip(trace.xs, trace.fs))
     assert f[700.0] == pytest.approx(5e-324 * math.exp(700.0), rel=1e-12)
     assert 5e-20 < f[700.0] < 5.1e-20
     assert f[1000.0] == 1.0

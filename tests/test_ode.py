@@ -311,9 +311,15 @@ def test_grid_drops_a_last_point_that_overflows():
     for solver in (rk4_solve, ab2_solve):
         with pytest.raises(ConvergenceError, match=re.escape(f"x = {2.0 * h!r} ")):
             solver(p, h)
-    lp = LogisticProblem(Kappa(0.5), x_max=1.7976931348623157e308)
+    lp = logistic_normal_start(1.7976931348623157e308)
     xs = rk4_solve(lp, h).xs
     assert len(xs) == 6 and all(math.isfinite(x) for x in xs)
+
+
+def logistic_normal_start(x_max):
+    # at kappa 0.99 and f0 = 1 - 1e-6 the start exact(-x_max) stays normal up
+    # to the float maximum (about 2e-306 there), so a stepper takes it
+    return LogisticProblem(Kappa(0.99), f0=0.999999, x_max=x_max)
 
 
 @pytest.mark.parametrize("problem", [DecayProblem, LogisticProblem])
@@ -321,7 +327,8 @@ def test_grid_drops_a_last_point_that_overflows():
     (5.0, 0.1), (1.0, 0.1), (0.1 * (3 - 7e-10), 0.1), (1e308, 1e307), (1e300, 3e298)])
 def test_finite_grids_unchanged(problem, x_max, h):
     # uniformly spaced from x_start, floor(span/h + 1e-9) steps
-    p = problem(Kappa(0.5), x_max=x_max)
+    p = (DecayProblem(Kappa(0.5), x_max=x_max) if problem is DecayProblem
+         else logistic_normal_start(x_max))
     xs = euler_solve(p, h).xs
     n = math.floor(x_max / h - p.x_start / h + 1e-9)
     if x_max - p.x_start < math.inf:
@@ -900,6 +907,52 @@ def test_logistic_residual_is_rounding_over_the_float_range(kv, f0, x):
         f, _ = _mp_logistic(p, x)
         bound = 4 * sys.float_info.epsilon * f + 4 * math.ulp(0.0)
         assert abs(logistic_residual(p, x)) <= bound, float(f)
+
+
+@pytest.mark.parametrize("x_max", [744.0, 735.0, 725.0])
+def test_logistic_start_below_the_normal_range_is_refused(x_max):
+    # the start exact(-x_max) is 1e-323, 6.2e-320 and 1.37e-315: subnormal,
+    # and at 744 RK4's increments round to 0, so the trace would stay at
+    # 1e-323 at every point.  Every stepper, and so every ladder, refuses
+    # it; the problem, its closed form and analytic_trace take it
+    lp = LogisticProblem(Kappa(0.0), f0=0.5, x_max=x_max)
+    start = lp.exact(-x_max)
+    assert 0.0 < start < sys.float_info.min
+    assert analytic_trace(lp, 0.25).fs[0] == start
+    if x_max == 744.0:
+        xs = ode._grid(lp, 0.25)
+        assert set(ode._rk4_values(lp.rhs, xs, start, 0.25)) == {1e-323}
+    message = f"logistic start {start!r} at x = {-x_max!r} is below the normal range"
+    for solver in (euler_solve, ab2_solve, rk4_solve):
+        with pytest.raises(ConvergenceError, match=re.escape(message)):
+            solver(lp, 0.25)
+    with pytest.raises(ConvergenceError, match=re.escape(message)):
+        harness.convergence_order(lp, "rk4", 0.1, 4)
+    with pytest.raises(ConvergenceError, match=re.escape(message)):
+        harness.error_table(lp, ["euler"], 0.25)
+
+
+def test_logistic_start_at_the_bottom_of_the_normal_range_solves():
+    # x_max = 700 starts normal, at 9.86e-305, and solves; so does a start
+    # just above sys.float_info.min.  A grid error still comes first
+    lp = LogisticProblem(Kappa(0.0), f0=0.5, x_max=700.0)
+    assert sys.float_info.min < lp.initial_value < 1e-304
+    assert rk4_solve(lp, 0.25).fs[-1] == pytest.approx(1.0)
+    edge = LogisticProblem(Kappa(0.0), f0=0.5, x_max=708.0)
+    assert sys.float_info.min <= edge.initial_value
+    for solver in (euler_solve, ab2_solve, rk4_solve):
+        assert solver(edge, 0.5).fs[0] == edge.initial_value
+        with pytest.raises(DomainError, match="step size"):
+            solver(LogisticProblem(Kappa(0.0), x_max=744.0), -1.0)
+
+
+def test_decay_subnormal_f0_still_solves():
+    # DecayProblem starts at f0 itself: a subnormal f0 gives absolute errors
+    # below 5e-324, and no refusal
+    p = decay(0.5, f0=5e-324)
+    assert p.initial_value == 5e-324
+    for solver in (euler_solve, ab2_solve, rk4_solve):
+        assert solver(p, 0.5).fs[0] == 5e-324
 
 
 def test_logistic_error_table_past_exp_overflow():
