@@ -168,24 +168,17 @@ def _float_grid(name: str, x_grid) -> tuple:
 
 def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:
     """|truncated decay series - exp_k(-x)| per order on the grid;
-    ConvergenceError where both overflow to the same infinity.  The series
-    is built once, at the largest valid order, since its first n + 1
-    coefficients are those of the series of order n; each order is checked
-    where the loop reaches it, so errors come as from one build per order."""
-    from .series import (PowerSeries, _check_order, _is_order, decay_series_solution,
-                         evaluate_series)
+    ConvergenceError where both overflow to the same infinity."""
+    from .series import decay_series_solution, evaluate_series
 
     orders = tuple(orders)
     if not orders:
         raise DomainError("need at least one order")
     xs = _float_grid("series_error_curve", x_grid)
     exact = [kappa_exp(k, -x) for x in xs]
-    valid = [n for n in orders if _is_order(n)]
-    coeffs = decay_series_solution(k, max(valid)).coefficients if valid else ()
     curves = []
     for n in orders:
-        _check_order(n)
-        s = PowerSeries("x", coeffs[: n + 1])
+        s = decay_series_solution(k, n)
         curves.append(_abs_diffs([evaluate_series(s, k, x) for x in xs], exact, xs))
     return SeriesErrorCurve(k.value, orders, xs, tuple(curves))
 

@@ -65,12 +65,8 @@ class PowerSeries(Record):
         return len(self.coefficients) - 1
 
 
-def _is_order(order) -> bool:
-    return isinstance(order, int) and 0 <= order <= MAX_ORDER
-
-
 def _check_order(order: int) -> None:
-    if not _is_order(order):
+    if not (isinstance(order, int) and 0 <= order <= MAX_ORDER):
         raise DomainError(f"series order must be in [0, {MAX_ORDER}], got {order!r}")
 
 
@@ -159,16 +155,16 @@ def series_compose(outer: Sequence[float], inner: Sequence[float], order: int) -
     return _trustworthy(out)
 
 
-def _parity_series(order: int, first: int, ratios: list[float]) -> list[float]:
-    # c_first = 1 and c_{first+2n} = c_{first+2n-2} * ratios[n-1], first 0
-    # or 1, for as many n as fit in order; the other parity's entries are 0
+def _parity_series(order: int, first: int, ratio) -> list[float]:
+    # c_first = 1 and c_{first+2n} = c_{first+2n-2} * ratio(n), first 0 or 1;
+    # the coefficients of the other parity are 0
     c = [0.0] * (order + 1)
     if order >= first:
         c[first] = 1.0
     term = 1.0
-    for i, r in zip(range(first + 2, order + 1, 2), ratios):
-        term *= r
-        c[i] = term
+    for n in range(1, (order - first) // 2 + 1):
+        term *= ratio(n)
+        c[first + 2 * n] = term
     return c
 
 
@@ -176,8 +172,8 @@ def _coordinate_series(kv: float, order: int) -> list[float]:
     # Maclaurin coefficients of u(x) = arcsinh(k x)/k at k = kv: only odd
     # powers, c_{2n+1} = (-1)^n (2n)! k^(2n) / (4^n (n!)^2 (2n+1)).
     k2 = kv * kv
-    return _parity_series(order, 1, [-k2 * (2 * n - 1) ** 2 / (2 * n * (2 * n + 1))
-                                     for n in range(1, (order + 1) // 2)])
+    return _parity_series(order, 1,
+                          lambda n: -k2 * (2 * n - 1) ** 2 / (2 * n * (2 * n + 1)))
 
 
 def exp_kappa_taylor(k: Kappa, order: int) -> PowerSeries:
@@ -211,8 +207,7 @@ def ln_kappa_shifted_taylor(k: Kappa, order: int) -> PowerSeries:
     _check_order(order)
     # sinh(k t)/k in t: odd coefficients k^(2n)/(2n+1)!
     k2 = k.value * k.value
-    sinh_ratio = _parity_series(order, 1, [k2 / (2 * n * (2 * n + 1))
-                                           for n in range(1, (order + 1) // 2)])
+    sinh_ratio = _parity_series(order, 1, lambda n: k2 / (2 * n * (2 * n + 1)))
     log1p = [0.0] + [(-1.0) ** (j + 1) / j for j in range(1, order + 1)]
     coeffs = series_compose(sinh_ratio, log1p, order)
     return PowerSeries("x", tuple(coeffs))
@@ -221,8 +216,7 @@ def ln_kappa_shifted_taylor(k: Kappa, order: int) -> PowerSeries:
 def _sqrt_weights(k: Kappa, order: int) -> list[float]:
     # c_{2m} = C(1/2, m) k^(2m), from the ratio of consecutive binomials
     k2 = k.value * k.value
-    return _parity_series(order, 0, [k2 * (0.5 - (m - 1)) / m
-                                     for m in range(1, order // 2 + 1)])
+    return _parity_series(order, 0, lambda m: k2 * (0.5 - (m - 1)) / m)
 
 
 def sqrt_weight_series(k: Kappa, order: int) -> PowerSeries:

@@ -124,10 +124,12 @@ CASES = [
      "slope-field --beta 1e308 --x-max 1e308 --f-max 1e308 --nx 3 --nf 3"),
     ("slope-field-too-many-nodes", "slope-field --nx 101 --nf 9901"),
     ("slope-field-empty-grid", "slope-field --nx 0"),
-    # logistic: both formats, an overflowing range, a bad f0
+    # logistic: both formats, an overflowing range from a normal start, a
+    # start below the normal range, a bad f0
     ("logistic-csv", "logistic --h 0.5 --x-max 2"),
     ("logistic-json", "logistic --method euler --h 1 --x-max 3 --f0 0.2 --format json"),
-    ("logistic-float-range", "logistic --x-max 1e308 --h 1e307"),
+    ("logistic-float-range", "logistic --kappa 0.99 --f0 0.999999 --x-max 1e308 --h 1e307"),
+    ("logistic-start-below-normal-range", "logistic --x-max 1e308 --h 1e307"),
     ("logistic-f0-out-of-range", "logistic --f0 1.5"),
     # the parser: help of every command, no command, unknown input
     ("help", "--help"),

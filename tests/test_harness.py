@@ -15,14 +15,11 @@ from kappamath import (
     FloorError,
     Kappa,
     LogisticProblem,
-    SeriesErrorCurve,
     asymptote_check,
     convergence_order,
     decay_series_solution,
     error_table,
-    evaluate_series,
     exp_kappa_taylor,
-    kappa_exp,
     picard_iterate,
     picard_vs_series,
     series_compose,
@@ -595,57 +592,6 @@ def test_series_error_curve_aligned_with_repeated_orders():
     assert curve.abs_errors[2] == series_error_curve(k, [2], xs).abs_errors[0]
     assert all(len(errors) == len(xs) for errors in curve.abs_errors)
     assert hash(curve) == hash(series_error_curve(k, [4, 4, 2], xs))
-
-
-def per_order_error_curve(k, orders, x_grid):
-    # series_error_curve as it was, with one series built per order
-    from kappamath.harness import _abs_diffs, _float_grid
-
-    orders = tuple(orders)
-    if not orders:
-        raise DomainError("need at least one order")
-    xs = _float_grid("series_error_curve", x_grid)
-    exact = [kappa_exp(k, -x) for x in xs]
-    curves = []
-    for n in orders:
-        s = decay_series_solution(k, n)
-        curves.append(_abs_diffs([evaluate_series(s, k, x) for x in xs], exact, xs))
-    return SeriesErrorCurve(k.value, orders, xs, tuple(curves))
-
-
-def curve_outcome(fn, *args):
-    try:
-        curve = fn(*args)
-    except (DomainError, ConvergenceError) as e:
-        return type(e).__name__, str(e)
-    return curve.orders, [[e.hex() for e in errors] for errors in curve.abs_errors]
-
-
-_GRID = [0.0, 0.3, -1.0, 2.5, 5.0]
-
-
-@pytest.mark.parametrize("kv,orders,xs", [
-    # unsorted and repeated orders
-    (0.43, [16, 4, 64, 4, 0, 33, 16], _GRID),
-    (-0.95, [64, 1, 48, 1], _GRID),
-    (0.0, [True, 2, 0], _GRID),
-    # an invalid order after valid ones, and before them
-    (0.5, [8, 2, 65], _GRID),
-    (0.5, [3, 64, -1, 5], _GRID),
-    (0.5, [5, 2.0], _GRID),
-    (0.5, [65, 4], _GRID),
-    (0.5, [4, "3"], _GRID),
-    # order 4 overflows to the closed form's inf before 65 is reached, and
-    # order 0 gives an inf error, not an error raised
-    (0.0, [0, 4, 65], [-1e300]),
-    (0.0, [65, 4], [-1e300]),
-    # the grid is checked before the orders
-    (0.5, [65], [math.nan]),
-])
-def test_series_error_curve_equals_one_build_per_order(kv, orders, xs):
-    k = Kappa(kv)
-    want = curve_outcome(per_order_error_curve, k, orders, xs)
-    assert curve_outcome(series_error_curve, k, orders, xs) == want
 
 
 def test_asymptote_check_values():

@@ -428,10 +428,11 @@ def test_int_coefficients_act_as_their_floats(a, b, order):
 
 
 # Reference loops for the series builders, in their plainest form: weights
-# from a ratio per call, j as an int, the odd weights sliced per
+# read from a full list, j as an int, the odd weights sliced per
 # coefficient, every running-power term added.  The weight lists and
 # series_compose must give the same floats, the sign of a zero included;
-# the recurrences, which round differently, meet the same 60-digit bounds.
+# the decay recurrence, which rounds differently, meets the same 60-digit
+# bound.
 def parent_parity_series(order, first, ratio):
     c = [0.0] * (order + 1)
     if order >= first:
@@ -526,11 +527,8 @@ _SERIES_KAPPAS = st.floats(-0.99, 0.99) | st.sampled_from([0.0, -0.0, 1e-300, -1
 @example(kv=1e-300, order=48)
 @example(kv=-0.95, order=64)
 def test_series_builders_match_the_parent_loops_bit_for_bit(kv, order):
-    # the weight lists, built from a list of ratios, not a ratio per call
     assert hex_outcome(sqrt_weight_series, Kappa(kv), order) == parent_hex_outcome(
         parent_sqrt_weight_series(kv, order))
-    assert hex_outcome(series._coordinate_series, kv, order) == parent_hex_outcome(
-        parent_coordinate_series(kv, order))
 
 
 def mp_decay_coefficients(kv, order):
@@ -584,7 +582,7 @@ def test_decay_series_solution_is_within_rounding_of_mpmath(kv, order):
 @example(kv=0.99)
 def test_decay_series_prefix_is_the_series_of_lower_order(kv):
     # the first n + 1 coefficients do not depend on the order asked for,
-    # bit for bit, which lets series_error_curve build once
+    # bit for bit
     k = Kappa(kv)
     full = hex_outcome(decay_series_solution, k, MAX_ORDER)
     for order in range(MAX_ORDER + 1):
