@@ -159,14 +159,17 @@ def library_calls() -> list[tuple]:
     series branch of a tiny kappa beta x, beta x overflowing to +-inf, exp
     overflowing, f0 = +-0, a subnormal logistic f0, nan, +-inf and an int
     beyond the float range), and the traces and reports built on them; then
-    the other analytic routes, the closed forms where exp(u) falls below its
-    normal range and a large or subnormal f0 brings the value back into
-    view, the quadrature, the series products and compositions, the series
+    the other analytic routes, the closed forms and decay routes in each
+    branch of their float-range kernels, ode._times_exp and
+    ode._logistic_parts (exp(u) below its normal range with a large,
+    negative or subnormal f0 that brings the value back into view, a
+    signed zero f0, and past exp's overflow a small f0 or a logistic f0
+    near 1), the quadrature, the series products and compositions, the series
     builders at kappa 0, 0.5, -0.95 and 1e-300 and orders 0, 1, 16, 48 and
     64, the expansion in x of iterates 0, 5 and 20 at kappa +-0.99 and 0.3
     and of series in u near the float maximum, the comparison reports, and
-    the logistic residual where a subnormal f0 meets exp(u) below its
-    normal range, with their overflows and refusals.  The integrands are
+    the logistic residual in each of its kernel's three forms, with their
+    overflows and refusals.  The integrands are
     builtins, or partials of them, whose repr is the same in every run."""
     from functools import partial
 
@@ -235,6 +238,19 @@ def library_calls() -> list[tuple]:
                (DecayProblem(Kappa(0.0), f0=1e20, x_max=740.0), 740.0)),
               ("logistic_closed_form", logistic_closed_form,
                (LogisticProblem(Kappa(0.0), f0=5e-324, x_max=744.0), 744.0))]
+    # the same form for a negative f0; a signed zero f0, inside exp's normal
+    # range and below it; and past exp's overflow, a small f0 of either
+    # sign or a logistic f0 near 1 that brings the value back into view
+    for p, x in ((DecayProblem(Kappa(0.0), f0=-1e300, x_max=800.0), 800.0),
+                 (DecayProblem(Kappa(0.0), f0=-0.0, x_max=800.0), 1.0),
+                 (DecayProblem(Kappa(0.0), f0=-0.0, x_max=800.0), 800.0)):
+        calls += [(name, fn, (p, x)) for name, fn in (
+            ("closed_form_decay", closed_form_decay), ("substitution_decay", substitution_decay),
+            ("quadrature_decay", quadrature_decay))]
+    calls += [("closed_form_decay", closed_form_decay, (DecayProblem(Kappa(0.0), f0=f0), -710.0))
+              for f0 in (1e-300, -1e-300)]
+    calls += [("logistic_closed_form", logistic_closed_form,
+               (LogisticProblem(Kappa(0.0), f0=0.9999999999999999), -710.0))]
     calls += [("residual_decay", residual_decay, args) for args in (
         (d1, 1.0, -1.0, 0.0), (d1, 0.5, -0.3, 1.0), (d4, 3.0, -1e300, -2.0),
         # beta f and hypot(1/beta, kappa x) f' overflow with opposite signs
@@ -294,9 +310,12 @@ def library_calls() -> list[tuple]:
         # the oracle's iterate, at six points
         (Kappa(0.43), 16, [0.0, 0.3, 1.0, 2.5, 4.0, 5.0]),
         (Kappa(-0.99), 16, [0.1, 0.5, 1.5, 2.0, 3.5, 5.0]))]
-    # the residual where a subnormal f0 meets exp(u) below its normal range
+    # the residual where a subnormal f0 meets exp(u) below its normal range,
+    # and at an f0 near 1 inside that range and past exp's overflow
     calls += [("logistic_residual", logistic_residual,
                (LogisticProblem(Kappa(0.0), f0=5e-324, x_max=1000.0), x)) for x in (740.0, 744.0)]
+    calls += [("logistic_residual", logistic_residual,
+               (LogisticProblem(Kappa(0.0), f0=0.9999999999999999), x)) for x in (2.0, -710.0)]
     calls += [("asymptote_check", asymptote_check, args) for args in (
         (Kappa(0.5), 10.0), (Kappa(0.5), 1e6), (Kappa(-0.9), 1e308),
         # at a tiny kappa the log of the ratio once cancelled past the float range
