@@ -47,6 +47,33 @@ MAX_POINTS = 1_000_000
 MAX_LEVELS = 8
 
 
+def _times_exp(f0: float, t: float) -> float:
+    """f0 * exp(t) at any float t, the decay closed form's one float-range rule:
+    where exp(t) overflows or has lost bits, +-exp(t + log|f0|), which is
+    +-inf only where the value overflows; f0 = +-0 gives itself."""
+    if _EXP_MIN <= t <= _EXP_MAX:
+        return f0 * math.exp(t)
+    if not f0:
+        return f0
+    return math.copysign(_exp(t + math.log(abs(f0))), f0)
+
+
+def _logistic_parts(f0: float, u: float) -> tuple[float, float]:
+    """f = f0 / (f0 + (1 - f0) exp(u)) and 1 - f at any float u, the logistic
+    closed form's one float-range rule: a / (a + b) and b / (a + b), with
+    (a, b) = (f0, (1 - f0) exp(u)) inside exp's normal range, and in log
+    space ((f0 / (1 - f0)) exp(-u), 1) past it and (1, ((1 - f0) / f0) exp(u))
+    below it, where exp(u) has lost bits that a subnormal f0 brings into view."""
+    g = 1.0 - f0
+    if _EXP_MIN <= u <= _EXP_MAX:
+        a, b = f0, g * math.exp(u)
+    elif u > _EXP_MAX:
+        a, b = math.exp(math.log(f0 / g) - u), 1.0
+    else:
+        a, b = 1.0, math.exp(u - math.log(f0 / g))
+    return a / (a + b), b / (a + b)
+
+
 class DecayProblem(Record):
     """Decay equation data: rhs G(x, f) = -beta * f / sqrt(1 + k^2 beta^2 x^2).
 
@@ -69,7 +96,7 @@ class DecayProblem(Record):
             raise DomainError(f"x_max must be positive, got {x_max!r}")
         if not _isfinite(f0):
             raise DomainError(f"f0 must be finite, got {f0!r}")
-        super().__init__(k, float(beta), f0, x_max)
+        super().__init__(k, float(beta), float(f0), float(x_max))
 
     @property
     def x_start(self) -> float:
@@ -98,17 +125,12 @@ class DecayProblem(Record):
     def _exact_grid(self, xs) -> tuple:
         # exact at each of the finite points xs, such as those of _grid
         f0 = self.f0
-        if not f0:
-            return (f0,) * len(xs)
         c = self.k.value
         beta = self.beta
         exp = math.exp
         bottom, top = _EXP_MIN, _EXP_MAX
-        log_f0 = math.log(abs(f0))
-        # past top exp(u) overflows, and below bottom it has lost bits, but
-        # f0 exp(u) = +-exp(u + log|f0|) may be a normal float
         return tuple([f0 * exp(u) if bottom <= (u := _scaled_arcsinh(c, -(beta * x))) <= top
-                      else math.copysign(_exp(u + log_f0), f0) for x in xs])
+                      else _times_exp(f0, u) for x in xs])
 
     def exact(self, x: float) -> float:
         """f0 * exp_k(-beta x), and its limits where beta x overflows from a
@@ -123,7 +145,8 @@ class LogisticProblem(Record):
     """Logistic equation sqrt(1 + k^2 x^2) f' = f (1 - f) on [-x_max, x_max].
 
     f0 is the value at x = 0; the displayed closed form 1/(1 + exp_k(-x))
-    corresponds to the default f0 = 1/2.  A stepper starts at exact(-x_max),
+    corresponds to the default f0 = 1/2; _logistic_parts keeps it finite and
+    in bits over the whole float range.  A stepper starts at exact(-x_max),
     and raises ConvergenceError where that start is below
     sys.float_info.min (past x_max of about 708.4 at k = 0 and f0 = 1/2):
     a subnormal start carries fewer than 53 bits, and an increment h f'
@@ -138,7 +161,7 @@ class LogisticProblem(Record):
             raise DomainError(f"f0 must lie in (0, 1), got {f0!r}")
         if not (_isfinite(x_max) and x_max > 0.0):
             raise DomainError(f"x_max must be positive, got {x_max!r}")
-        super().__init__(k, f0, x_max)
+        super().__init__(k, float(f0), float(x_max))
 
     @property
     def x_start(self) -> float:
@@ -176,14 +199,8 @@ class LogisticProblem(Record):
         g = 1.0 - f0
         exp = math.exp
         bottom, top = _EXP_MIN, _EXP_MAX
-        log_odds = math.log(f0 / g)
-        # past top, g exp(u) > 2e292 > f0: the value is (f0 / g) exp(-u).
-        # Below bottom exp(u) has lost bits, which a subnormal f0 brings into
-        # view: the value is 1 / (1 + (g / f0) exp(u)), whose exponent
-        # u - log(f0 / g) is below 37, since f0 >= 5e-324
         return tuple([f0 / (f0 + g * exp(u)) if bottom <= (u := _scaled_arcsinh(c, -x)) <= top
-                      else exp(log_odds - u) if u > top else 1.0 / (1.0 + exp(u - log_odds))
-                      for x in xs])
+                      else _logistic_parts(f0, u)[0] for x in xs])
 
     def exact(self, x: float) -> float:
         """f0 / (f0 + (1 - f0) * exp_k(-x)); the default f0 = 1/2 gives the
@@ -226,15 +243,6 @@ def substitution_decay(p: DecayProblem, x: float) -> float:
         raise DomainError(f"x must lie in [0, {p.x_max}], got {x!r}")
     u = _scaled_arcsinh(p.k.value * p.beta, x)
     return _times_exp(p.f0, -p.beta * u)
-
-
-def _times_exp(f0: float, t: float) -> float:
-    """f0 * exp(t) for t <= 0.  Below exp's normal range exp(t) has lost bits,
-    which a large f0 brings into view, so there it is +-exp(t + log|f0|);
-    f0 = 0 gives the zero solution."""
-    if _EXP_MIN <= t or not f0:
-        return f0 * math.exp(t)
-    return math.copysign(math.exp(t + math.log(abs(f0))), f0)
 
 
 def residual_decay(p: DecayProblem, f_val: float, dfdx: float, x: float) -> float:
@@ -426,24 +434,10 @@ def logistic_residual(lp: LogisticProblem, x: float) -> float:
     """sqrt(1+k^2 x^2) f'(x) - f(x)(1 - f(x)) on the closed form, with the
     derivative taken analytically: with r = ((1 - f0)/f0) exp_k(-x),
     f = 1/(1 + r) and sqrt(1+k^2 x^2) f' = f q, q = r/(1 + r), the 1 - f of
-    the quotient rule.  f and q come from r in the closed form's forms:
-    f0/(f0 + e) and e/(f0 + e), e = (1 - f0) exp_k(-x), inside exp's normal
-    range; from 1/r past it, where exp_k(-x) overflows; and from r in log
-    space below it, where e has lost bits that a subnormal f0 brings into
-    view.  So f is exact(x), and the residual, the rounding of f(1 - f)
-    taken two ways, is within a few eps f of 0.  DomainError where x is
-    nan, +-inf or past the float range."""
+    the quotient rule.  f and q are the closed form's _logistic_parts, so f
+    is exact(x) over the whole float range, and the residual, the rounding
+    of f(1 - f) taken two ways, is within a few eps f of 0.  DomainError
+    where x is nan, +-inf or past the float range."""
     _finite("logistic_residual", x)
-    f0 = lp.f0
-    g = 1.0 - f0
-    u = _scaled_arcsinh(lp.k.value, -x)
-    if _EXP_MIN <= u <= _EXP_MAX:
-        e = g * math.exp(u)
-        f, q = f0 / (f0 + e), e / (f0 + e)
-    elif u > _EXP_MAX:
-        s = math.exp(math.log(f0 / g) - u)
-        f, q = s / (1.0 + s), 1.0 / (1.0 + s)
-    else:
-        r = math.exp(u - math.log(f0 / g))
-        f, q = 1.0 / (1.0 + r), r / (1.0 + r)
+    f, q = _logistic_parts(lp.f0, _scaled_arcsinh(lp.k.value, -x))
     return f * q - f * (1.0 - f)

@@ -1010,6 +1010,25 @@ def test_analytic_trace_keeps_the_sign_of_a_zero_f0(first, then):
     assert len(fs) == 11 and {math.copysign(1.0, f) for f in fs} == {math.copysign(1.0, then)}
 
 
+def test_problems_store_float_fields():
+    d = DecayProblem(Kappa(0.5), beta=2, f0=0, x_max=5)
+    lp = LogisticProblem(Kappa(0.5), x_max=5)
+    assert {type(v) for v in (d.beta, d.f0, d.x_max, lp.f0, lp.x_max)} == {float}
+    assert type(d.exact(1.0)) is float
+    assert {type(f) for f in analytic_trace(d, 1.0).fs} == {float}
+
+
+@pytest.mark.parametrize("first", [0, 0.0])
+def test_error_table_of_an_int_f0_is_floats_whatever_was_solved_first(first):
+    # DecayProblem(k, f0=0) == DecayProblem(k, f0=0.0), so the exact values
+    # that _exact_on keeps by problem are those of the problem solved first
+    ode._exact_on.cache_clear()
+    harness.error_table(DecayProblem(Kappa(0.5), f0=first), ["euler"], 1.0)
+    for f0 in (0, 0.0):
+        (report,) = harness.error_table(DecayProblem(Kappa(0.5), f0=f0), ["euler"], 1.0)
+        assert {type(e) for e in report.abs_errors} == {float}
+
+
 @pytest.mark.parametrize("problem", [DecayProblem, LogisticProblem])
 def test_subclass_that_overrides_exact_is_read_point_by_point(problem):
     # the grid form backs only the exact of its own class
