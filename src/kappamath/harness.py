@@ -99,7 +99,7 @@ def error_ladder(p, method: str, h0: float, levels: int):
         trace = SOLVERS[method](p, h)
         xs = trace.xs
         exact = _exact_values(p, h, xs)
-        errors = tuple(map(abs, map(sub, trace.fs, exact)))
+        errors = tuple([abs(f - e) for f, e in zip(trace.fs, exact)])
         rms = _rms(errors)
         if not rms < math.inf:  # only then may an error be nan
             _abs_diffs(trace.fs, exact, xs)
@@ -168,17 +168,22 @@ def _float_grid(name: str, x_grid) -> tuple:
 
 def series_error_curve(k: Kappa, orders, x_grid) -> SeriesErrorCurve:
     """|truncated decay series - exp_k(-x)| per order on the grid;
-    ConvergenceError where both overflow to the same infinity."""
-    from .series import decay_series_solution, evaluate_series
+    ConvergenceError where both overflow to the same infinity.  The series
+    is built once, to the highest order: a_p reads no binomial weight past
+    p/2, so the series of order n is that one's first n + 1 coefficients."""
+    from .series import PowerSeries, _check_order, decay_series_solution, evaluate_series
 
     orders = tuple(orders)
     if not orders:
         raise DomainError("need at least one order")
     xs = _float_grid("series_error_curve", x_grid)
+    for n in orders:
+        _check_order(n)
     exact = [kappa_exp(k, -x) for x in xs]
+    coeffs = decay_series_solution(k, max(orders)).coefficients
     curves = []
     for n in orders:
-        s = decay_series_solution(k, n)
+        s = PowerSeries("x", coeffs[: n + 1])
         curves.append(_abs_diffs([evaluate_series(s, k, x) for x in xs], exact, xs))
     return SeriesErrorCurve(k.value, orders, xs, tuple(curves))
 

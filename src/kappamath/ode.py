@@ -186,7 +186,8 @@ class LogisticProblem(Record):
         hypot = math.hypot
 
         def rhs(x: float, f: float) -> float:
-            return f * (1.0 - f) * (1.0 / hypot(1.0, kv * x))
+            # f (1 - f) over the square root as one quotient, as for decay
+            return f * (1.0 - f) / hypot(1.0, kv * x)
         return rhs
 
     # rhs(x, f), with kappa bound: read once per solve

@@ -169,7 +169,7 @@ def library_calls() -> list[tuple]:
     64, the expansion in x of iterates 0, 5 and 20 at kappa +-0.99 and 0.3
     and of series in u near the float maximum, the comparison reports, and
     the logistic residual in each of its kernel's three forms, with their
-    overflows and refusals.  The integrands are
+    overflows and refusals, and both slopes rhs(x, f).  The integrands are
     builtins, or partials of them, whose repr is the same in every run."""
     from functools import partial
 
@@ -316,6 +316,13 @@ def library_calls() -> list[tuple]:
                (LogisticProblem(Kappa(0.0), f0=5e-324, x_max=1000.0), x)) for x in (740.0, 744.0)]
     calls += [("logistic_residual", logistic_residual,
                (LogisticProblem(Kappa(0.0), f0=0.9999999999999999), x)) for x in (2.0, -710.0)]
+    # both slopes at ordinary points, where f (1 - f) overflows, and where
+    # 1/hypot(1, k x) is subnormal: a change of either slope's form moves lines
+    slopes = [(p, args) for p in (d1, l1) for args in (
+        (0.0, 0.5), (1.0, 0.25), (1.5, 0.3), (-2.0, 0.9), (3.0, -1.5), (2.0, 1e200))]
+    slopes += [(p, (1.7737777866880924e308, -1.3653782912056874e115)) for p in (
+        DecayProblem(Kappa(0.9801161035974092)), LogisticProblem(Kappa(0.9801161035974092)))]
+    calls += [(f"{p!r}.rhs", p.rhs, args) for p, args in slopes]
     calls += [("asymptote_check", asymptote_check, args) for args in (
         (Kappa(0.5), 10.0), (Kappa(0.5), 1e6), (Kappa(-0.9), 1e308),
         # at a tiny kappa the log of the ratio once cancelled past the float range

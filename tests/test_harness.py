@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+import re
 import sys
 import threading
 from itertools import islice
@@ -19,7 +20,9 @@ from kappamath import (
     convergence_order,
     decay_series_solution,
     error_table,
+    evaluate_series,
     exp_kappa_taylor,
+    kappa_exp,
     picard_iterate,
     picard_vs_series,
     series_compose,
@@ -30,6 +33,7 @@ from kappamath import (
 from kappamath import ode
 from kappamath.harness import ROUNDOFF_FLOOR, ErrorReport, _rms, error_ladder, fit_ladder
 from kappamath.ode import SOLVERS
+from kappamath.series import MAX_ORDER
 
 
 def decay(kv=0.9, **kw):
@@ -592,6 +596,30 @@ def test_series_error_curve_aligned_with_repeated_orders():
     assert curve.abs_errors[2] == series_error_curve(k, [2], xs).abs_errors[0]
     assert all(len(errors) == len(xs) for errors in curve.abs_errors)
     assert hash(curve) == hash(series_error_curve(k, [4, 4, 2], xs))
+
+
+@pytest.mark.parametrize("kv", [0.0, 0.5, -0.5, 0.9, -0.99, 1e-300, 0.999])
+def test_series_error_curve_matches_the_per_order_build(kv):
+    # the curve builds the series once, to the highest order, and reads each
+    # order's prefix; each order built on its own gives the same bits
+    k = Kappa(kv)
+    xs = [-3.0, -0.5, 0.0, 0.1, 0.5, 1.0, 2.5]
+    orders = list(range(MAX_ORDER, -1, -1))
+    curve = series_error_curve(k, orders, xs)
+    exact = [kappa_exp(k, -x) for x in xs]
+    for n, errors in zip(orders, curve.abs_errors):
+        s = decay_series_solution(k, n)
+        want = tuple(abs(evaluate_series(s, k, x) - e) for x, e in zip(xs, exact))
+        assert repr(errors) == repr(want), n
+
+
+def test_series_error_curve_checks_every_order_first():
+    # a bad order is named as the per-order build names it, whatever its place
+    for bad in (MAX_ORDER + 1, -1, 2.0):
+        with pytest.raises(DomainError) as want:
+            decay_series_solution(Kappa(0.5), bad)
+        with pytest.raises(DomainError, match=re.escape(str(want.value))):
+            series_error_curve(Kappa(0.5), [3, bad, 1], [0.5])
 
 
 def test_asymptote_check_values():
